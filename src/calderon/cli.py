@@ -304,7 +304,7 @@ def export_projector(out_dir, name, proj):
 # -- tasks --------------------------------------------------------------
 
 
-def _task_module_check(cfg, out_dir):
+def _task_module_check(cfg, out_dir, run):
     """Hilbert-module identity suite on the configured algebra."""
     alg = cfg["algebra"]
     rng = np.random.default_rng(cfg["seed"])
@@ -338,7 +338,7 @@ def _task_module_check(cfg, out_dir):
     return status, {"max_deviation": worst, "trials": trials}
 
 
-def _task_sobolev_check(cfg, out_dir):
+def _task_sobolev_check(cfg, out_dir, run):
     """Multiplier identities and the trace-ratio behaviour."""
     n_u = max(cfg["grid"].n_u, 16)
     n_y = cfg["grid"].n_y if cfg["grid"].n_y > 1 else 8
@@ -377,14 +377,15 @@ def _task_sobolev_check(cfg, out_dir):
     }
 
 
-def _task_double(cfg, out_dir):
-    sysd = build_double(cfg["model"], cfg["grid"])
+def _task_double(cfg, out_dir, run):
+    sysd = run.double()
     ghost = ghost_solution_check(sysd)
     metrics = {
         "sigma_min": sysd.sigma_min,
         "bound_constant": sysd.bound_constant,
         "ghost_sigma_min": ghost["sigma_min"],
     }
+    metrics.update(sysd.certificate())
     ok = sysd.sigma_min > cfg["tolerances"]["sigma_min"] and ghost[
         "trivial_kernel"
     ]
@@ -395,8 +396,8 @@ def _task_double(cfg, out_dir):
     return ("pass" if ok else "fail"), metrics
 
 
-def _task_calderon(cfg, out_dir):
-    sysd = build_double(cfg["model"], cfg["grid"])
+def _task_calderon(cfg, out_dir, run):
+    sysd = run.double()
     proj = calderon_projector(sysd)
     diag = proj.diagnostics()
     rng = np.random.default_rng(cfg["seed"])
@@ -416,7 +417,7 @@ def _task_calderon(cfg, out_dir):
     return ("pass" if ok else "fail"), metrics
 
 
-def _task_symbol(cfg, out_dir):
+def _task_symbol(cfg, out_dir, run):
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
     count = 0
@@ -450,11 +451,10 @@ def _task_symbol(cfg, out_dir):
     return ("pass" if ok else "fail"), metrics
 
 
-def _task_index(cfg, out_dir):
+def _task_index(cfg, out_dir, run):
     if cfg["model"].y_dependent:
         raise StructureError("index task needs constant coefficients")
-    sysd = build_double(cfg["model"], cfg["grid"])
-    result = calderon_vs_aps_index(sysd)
+    result = calderon_vs_aps_index(run.double())
     return "pass", result
 
 
@@ -485,10 +485,11 @@ def _manufactured_pair(model, grid, rng):
     return out
 
 
-def _task_convergence(cfg, out_dir, levels=3):
+def _task_convergence(cfg, out_dir, run):
     """Dense-path refinement study with fitted convergence orders."""
     from .csalg import norm as alg_norm
 
+    levels = run.levels
     grid0 = cfg["grid"]
     if grid0.kind != "uniform":
         raise StructureError("convergence study requires the dense path")
@@ -574,22 +575,85 @@ _TASK_FUNCS = {
 # -- scenario driver ----------------------------------------------------
 
 
+class _ScenarioRun:
+    """State the tasks of one :func:`run_scenario` call share.
+
+    ``double()`` builds the double of the configured model and grid on
+    first use and hands the same system to every later task; a build that
+    raised re-raises the same error to every task that asks for it.
+    """
+
+    def __init__(self, cfg, levels):
+        self.cfg = cfg
+        self.levels = levels
+        self._double = None
+        self._error = None
+
+    def double(self):
+        if self._error is not None:
+            raise self._error
+        if self._double is None:
+            try:
+                self._double = build_double(
+                    self.cfg["model"], self.cfg["grid"]
+                )
+            except (CalderonError, np.linalg.LinAlgError) as exc:
+                self._error = exc
+                raise
+        return self._double
+
+
+def _nan_keys(obj, prefix=""):
+    """Dotted keys of the NaN values inside nested metrics."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, (list, tuple)):
+        items = enumerate(obj)
+    else:
+        is_nan = isinstance(obj, (float, np.floating)) and np.isnan(obj)
+        return [prefix] if is_nan else []
+    return [
+        key
+        for k, v in items
+        for key in _nan_keys(v, "%s.%s" % (prefix, k) if prefix else str(k))
+    ]
+
+
+def _strict_json(obj):
+    """Copy of ``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    return obj
+
+
 def run_scenario(cfg, levels=3):
-    """Execute the configured tasks in order and assemble the report."""
+    """Execute the configured tasks in order and assemble the report.
+
+    A task that raises a :class:`CalderonError` or a
+    ``numpy.linalg.LinAlgError``, or reports a NaN metric, fails; the
+    report is written in any case, as strict JSON with non-finite values
+    as ``null``.
+    """
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
     t0 = time.monotonic()
+    run = _ScenarioRun(cfg, levels)
     task_reports = []
     overall_ok = True
     for name in cfg["tasks"]:
         func = _TASK_FUNCS[name]
         try:
-            if name == "convergence":
-                status, metrics = func(cfg, out_dir, levels=levels)
-            else:
-                status, metrics = func(cfg, out_dir)
-        except CalderonError as exc:
+            status, metrics = func(cfg, out_dir, run)
+        except (CalderonError, np.linalg.LinAlgError) as exc:
             status, metrics = "fail", {"error": str(exc)}
+        nan_keys = _nan_keys(metrics)
+        if nan_keys:
+            status = "fail"
+            metrics = dict(metrics, nan_metrics=nan_keys)
         task_reports.append(
             {"name": name, "status": status, "metrics": metrics}
         )
@@ -605,7 +669,14 @@ def run_scenario(cfg, levels=3):
         "wall_time_s": time.monotonic() - t0,
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, default=float)
+        json.dump(
+            _strict_json(report),
+            fh,
+            indent=2,
+            sort_keys=True,
+            default=float,
+            allow_nan=False,
+        )
         fh.write("\n")
     return report
 

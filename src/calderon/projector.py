@@ -24,7 +24,12 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .dirac import CollarFunction, _channel_rhs, _solve_channel
+from .dirac import (
+    CollarFunction,
+    _channel_rhs,
+    _channel_to_values,
+    _solve_channel,
+)
 from .errors import CertificationError, StructureError
 from .hilbmod import ModuleOperator, membership_defect, orthogonalize_idempotent
 
@@ -201,15 +206,23 @@ class BoundaryProjector:
         return BoundaryData.from_channel_coeffs(self.model, self.n_y, coeffs)
 
     def diagnostics(self):
-        mat = self.matrix()
-        idem = float(np.linalg.norm(mat @ mat - mat, 2))
-        sa = float(np.linalg.norm(mat - mat.conj().T, 2))
+        """Idempotency and self-adjointness defects (2-norm), dimension and
+        algebra-membership defect.  Per mode they are maxima over the
+        diagonal blocks: the 2-norm of a block-diagonal matrix is the
+        largest block norm, and its off-diagonal m-blocks are exactly zero.
+        """
+        blocks = self.blocks if self.per_mode else [self.dense]
+        alg = self.model.algebra
         out = {
-            "idempotency_defect": idem,
-            "self_adjointness_defect": sa,
-            "dimension": mat.shape[0],
-            "a_membership_defect": float(
-                membership_defect(self.model.algebra, mat)
+            "idempotency_defect": max(
+                float(np.linalg.norm(b @ b - b, 2)) for b in blocks
+            ),
+            "self_adjointness_defect": max(
+                float(np.linalg.norm(b - b.conj().T, 2)) for b in blocks
+            ),
+            "dimension": sum(b.shape[0] for b in blocks),
+            "a_membership_defect": max(
+                float(membership_defect(alg, b)) for b in blocks
             ),
         }
         if self.per_mode:
@@ -280,7 +293,7 @@ def _collocation_projector_block(sys_channel, grid):
     jump0 = np.hstack([eye, zero])
     jump1 = np.hstack([zero, eye])
     rhs = _channel_rhs(grid, q2, jump0=jump0, jump1=jump1)
-    sol = _solve_channel(sys_channel.lu, rhs)
+    sol = _solve_channel(sys_channel, rhs)
     n_nodes = grid.n_nodes
     sol = sol.reshape(2, n_nodes, q2, 2 * q2)
     phi = sol[0]
@@ -305,8 +318,6 @@ def poisson(sys, g, with_side2=False):
     if sys.per_mode:
         phi = np.zeros((n_nodes, grid.n_y, n_fiber, m_cols), dtype=complex)
         tau = np.zeros_like(phi)
-        from .dirac import _channel_to_values
-
         for cs in sys.channels:
             ch = cs.channel
             q2 = ch.dim
@@ -314,8 +325,7 @@ def poisson(sys, g, with_side2=False):
             rhs = _channel_rhs(
                 grid, q2, jump0=coeff[:q2], jump1=coeff[q2:]
             )
-            sol = _solve_channel(cs.lu, rhs.reshape(rhs.shape[0], -1))
-            sol = sol.reshape(2, n_nodes, q2, m_cols)
+            sol = _solve_channel(cs, rhs).reshape(2, n_nodes, q2, m_cols)
             _channel_to_values(sol[0], ch, grid, n_fiber, out=phi)
             _channel_to_values(sol[1], ch, grid, n_fiber, out=tau)
     else:

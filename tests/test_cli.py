@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from calderon import cli
 from calderon.cli import ConfigError, main, parse_config
+from calderon.errors import CertificationError
 
 
 def segment_config(output_dir, tasks=("double", "calderon")):
@@ -158,6 +160,128 @@ def test_convergence_levels_validation(tmp_path):
     }
     path = write_config(tmp_path, raw)
     assert main(["convergence", path, "--levels", "2"]) == 2
+
+
+def cylinder_config(output_dir, tasks=("double", "calderon", "index")):
+    return {
+        "algebra": {"kind": "matrix", "n": 2},
+        "model": {
+            "base": "cylinder",
+            "v": {"kind": "random-hermitian", "scale": 0.8},
+        },
+        "grid": {"n_u": 12, "n_y": 8, "kind": "chebyshev"},
+        "tasks": list(tasks),
+        "seed": 31,
+        "output_dir": str(output_dir),
+    }
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
+def strict_report(out):
+    text = (out / "report.json").read_text()
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def test_double_is_built_once_per_scenario(tmp_path, monkeypatch):
+    calls = []
+    build = cli.build_double
+
+    def counting_build(model, grid):
+        calls.append((model, grid))
+        return build(model, grid)
+
+    monkeypatch.setattr(cli, "build_double", counting_build)
+    out = tmp_path / "out"
+    cfg = parse_config(cylinder_config(out))
+    report = cli.run_scenario(cfg)
+    assert report["status"] == "pass"
+    assert calls == [(cfg["model"], cfg["grid"])]
+    # a second scenario builds its own double
+    cli.run_scenario(cfg)
+    assert len(calls) == 2
+
+
+def test_failed_build_fails_every_task_that_needs_it(tmp_path, monkeypatch):
+    calls = []
+
+    def failing_build(model, grid):
+        calls.append(1)
+        raise CertificationError("double not certifiably invertible")
+
+    monkeypatch.setattr(cli, "build_double", failing_build)
+    out = tmp_path / "out"
+    raw = cylinder_config(out, tasks=("double", "symbol", "calderon", "index"))
+    assert main(["run", write_config(tmp_path, raw)]) == 1
+    tasks = {t["name"]: t for t in strict_report(out)["tasks"]}
+    assert len(calls) == 1
+    assert tasks["symbol"]["status"] == "pass"
+    for name in ("double", "calderon", "index"):
+        assert tasks[name]["status"] == "fail"
+        assert tasks[name]["metrics"] == {
+            "error": "double not certifiably invertible"
+        }
+
+
+def test_double_reports_how_sigma_min_was_certified(tmp_path):
+    out = tmp_path / "out"
+    cfg = parse_config(cylinder_config(out, tasks=["double"]))
+    metrics = cli.run_scenario(cfg)["tasks"][0]["metrics"]
+    assert metrics["sigma_min_method"] == "per-mode decoupled full SVD"
+    assert metrics["svd_max_dim"] == 2 * (12 + 1)
+    assert metrics["eig_residual"] < 1e-12
+    assert metrics["eig_unitarity_defect"] < 1e-12
+    raw = cylinder_config(out, tasks=["double"])
+    raw["model"]["v"] = {
+        "kind": "cosine",
+        "base": {"kind": "diag", "values": [1.0, -0.7]},
+        "amplitude": 0.3,
+    }
+    raw["grid"] = {"n_u": 8, "n_y": 8, "kind": "uniform"}
+    metrics = cli.run_scenario(parse_config(raw))["tasks"][0]["metrics"]
+    assert metrics["sigma_min_method"] == "dense full SVD"
+    assert metrics["svd_max_dim"] == 2 * (8 + 1) * 8 * 4
+    assert "eig_residual" not in metrics
+
+
+def test_linalg_error_becomes_fail_entry(tmp_path, monkeypatch):
+    def singular(cfg, out_dir, run):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setitem(cli._TASK_FUNCS, "double", singular)
+    out = tmp_path / "out"
+    code = main(["run", write_config(tmp_path, segment_config(out))])
+    assert code == 1
+    report = strict_report(out)
+    assert report["status"] == "fail"
+    double, calderon = report["tasks"]
+    assert double["status"] == "fail"
+    assert double["metrics"] == {"error": "Singular matrix"}
+    assert calderon["status"] == "pass"
+
+
+def test_nan_metric_fails_task_and_report_stays_strict(tmp_path, monkeypatch):
+    def not_a_number(cfg, out_dir, run):
+        return "pass", {
+            "sigma_min": float("nan"),
+            "orders": [1.0, float("inf")],
+            "nested": {"defect": np.float64("nan")},
+        }
+
+    monkeypatch.setitem(cli._TASK_FUNCS, "double", not_a_number)
+    out = tmp_path / "out"
+    code = main(["run", write_config(tmp_path, segment_config(out))])
+    assert code == 1
+    double = strict_report(out)["tasks"][0]
+    assert double["status"] == "fail"
+    assert double["metrics"] == {
+        "sigma_min": None,
+        "orders": [1.0, None],
+        "nested": {"defect": None},
+        "nan_metrics": ["sigma_min", "nested.defect"],
+    }
 
 
 # -- selfcheck and plumbing ---------------------------------------------
