@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .csalg import CStarAlgebra, star
+from .csalg import norm as alg_norm
 from .errors import CalderonError, StructureError
 from . import hilbmod
 from . import sobolev
@@ -32,20 +33,14 @@ from .dirac import (
     CollarFunction,
     CollarGrid,
     ProductDiracModel,
-    apply_dirac,
-    apply_dirac_minus,
     build_double,
     ghost_solution_check,
     green_residual,
 )
 from .projector import (
-    BoundaryData,
     calderon_projector,
     calderon_vs_aps_index,
-    cauchy_space_oracle,
     exact_projector_block,
-    orthogonalized_calderon,
-    poisson,
     principal_symbol,
     spectral_projection_positive,
     symbol_limit_check,
@@ -86,8 +81,40 @@ def _require_keys(obj, required, optional, where):
         )
 
 
+def _read_real(value, where):
+    """A finite JSON number, as a float; bools, strings, arrays, objects,
+    NaN and infinities are rejected."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+    ):
+        raise ConfigError("%s must be a finite number" % where)
+    return float(value)
+
+
+def _read_int(value, where):
+    """An integral JSON number (such as 2 or 2.0), as an int."""
+    if not _read_real(value, where).is_integer():
+        raise ConfigError("%s must be an integer" % where)
+    return int(value)
+
+
+def _read_array(value, where):
+    """A JSON array of finite numbers (nested for a matrix), as floats; a
+    ragged array leaves lists among the entries and is rejected."""
+    if not isinstance(value, list):
+        raise ConfigError("%s must be an array" % where)
+    entries = np.array(value, dtype=object)
+    return np.array(
+        [_read_real(x, where) for x in entries.flat], dtype=float
+    ).reshape(entries.shape)
+
+
 def _parse_algebra(desc):
     _require_keys(desc, ("kind",), ("n", "name", "table"), "algebra")
+    if "n" in desc:
+        desc = dict(desc, n=_read_int(desc["n"], "algebra.n"))
     try:
         return CStarAlgebra.from_descriptor(desc)
     except (StructureError, KeyError) as exc:
@@ -95,10 +122,13 @@ def _parse_algebra(desc):
 
 
 def _parse_matrix(desc, where):
-    _require_keys(desc, ("real",), ("imag",), where)
-    mat = np.asarray(desc["real"], dtype=float).astype(complex)
+    _require_keys(desc, ("kind", "real"), ("imag",), where)
+    mat = _read_array(desc["real"], where + ".real").astype(complex)
     if "imag" in desc:
-        mat = mat + 1j * np.asarray(desc["imag"], dtype=float)
+        imag = _read_array(desc["imag"], where + ".imag")
+        if imag.shape != mat.shape:
+            raise ConfigError("%s.imag must have the shape of .real" % where)
+        mat = mat + 1j * imag
     return mat
 
 
@@ -113,7 +143,7 @@ def _parse_v(desc, rm, seed):
         "matrix": (("real",), ("imag",)),
         "cosine": (("base", "amplitude"), ()),
     }
-    if not isinstance(desc, dict) or desc.get("kind") not in kinds:
+    if not isinstance(desc, dict) or desc.get("kind") not in tuple(kinds):
         raise ConfigError(
             "model.v.kind must be one of %s" % sorted(kinds)
         )
@@ -123,15 +153,17 @@ def _parse_v(desc, rm, seed):
     if kind == "zero":
         return np.zeros((rm, rm), dtype=complex)
     if kind == "diag":
-        vals = np.asarray(desc["values"], dtype=float)
-        if vals.size != rm:
+        vals = _read_array(desc["values"], "model.v.values")
+        if vals.shape != (rm,):
             raise ConfigError("model.v.values must have length r * rep_dim")
         return np.diag(vals).astype(complex)
     if kind == "scaled-identity":
-        return float(desc["scale"]) * np.eye(rm, dtype=complex)
+        return _read_real(desc["scale"], "model.v.scale") * np.eye(
+            rm, dtype=complex
+        )
     if kind == "random-hermitian":
         rng = np.random.default_rng(seed)
-        scale = float(desc.get("scale", 1.0))
+        scale = _read_real(desc.get("scale", 1.0), "model.v.scale")
         mat = rng.standard_normal((rm, rm)) + 1j * rng.standard_normal((rm, rm))
         return scale * 0.5 * (mat + mat.conj().T)
     if kind == "matrix":
@@ -143,7 +175,7 @@ def _parse_v(desc, rm, seed):
     base = _parse_v(desc["base"], rm, seed)
     if base is None or callable(base):
         raise ConfigError("model.v.base must be a constant potential")
-    amp = float(desc["amplitude"])
+    amp = _read_real(desc["amplitude"], "model.v.amplitude")
 
     def v_of_y(y):
         return base + amp * np.cos(y) * np.eye(rm)
@@ -161,12 +193,11 @@ def _parse_holonomy(desc, rm):
         raise ConfigError("model.holonomy.kind must be 'phase' or 'matrix'")
     if desc["kind"] == "phase":
         _require_keys(desc, ("kind", "angle_fraction"), (), "model.holonomy")
-        frac = float(desc["angle_fraction"])
+        frac = _read_real(
+            desc["angle_fraction"], "model.holonomy.angle_fraction"
+        )
         return np.exp(2j * np.pi * frac) * np.eye(rm)
-    _require_keys(desc, ("kind", "real"), ("imag",), "model.holonomy")
-    mat = _parse_matrix(
-        {k: v for k, v in desc.items() if k != "kind"}, "model.holonomy"
-    )
+    mat = _parse_matrix(desc, "model.holonomy")
     if mat.shape != (rm, rm):
         raise ConfigError("model.holonomy matrix must be %d x %d" % (rm, rm))
     return mat
@@ -180,7 +211,7 @@ def parse_config(raw):
         ("schema_version", "seed", "tolerances", "output_dir"),
         "config",
     )
-    if int(raw.get("schema_version", 1)) != 1:
+    if _read_int(raw.get("schema_version", 1), "schema_version") != 1:
         raise ConfigError("unsupported schema_version")
     algebra = _parse_algebra(raw["algebra"])
 
@@ -188,10 +219,10 @@ def parse_config(raw):
     _require_keys(
         model_desc, ("base",), ("r", "v", "w", "holonomy"), "model"
     )
-    r = int(model_desc.get("r", 1))
+    r = _read_int(model_desc.get("r", 1), "model.r")
     if r < 1:
         raise ConfigError("model.r must be >= 1")
-    seed = int(raw.get("seed", 12345))
+    seed = _read_int(raw.get("seed", 12345), "seed")
     rm = r * algebra.rep_dim
     v = _parse_v(model_desc.get("v"), rm, seed)
     w = None
@@ -211,8 +242,8 @@ def parse_config(raw):
     _require_keys(grid_desc, ("n_u",), ("n_y", "kind"), "grid")
     try:
         grid = CollarGrid(
-            n_u=int(grid_desc["n_u"]),
-            n_y=int(grid_desc.get("n_y", 1)),
+            n_u=_read_int(grid_desc["n_u"], "grid.n_u"),
+            n_y=_read_int(grid_desc.get("n_y", 1), "grid.n_y"),
             kind=grid_desc.get("kind", "chebyshev"),
         )
     except StructureError as exc:
@@ -232,17 +263,15 @@ def parse_config(raw):
             )
 
     tolerances = raw.get("tolerances", {})
-    _require_keys(
-        tolerances,
-        (),
-        ("idempotency", "oracle", "sigma_min"),
-        "tolerances",
-    )
+    defaults = {"idempotency": 1e-9, "oracle": 1e-9, "sigma_min": 1e-10}
+    _require_keys(tolerances, (), tuple(defaults), "tolerances")
     tol = {
-        "idempotency": float(tolerances.get("idempotency", 1e-9)),
-        "oracle": float(tolerances.get("oracle", 1e-9)),
-        "sigma_min": float(tolerances.get("sigma_min", 1e-10)),
+        key: _read_real(tolerances.get(key, value), "tolerances." + key)
+        for key, value in defaults.items()
     }
+    output_dir = raw.get("output_dir", "calderon-out")
+    if not isinstance(output_dir, str):
+        raise ConfigError("output_dir must be a string")
     return {
         "algebra": algebra,
         "model": model,
@@ -250,7 +279,7 @@ def parse_config(raw):
         "tasks": list(tasks),
         "seed": seed,
         "tolerances": tol,
-        "output_dir": raw.get("output_dir", "calderon-out"),
+        "output_dir": output_dir,
         "raw": raw,
     }
 
@@ -285,16 +314,17 @@ def write_csv(path, header, rows):
 def export_projector(out_dir, name, proj):
     mat = proj.matrix()
     np.save(os.path.join(out_dir, name + ".npy"), mat)
-    rows = [
-        (i, j, mat[i, j].real, mat[i, j].imag)
-        for i in range(mat.shape[0])
-        for j in range(mat.shape[1])
-    ]
-    write_csv(
-        os.path.join(out_dir, name + ".csv"),
-        ("row", "col", "real", "imag"),
-        rows,
+    # one entry per line, formatted as write_csv formats ints and floats
+    n_rows, n_cols = mat.shape
+    entries = zip(
+        np.repeat(np.arange(n_rows), n_cols).tolist(),
+        np.tile(np.arange(n_cols), n_rows).tolist(),
+        mat.real.ravel().tolist(),
+        mat.imag.ravel().tolist(),
     )
+    with open(os.path.join(out_dir, name + ".csv"), "w") as fh:
+        fh.write("row,col,real,imag\n")
+        fh.writelines("%d,%d,%.17e,%.17e\n" % entry for entry in entries)
     diag = proj.diagnostics()
     with open(os.path.join(out_dir, name + "_diagnostics.txt"), "w") as fh:
         for key in sorted(diag):
@@ -396,6 +426,16 @@ def _task_double(cfg, out_dir, run):
     return ("pass" if ok else "fail"), metrics
 
 
+def _oracle_defect(proj):
+    """Largest 2-norm distance of a per-mode channel block from its exact
+    graph projection."""
+    worst = 0.0
+    for ch, block in proj.channel_blocks:
+        oracle = exact_projector_block(ch.b_mat)
+        worst = max(worst, float(np.linalg.norm(block - oracle, 2)))
+    return worst
+
+
 def _task_calderon(cfg, out_dir, run):
     sysd = run.double()
     proj = calderon_projector(sysd)
@@ -404,12 +444,8 @@ def _task_calderon(cfg, out_dir, run):
     metrics = dict(diag)
     ok = diag["idempotency_defect"] < cfg["tolerances"]["idempotency"]
     if sysd.per_mode and not cfg["model"].y_dependent:
-        worst = 0.0
-        for ch, block in proj.channel_blocks:
-            oracle = exact_projector_block(ch.b_mat)
-            worst = max(worst, float(np.linalg.norm(block - oracle, 2)))
-        metrics["oracle_defect"] = worst
-        ok = ok and worst < cfg["tolerances"]["oracle"]
+        metrics["oracle_defect"] = _oracle_defect(proj)
+        ok = ok and metrics["oracle_defect"] < cfg["tolerances"]["oracle"]
     if cfg["model"].h_rep is None:
         metrics["a_linearity_defect"] = proj.a_linearity_defect(rng, trials=5)
         ok = ok and metrics["a_linearity_defect"] < 1e-10
@@ -487,8 +523,6 @@ def _manufactured_pair(model, grid, rng):
 
 def _task_convergence(cfg, out_dir, run):
     """Dense-path refinement study with fitted convergence orders."""
-    from .csalg import norm as alg_norm
-
     levels = run.levels
     grid0 = cfg["grid"]
     if grid0.kind != "uniform":
@@ -509,12 +543,8 @@ def _task_convergence(cfg, out_dir, run):
         idem = proj.diagnostics()["idempotency_defect"]
         row = [n_u, green, idem]
         if sysd.per_mode and not model.y_dependent:
-            worst = 0.0
-            for ch, block in proj.channel_blocks:
-                oracle = exact_projector_block(ch.b_mat)
-                worst = max(worst, float(np.linalg.norm(block - oracle, 2)))
-            oracles.append(worst)
-            row.append(worst)
+            oracles.append(_oracle_defect(proj))
+            row.append(oracles[-1])
         greens.append(green)
         idems.append(idem)
         rows.append(row)

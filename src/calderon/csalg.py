@@ -9,6 +9,8 @@ numerical linear algebra.
 
 from __future__ import annotations
 
+from itertools import permutations
+
 import numpy as np
 
 from .errors import SpectrumError, StructureError
@@ -24,8 +26,6 @@ def cyclic_table(n):
 
 def symmetric_table(n):
     """Cayley table of the symmetric group S_n (identity at index 0)."""
-    from itertools import permutations
-
     perms = sorted(permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     # composition (p*q)(x) = p(q(x))

@@ -32,6 +32,10 @@ the unitarity defect ||U*U - I||_2 are kept with the channel: by Weyl's
 inequality the decoupled sigma_min is within ||bU - U Lambda||_2 +
 2 ||b||_2 ||U*U - I||_2 of that of the coupled channel system.  The
 dense path certifies with one full SVD of the assembled matrix.
+
+:meth:`DoubleSystem.solve` is the one solve of the double: the inverse
+(:func:`invert_double`), the Poisson operator and the dense Calderon
+projector are that transmission solve with different data.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .csalg import CStarAlgebra
+from .csalg import AlgebraElement
 from .errors import CertificationError, StructureError
 from .hilbmod import ModuleOperator
 
@@ -336,9 +340,8 @@ class ProductDiracModel:
             if self.v_rep is None:
                 raise StructureError("y-dependent v has no per-mode matrix")
             v_rep = self.v_rep
-        b = np.kron(SIGMA_1, eta * np.eye(v_rep.shape[0])) + np.kron(
-            SIGMA_3, v_rep
-        )
+        eye = np.eye(v_rep.shape[0])
+        b = np.kron(SIGMA_1, eta * eye) + np.kron(SIGMA_3, v_rep)
         if self.base == "segment":
             b = b + np.kron(SIGMA_1, self.w_rep)
         return b
@@ -388,16 +391,19 @@ class ProductDiracModel:
         """
         if self.h_rep is None:
             return [(0.0, np.eye(self.rm, dtype=complex))]
+        tol = 1e-9
         phases, vecs = np.linalg.eig(self.h_rep)
-        # unitary: eigenvalues on the circle; cluster by angle
+        # unitary: eigenvalues on the circle; cluster by angle, and a phase
+        # within the tolerance below 2 pi joins the cluster at 0
         angles = np.mod(np.angle(phases), 2.0 * np.pi)
+        angles[2.0 * np.pi - angles <= tol] = 0.0
         order = np.argsort(angles)
         angles = angles[order]
         vecs = vecs[:, order]
         channels = []
         start = 0
         for i in range(1, len(angles) + 1):
-            if i == len(angles) or angles[i] - angles[start] > 1e-9:
+            if i == len(angles) or angles[i] - angles[start] > tol:
                 block = vecs[:, start:i]
                 block = np.linalg.qr(block)[0]
                 channels.append((angles[start] / (2.0 * np.pi), block))
@@ -421,13 +427,9 @@ class ProductDiracModel:
             return channels
         cut = n_y // 3
         for shift, basis in self.holonomy_channels():
-            q = basis.shape[1]
             v_sub = basis.conj().T @ self.v_rep @ basis
             for eta in range(-cut, cut + 1):
-                eta_eff = eta + shift
-                b = np.kron(SIGMA_1, eta_eff * np.eye(q)) + np.kron(
-                    SIGMA_3, v_sub
-                )
+                b = self.tangential_matrix(eta + shift, v_sub)
                 channels.append(
                     ModeChannel(
                         eta=float(eta), shift=shift, basis=basis, b_mat=b
@@ -441,36 +443,31 @@ class ProductDiracModel:
 
 def _tangential_apply(model, grid, values):
     """Apply B = sigma_1 (-i d/dy) + sigma_3 V(y) to sampled values."""
-    n_f = model.n_fiber
-    rm = model.rm
-    if values.shape[2] != n_f:
+    if values.shape[2] != model.n_fiber:
         raise StructureError("fiber dimension mismatch")
     if model.h_rep is not None:
         raise StructureError(
             "grid-level application supports trivial holonomy only"
         )
-    out = np.zeros_like(values)
+    # B(0) at every y-point, then sigma_1 tensor (-i d/dy)
+    b0 = np.stack(
+        [model.tangential_matrix(0.0, v) for v in model.v_samples(grid.n_y)]
+    )
+    out = np.einsum("yij,uyjm->uyim", b0, values)
     if grid.n_y > 1:
+        rm = model.rm
         eta = grid.eta()
         coeffs = np.fft.fft(values, axis=1)
         dy_vals = np.fft.ifft(1j * eta[None, :, None, None] * coeffs, axis=1)
-        # sigma_1 tensor (-i d/dy)
         out[:, :, :rm] += -1j * dy_vals[:, :, rm:]
         out[:, :, rm:] += -1j * dy_vals[:, :, :rm]
-    v = model.v_samples(grid.n_y)  # (n_y, rm, rm)
-    top = np.einsum("yij,uyjm->uyim", v, values[:, :, :rm])
-    bot = np.einsum("yij,uyjm->uyim", v, values[:, :, rm:])
-    out[:, :, :rm] += top
-    out[:, :, rm:] -= bot
-    if model.base == "segment" and np.linalg.norm(model.w_rep) > 0:
-        out[:, :, :rm] += np.einsum("ij,uyjm->uyim", model.w_rep, values[:, :, rm:])
-        out[:, :, rm:] += np.einsum("ij,uyjm->uyim", model.w_rep, values[:, :, :rm])
     return out
 
 
 def apply_dirac(model, s, side=1):
     """Apply the side-1 operator G(d/du + B) or the pulled-back side-2
-    operator (-d/du + B) G*.
+    operator (-d/du + B) G*, which is also the formal adjoint D- acting on
+    side-1 E^- sections.
 
     The u-derivative uses the grid's differentiation matrix: spectral
     collocation on a Chebyshev grid (the analytic path), 4th-order finite
@@ -493,17 +490,6 @@ def apply_dirac(model, s, side=1):
     else:
         out = -dvals + bvals
     return CollarFunction(grid, out)
-
-
-def apply_dirac_minus(model, s):
-    """The formal adjoint D- = (-d/du + B) G* acting on side-1 E^- sections."""
-    grid = s.grid
-    g_star = model.g_rep.conj().T
-    vals = np.einsum("ij,uyjm->uyim", g_star, s.values)
-    d = grid.diff_matrix()
-    dvals = np.einsum("uv,vyim->uyim", d, vals)
-    bvals = _tangential_apply(model, grid, vals)
-    return CollarFunction(grid, -dvals + bvals)
 
 
 def collar_inner_product(s1, s2):
@@ -531,7 +517,7 @@ def green_residual(model, s1, s2):
     normal of side 1).  Vanishes identically in the continuum.
     """
     lhs = collar_inner_product(apply_dirac(model, s1, side=1), s2)
-    rhs = collar_inner_product(s1, apply_dirac_minus(model, s2))
+    rhs = collar_inner_product(s1, apply_dirac(model, s2, side=2))
     g = model.g_rep
     n_y = s1.grid.n_y
     gs_0 = np.einsum("ij,yjm->yim", g, s1.values[0])
@@ -539,8 +525,6 @@ def green_residual(model, s1, s2):
     bnd = boundary_inner_product(gs_0, s2.values[0], n_y) - (
         boundary_inner_product(gs_1, s2.values[-1], n_y)
     )
-    from .csalg import AlgebraElement
-
     return AlgebraElement(model.algebra, lhs - rhs + bnd)
 
 
@@ -606,6 +590,41 @@ class DoubleSystem:
         if not self.per_mode:
             raise StructureError("kernel dims are a per-mode diagnostic")
         return [cs.kernel_dim for cs in self.channels]
+
+    def solve(self, f1=None, f2=None, jump0=None, jump1=None):
+        """Grid values (phi, tau) solving (d/du + B) phi = f1, (-d/du + B)
+        tau = f2, phi(0) - tau(0) = jump0 and phi(1) + tau(1) = jump1.
+
+        ``f1``/``f2`` have shape (n_nodes, n_y, n_fiber, cols), the jumps
+        (n_y, n_fiber, cols); omitted data is zero.  Needs trivial holonomy.
+        """
+        if self.model.h_rep is not None:
+            raise StructureError(
+                "grid-level solves support trivial holonomy only; nontrivial "
+                "holonomy enters through the per-mode boundary projectors"
+            )
+        grid = self.grid
+        data = (f1, f2, jump0, jump1)
+        given = next(a for a in data if a is not None)
+        shape = (grid.n_nodes,) + given.shape[-3:]
+        if not self.per_mode:
+            blk = grid.n_y * self.model.n_fiber
+            flat = (
+                None if a is None else a.reshape(a.shape[:-3] + (blk, -1))
+                for a in data
+            )
+            sol = _solve_block(grid, blk, self.dense_lu, *flat)
+            return sol[0].reshape(shape), sol[1].reshape(shape)
+        out = np.zeros((2,) + shape, dtype=complex)
+        for cs in self.channels:
+            ch = cs.channel
+            gathered = (
+                None if a is None else _values_to_channel(a, ch, grid.n_y)
+                for a in data
+            )
+            sol = _solve_block(grid, ch.dim, cs, *gathered)
+            _channel_to_values(sol, ch, grid.n_y, out)
+        return out[0], out[1]
 
 
 def _row_selection(n):
@@ -683,47 +702,29 @@ def _decoupled_channel(ch, a0, s):
     )
 
 
-def _channel_rhs(grid, q2, f1_nodes=None, f2_nodes=None, jump0=None, jump1=None):
+def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
     """Right-hand side vector matching :func:`_channel_matrix`.
 
-    ``f1_nodes``/``f2_nodes`` have shape (n+1, q2, ...) and are the
-    already-transformed rhs for (d/du + B) phi and (-d/du + B) tau.
+    ``f1``/``f2`` have shape (n+1, q2, ...) and are the already-transformed
+    rhs for (d/du + B) phi and (-d/du + B) tau; the jumps have shape
+    (q2, ...).  Omitted data is zero.
     """
-    n = grid.n_u
-    side1_rows, side2_rows = _row_selection(n)
-    tail_shape = ()
-    for arr in (f1_nodes, f2_nodes):
-        if arr is not None:
-            tail_shape = np.asarray(arr).shape[2:]
-            break
-    else:
-        for arr in (jump0, jump1):
-            if arr is not None:
-                tail_shape = np.asarray(arr).shape[1:]
-                break
-    rows = (len(side1_rows) + len(side2_rows) + 2) * q2
-    rhs = np.zeros((rows,) + tail_shape, dtype=complex)
-    row = 0
-    if f1_nodes is not None:
-        f1_nodes = np.asarray(f1_nodes, dtype=complex)
-        for i in side1_rows:
-            rhs[row : row + q2] = f1_nodes[i]
-            row += q2
-    else:
-        row += len(side1_rows) * q2
-    if f2_nodes is not None:
-        f2_nodes = np.asarray(f2_nodes, dtype=complex)
-        for i in side2_rows:
-            rhs[row : row + q2] = f2_nodes[i]
-            row += q2
-    else:
-        row += len(side2_rows) * q2
-    if jump0 is not None:
-        rhs[row : row + q2] = jump0
-    row += q2
-    if jump1 is not None:
-        rhs[row : row + q2] = jump1
-    return rhs
+    side1_rows, side2_rows = _row_selection(grid.n_u)
+    # a jump is the rhs of one gluing row block: data on a single node
+    parts = [
+        (f1, side1_rows),
+        (f2, side2_rows),
+        (None if jump0 is None else np.asarray(jump0)[None], [0]),
+        (None if jump1 is None else np.asarray(jump1)[None], [0]),
+    ]
+    tail = next(np.shape(a)[2:] for a, _ in parts if a is not None)
+    rhs = [
+        np.zeros((len(rows), q2) + tail, dtype=complex)
+        if a is None
+        else np.asarray(a, dtype=complex)[rows]
+        for a, rows in parts
+    ]
+    return np.concatenate(rhs).reshape((-1,) + tail)
 
 
 def _exact_kernel_dim(b_mat):
@@ -811,10 +812,10 @@ def _tangential_big_matrix(model, grid):
     big = np.zeros((n_y * n_f, n_y * n_f), dtype=complex)
     s1 = np.kron(SIGMA_1, np.eye(rm))
     for j in range(n_y):
-        block = np.kron(SIGMA_3, v[j])
-        if model.base == "segment":
-            block = block + np.kron(SIGMA_1, model.w_rep)
-        big[j * n_f : (j + 1) * n_f, j * n_f : (j + 1) * n_f] += block
+        # B at frequency 0; the sigma_1 (-i d/dy) part couples the y-points
+        big[j * n_f : (j + 1) * n_f, j * n_f : (j + 1) * n_f] += (
+            model.tangential_matrix(0.0, v[j])
+        )
     if n_y > 1:
         big += np.kron(-1j * d_y, s1)
     return big
@@ -841,37 +842,42 @@ def _solve_channel(cs, rhs):
     return (u @ sol).reshape(rhs.shape)
 
 
-def _values_to_channel(values, ch, grid):
-    """Project sampled values onto one mode channel: (n_nodes, 2q[, cols])."""
-    rm = values.shape[2] // 2
-    if grid.n_y > 1:
-        coeffs = np.fft.fft(values, axis=1) / grid.n_y
-        idx = int(ch.eta) % grid.n_y
-        slab = coeffs[:, idx]
+def _solve_block(grid, q2, factors, f1=None, f2=None, jump0=None, jump1=None):
+    """Nodal (phi, tau), shape (2, n_nodes, q2, ...), of one mode channel
+    (``factors`` its ChannelSystem) or of the dense system (``factors`` its
+    LU, q2 = n_y * n_fiber), for data laid out as :func:`_channel_rhs`."""
+    rhs = _channel_rhs(grid, q2, f1, f2, jump0, jump1)
+    if isinstance(factors, ChannelSystem):
+        sol = _solve_channel(factors, rhs)
     else:
-        slab = values[:, 0]
-    top = np.einsum("fq,ufm->uqm", ch.basis.conj(), slab[:, :rm])
-    bot = np.einsum("fq,ufm->uqm", ch.basis.conj(), slab[:, rm:])
-    return np.concatenate([top, bot], axis=1)
+        sol = scipy.linalg.lu_solve(factors, rhs.reshape(rhs.shape[0], -1))
+    return sol.reshape((2, grid.n_nodes, q2) + rhs.shape[1:])
 
 
-def _channel_to_values(channel_vals, ch, grid, n_fiber, out=None):
-    """Scatter per-channel nodal values back to the physical grid."""
-    q = ch.basis.shape[1]
-    n_nodes = channel_vals.shape[0]
-    m_cols = channel_vals.shape[-1]
-    rm = n_fiber // 2
-    slab = np.zeros((n_nodes, n_fiber, m_cols), dtype=complex)
-    slab[:, :rm] = np.einsum("fq,uqm->ufm", ch.basis, channel_vals[:, :q])
-    slab[:, rm:] = np.einsum("fq,uqm->ufm", ch.basis, channel_vals[:, q:])
-    if out is None:
-        out = np.zeros((n_nodes, grid.n_y, n_fiber, m_cols), dtype=complex)
-    if grid.n_y > 1:
-        y = 2.0 * np.pi * np.arange(grid.n_y) / grid.n_y
-        phase = np.exp(1j * ch.eta_eff * y)
-        out += phase[None, :, None, None] * slab[:, None]
-    else:
-        out[:, 0] += slab
+def _values_to_channel(values, ch, n_y):
+    """Coefficients of mode channel ``ch`` in values sampled on the boundary
+    circle, shape (..., n_y, n_fiber, cols): the y-Fourier coefficient of
+    frequency ``ch.eta`` in the channel's twist subspace, (..., 2q, cols)."""
+    coeffs = np.fft.fft(values, axis=-3) / n_y
+    slab = coeffs[..., int(ch.eta) % n_y, :, :]
+    rm = ch.basis.shape[0]
+    top = np.einsum("fq,...fm->...qm", ch.basis.conj(), slab[..., :rm, :])
+    bot = np.einsum("fq,...fm->...qm", ch.basis.conj(), slab[..., rm:, :])
+    return np.concatenate([top, bot], axis=-2)
+
+
+def _channel_to_values(channel_vals, ch, n_y, out):
+    """Add the samples of channel coefficients (..., 2q, cols) to ``out``,
+    shape (..., n_y, n_fiber, cols): the inverse of
+    :func:`_values_to_channel` on the channel."""
+    rm, q = ch.basis.shape
+    top, bot = channel_vals[..., :q, :], channel_vals[..., q:, :]
+    slab = np.zeros(top.shape[:-2] + (2 * rm, top.shape[-1]), dtype=complex)
+    slab[..., :rm, :] = np.einsum("fq,...qm->...fm", ch.basis, top)
+    slab[..., rm:, :] = np.einsum("fq,...qm->...fm", ch.basis, bot)
+    y = 2.0 * np.pi * np.arange(n_y) / n_y
+    phase = np.exp(1j * ch.eta_eff * y)
+    out += phase[:, None, None] * slab[..., None, :, :]
     return out
 
 
@@ -882,46 +888,12 @@ def invert_double(sys, f1, f2=None):
     ``f2`` the pulled-back side-2 rhs for (-d/du + B) tau = f2 (defaults to
     zero).  Returns the pair (phi, tau) of CollarFunctions.
     """
-    grid = sys.grid
-    model = sys.model
-    if model.h_rep is not None:
-        raise StructureError(
-            "grid-level solves support trivial holonomy only; nontrivial "
-            "holonomy enters through the per-mode boundary projectors"
-        )
-    n_fiber = model.n_fiber
-    g_star = model.g_rep.conj().T
-    f1_t = np.einsum("ij,uyjm->uyim", g_star, f1.values)
-    f2_vals = (
-        np.zeros_like(f1.values) if f2 is None else f2.values.astype(complex)
+    g_star = sys.model.g_rep.conj().T
+    phi, tau = sys.solve(
+        f1=np.einsum("ij,uyjm->uyim", g_star, f1.values),
+        f2=None if f2 is None else f2.values,
     )
-    m_cols = f1.values.shape[-1]
-    n_nodes = grid.n_nodes
-
-    if sys.per_mode:
-        phi = np.zeros((n_nodes, grid.n_y, n_fiber, m_cols), dtype=complex)
-        tau = np.zeros_like(phi)
-        for cs in sys.channels:
-            ch = cs.channel
-            q2 = ch.dim
-            f1_ch = _values_to_channel(f1_t, ch, grid)
-            f2_ch = _values_to_channel(f2_vals, ch, grid)
-            rhs = _channel_rhs(
-                grid, q2, f1_nodes=f1_ch, f2_nodes=f2_ch
-            )
-            sol = _solve_channel(cs, rhs).reshape(2, n_nodes, q2, m_cols)
-            _channel_to_values(sol[0], ch, grid, n_fiber, out=phi)
-            _channel_to_values(sol[1], ch, grid, n_fiber, out=tau)
-        return CollarFunction(grid, phi), CollarFunction(grid, tau)
-
-    # dense path
-    blk = grid.n_y * n_fiber
-    f1_nodes = f1_t.reshape(n_nodes, blk, m_cols)
-    f2_nodes = f2_vals.reshape(n_nodes, blk, m_cols)
-    rhs = _channel_rhs(grid, blk, f1_nodes=f1_nodes, f2_nodes=f2_nodes)
-    sol = scipy.linalg.lu_solve(sys.dense_lu, rhs.reshape(rhs.shape[0], -1))
-    sol = sol.reshape(2, n_nodes, grid.n_y, n_fiber, m_cols)
-    return CollarFunction(grid, sol[0]), CollarFunction(grid, sol[1])
+    return CollarFunction(sys.grid, phi), CollarFunction(sys.grid, tau)
 
 
 def ghost_solution_check(sys):

@@ -408,9 +408,19 @@ def orthogonalize_idempotent(C, idem_tol=1e-8, with_report=False):
     certified invertible (its smallest eigenvalue is returned in the
     optional report); singular F signals that C was not an idempotent.
     """
-    if C.source_rank != C.target_rank:
+    orth, f_min = orthogonalize_idempotent_matrix(C.rep, idem_tol)
+    out = ModuleOperator(C.algebra, C.source_rank, C.target_rank, orth)
+    if with_report:
+        return out, {"f_min_eigenvalue": f_min}
+    return out
+
+
+def orthogonalize_idempotent_matrix(rep, idem_tol=1e-8):
+    """Matrix-level core of :func:`orthogonalize_idempotent`, also for
+    idempotents that are not module-shaped: the orthogonal projection onto
+    the range of ``rep`` and the certified smallest eigenvalue of F."""
+    if rep.shape[0] != rep.shape[1]:
         raise StructureError("idempotent must be square")
-    rep = C.rep
     dim = rep.shape[0]
     eye = np.eye(dim)
     idem_defect = np.linalg.norm(rep @ rep - rep, 2)
@@ -427,10 +437,7 @@ def orthogonalize_idempotent(C, idem_tol=1e-8, with_report=False):
             "input was not an idempotent" % f_eigs.min()
         )
     orth = np.linalg.solve(f.conj().T, (rep @ rep.conj().T).conj().T).conj().T
-    out = ModuleOperator(C.algebra, C.source_rank, C.target_rank, orth)
-    if with_report:
-        return out, {"f_min_eigenvalue": float(f_eigs.min())}
-    return out
+    return orth, float(f_eigs.min())
 
 
 def _check_projection(P, tol):

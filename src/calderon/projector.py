@@ -11,14 +11,17 @@ projection
     P(T) = [[(1+T^2)^-1,   (1+T^2)^-1 T ],
             [T (1+T^2)^-1, T (1+T^2)^-1 T]],       T = e^{-b}.
 
-The projector is assembled mode by mode; its principal symbol (the large
-|eta| limit of the u=0 block) is the positive spectral projection of b,
-computed independently by a contour integral over a half-disk.
+The projector is assembled mode by mode and stored as one block per mode
+channel; its columns are the traces of Poisson solves of jump data.  Its
+principal symbol (the large |eta| limit of the u=0 block) is the positive
+spectral projection of b, computed independently by a contour integral over
+a half-disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
@@ -26,12 +29,17 @@ import scipy.linalg
 
 from .dirac import (
     CollarFunction,
-    _channel_rhs,
     _channel_to_values,
-    _solve_channel,
+    _solve_block,
+    _values_to_channel,
 )
 from .errors import CertificationError, StructureError
-from .hilbmod import ModuleOperator, membership_defect, orthogonalize_idempotent
+from .hilbmod import (
+    ModuleOperator,
+    membership_defect,
+    orthogonalize_idempotent_matrix,
+    relative_index,
+)
 
 
 # -- boundary data ------------------------------------------------------
@@ -104,41 +112,21 @@ class BoundaryData:
         )
 
     # -- mode transforms ----------------------------------------------
-
-    def _mode_coeff(self, trace, eta):
-        if self.n_y == 1:
-            return trace[0]
-        coeffs = np.fft.fft(trace, axis=0) / self.n_y
-        return coeffs[int(eta) % self.n_y]
+    # the two traces are gathered and scattered as a 2-node axis
 
     def channel_coeff(self, ch):
         """Stacked (2 * ch.dim, m) coefficient of one mode channel."""
-        rm = self.model.rm
-        out = []
-        for trace in (self.g0, self.g1):
-            slab = self._mode_coeff(trace, ch.eta)
-            top = ch.basis.conj().T @ slab[:rm]
-            bot = ch.basis.conj().T @ slab[rm:]
-            out.append(np.concatenate([top, bot], axis=0))
-        return np.concatenate(out, axis=0)
+        traces = np.stack([self.g0, self.g1])
+        coeff = _values_to_channel(traces, ch, self.n_y)
+        return coeff.reshape(-1, self.model.m)
 
     @classmethod
     def from_channel_coeffs(cls, model, n_y, coeffs):
         """Inverse of channel_coeff: coeffs is a list of (channel, (2d, m))."""
-        shape = (n_y, model.n_fiber, model.m)
-        g0 = np.zeros(shape, dtype=complex)
-        g1 = np.zeros(shape, dtype=complex)
-        y = 2.0 * np.pi * np.arange(n_y) / n_y
-        rm = model.rm
+        traces = np.zeros((2, n_y, model.n_fiber, model.m), dtype=complex)
         for ch, c in coeffs:
-            d = ch.dim
-            phase = np.exp(1j * ch.eta_eff * y)
-            for trace, block in ((g0, c[:d]), (g1, c[d:])):
-                slab = np.zeros((model.n_fiber, model.m), dtype=complex)
-                slab[:rm] = ch.basis @ block[: d // 2]
-                slab[rm:] = ch.basis @ block[d // 2 :]
-                trace += phase[:, None, None] * slab[None]
-        return cls(model, n_y, g0, g1)
+            _channel_to_values(c.reshape(2, ch.dim, -1), ch, n_y, traces)
+        return cls(model, n_y, traces[0], traces[1])
 
 
 # -- the boundary projector --------------------------------------------
@@ -148,8 +136,12 @@ class BoundaryData:
 class BoundaryProjector:
     """Projector acting on boundary data, assembled over the dealiased modes.
 
+    Per mode the projector is stored once, as ``channel_blocks``: one
+    (channel, matrix) pair per mode channel, the matrix acting on the
+    channel's double trace (2 * channel.dim complex dimensions).  The
+    read-only ``etas`` and ``blocks`` are derived from them once:
     ``blocks[i]`` acts on the full-fiber double trace (2 * n_fiber complex
-    dimensions) of the integer frequency ``etas[i]``; with holonomy a block
+    dimensions) of the integer frequency ``etas[i]``, and with holonomy it
     is the sum of the embedded eigenphase-channel blocks.  The dense path
     stores a single matrix over all (component, y, fiber) coordinates.
     """
@@ -157,14 +149,26 @@ class BoundaryProjector:
     model: object
     n_y: int
     method: str
-    etas: list = field(default_factory=list)
-    blocks: list = field(default_factory=list)
     channel_blocks: list = field(default_factory=list)  # (channel, matrix)
     dense: np.ndarray = None
 
     @property
     def per_mode(self):
         return self.dense is None
+
+    @cached_property
+    def _by_eta(self):
+        return _group_by_eta(self.model, self.channel_blocks)
+
+    @property
+    def etas(self):
+        """Integer frequencies of ``blocks``, ascending."""
+        return self._by_eta[0]
+
+    @property
+    def blocks(self):
+        """Full-fiber blocks, one per integer frequency."""
+        return self._by_eta[1]
 
     def matrix(self):
         """Assembled complex matrix (deterministic mode ordering)."""
@@ -185,21 +189,10 @@ class BoundaryProjector:
         if g.model is not self.model and g.model.n_fiber != self.model.n_fiber:
             raise StructureError("boundary data model mismatch")
         if not self.per_mode:
-            n_f, m = self.model.n_fiber, self.model.m
-            vec = np.concatenate(
-                [
-                    g.g0.reshape(self.n_y * n_f, m),
-                    g.g1.reshape(self.n_y * n_f, m),
-                ]
-            )
-            out = self.dense @ vec
-            half = self.n_y * n_f
-            return BoundaryData(
-                self.model,
-                self.n_y,
-                out[:half].reshape(self.n_y, n_f, m),
-                out[half:].reshape(self.n_y, n_f, m),
-            )
+            traces = np.stack([g.g0, g.g1])
+            out = self.dense @ traces.reshape(-1, self.model.m)
+            out = out.reshape(traces.shape)
+            return BoundaryData(self.model, self.n_y, out[0], out[1])
         coeffs = []
         for ch, block in self.channel_blocks:
             coeffs.append((ch, block @ g.channel_coeff(ch)))
@@ -287,16 +280,9 @@ def exact_projector_block(b_mat):
 def _collocation_projector_block(sys_channel, grid):
     """Channel block of C from the transmission solve with jump data."""
     q2 = sys_channel.channel.dim
-    eye = np.eye(q2, dtype=complex)
-    zero = np.zeros((q2, q2), dtype=complex)
     # columns: first q2 excite g0, last q2 excite g1
-    jump0 = np.hstack([eye, zero])
-    jump1 = np.hstack([zero, eye])
-    rhs = _channel_rhs(grid, q2, jump0=jump0, jump1=jump1)
-    sol = _solve_channel(sys_channel, rhs)
-    n_nodes = grid.n_nodes
-    sol = sol.reshape(2, n_nodes, q2, 2 * q2)
-    phi = sol[0]
+    jumps = np.eye(2 * q2, dtype=complex).reshape(2, q2, 2 * q2)
+    phi = _solve_block(grid, q2, sys_channel, jump0=jumps[0], jump1=jumps[1])[0]
     return np.vstack([phi[0], phi[-1]])
 
 
@@ -306,44 +292,10 @@ def poisson(sys, g, with_side2=False):
     Returns the side-1 solution; its traces are the Calderon projection of
     ``g`` and it solves the homogeneous equation in the interior.
     """
-    grid = sys.grid
-    model = sys.model
-    if model.h_rep is not None:
-        raise StructureError(
-            "grid-level Poisson supports trivial holonomy only"
-        )
-    m_cols = model.m
-    n_nodes = grid.n_nodes
-    n_fiber = model.n_fiber
-    if sys.per_mode:
-        phi = np.zeros((n_nodes, grid.n_y, n_fiber, m_cols), dtype=complex)
-        tau = np.zeros_like(phi)
-        for cs in sys.channels:
-            ch = cs.channel
-            q2 = ch.dim
-            coeff = g.channel_coeff(ch)
-            rhs = _channel_rhs(
-                grid, q2, jump0=coeff[:q2], jump1=coeff[q2:]
-            )
-            sol = _solve_channel(cs, rhs).reshape(2, n_nodes, q2, m_cols)
-            _channel_to_values(sol[0], ch, grid, n_fiber, out=phi)
-            _channel_to_values(sol[1], ch, grid, n_fiber, out=tau)
-    else:
-        blk = grid.n_y * n_fiber
-        rhs = _channel_rhs(
-            grid,
-            blk,
-            jump0=g.g0.reshape(blk, m_cols),
-            jump1=g.g1.reshape(blk, m_cols),
-        )
-        sol = scipy.linalg.lu_solve(
-            sys.dense_lu, rhs.reshape(rhs.shape[0], -1)
-        )
-        sol = sol.reshape(2, n_nodes, grid.n_y, n_fiber, m_cols)
-        phi, tau = sol[0], sol[1]
-    out = CollarFunction(grid, phi)
+    phi, tau = sys.solve(jump0=g.g0, jump1=g.g1)
+    out = CollarFunction(sys.grid, phi)
     if with_side2:
-        return out, CollarFunction(grid, tau)
+        return out, CollarFunction(sys.grid, tau)
     return out
 
 
@@ -358,23 +310,17 @@ def calderon_projector(sys, method="collocation"):
     ``method='collocation'`` reads the traces of the discrete transmission
     solves; ``method='exact'`` uses the per-mode matrix-exponential graph
     projection (constant-coefficient path only).  On a dense y-coupled
-    system the columns are solved from the full jump basis.
+    system the columns are the Poisson solves of the full jump basis.
     """
     grid = sys.grid
     model = sys.model
     if not sys.per_mode:
         blk = grid.n_y * model.n_fiber
-        eye = np.eye(blk, dtype=complex)
-        zero = np.zeros((blk, blk), dtype=complex)
-        rhs = _channel_rhs(
-            grid,
-            blk,
-            jump0=np.hstack([eye, zero]),
-            jump1=np.hstack([zero, eye]),
+        jumps = np.eye(2 * blk, dtype=complex).reshape(
+            2, grid.n_y, model.n_fiber, 2 * blk
         )
-        sol = scipy.linalg.lu_solve(sys.dense_lu, rhs)
-        sol = sol.reshape(2, grid.n_nodes, blk, 2 * blk)
-        dense = np.vstack([sol[0][0], sol[0][-1]])
+        phi, _ = sys.solve(jump0=jumps[0], jump1=jumps[1])
+        dense = np.vstack([phi[0], phi[-1]]).reshape(2 * blk, 2 * blk)
         return BoundaryProjector(
             model=model, n_y=grid.n_y, method="dense", dense=dense
         )
@@ -387,14 +333,8 @@ def calderon_projector(sys, method="collocation"):
         else:
             raise StructureError("unknown method %r" % (method,))
         channel_blocks.append((cs.channel, block))
-    etas, blocks = _group_by_eta(model, channel_blocks)
     return BoundaryProjector(
-        model=model,
-        n_y=grid.n_y,
-        method=method,
-        etas=etas,
-        blocks=blocks,
-        channel_blocks=channel_blocks,
+        model=model, n_y=grid.n_y, method=method, channel_blocks=channel_blocks
     )
 
 
@@ -607,70 +547,42 @@ def aps_projection(model, n_y=None, eta=None):
     inward normal at the second boundary circle reverses the tangential
     operator.  Kernel eigenvalues are assigned to the positive side.
     """
-    if eta is not None:
-        b = model.tangential_matrix(eta)
+
+    def block(b):
         return scipy.linalg.block_diag(
             spectral_projection_positive(b), spectral_projection_positive(-b)
         )
+
+    if eta is not None:
+        return block(model.tangential_matrix(eta))
     if n_y is None:
         raise StructureError("need n_y for the assembled projection")
-    channel_blocks = []
-    for ch in model.mode_channels(n_y):
-        block = scipy.linalg.block_diag(
-            spectral_projection_positive(ch.b_mat),
-            spectral_projection_positive(-ch.b_mat),
-        )
-        channel_blocks.append((ch, block))
-    etas, blocks = _group_by_eta(model, channel_blocks)
+    channel_blocks = [(ch, block(ch.b_mat)) for ch in model.mode_channels(n_y)]
     return BoundaryProjector(
-        model=model,
-        n_y=n_y,
-        method="aps",
-        etas=etas,
-        blocks=blocks,
-        channel_blocks=channel_blocks,
+        model=model, n_y=n_y, method="aps", channel_blocks=channel_blocks
     )
 
 
 def orthogonalized_calderon(projector):
-    """Orthogonal projection with the same range, block by block."""
+    """Orthogonal projection with the same range, by the certified F-solve
+    of each channel block (or of the dense matrix)."""
+
+    def orth(mat):
+        return orthogonalize_idempotent_matrix(mat)[0]
+
+    method = projector.method + "+orthogonalized"
     if not projector.per_mode:
-        op = ModuleOperator(
-            projector.model.algebra,
-            projector.dense.shape[0] // projector.model.m,
-            projector.dense.shape[0] // projector.model.m,
-            projector.dense,
-        )
-        orth = orthogonalize_idempotent(op)
         return BoundaryProjector(
             model=projector.model,
             n_y=projector.n_y,
-            method=projector.method + "+orthogonalized",
-            dense=orth.rep,
+            method=method,
+            dense=orth(projector.dense),
         )
-    m = projector.model.m
-    blocks = []
-    for block in projector.blocks:
-        rank = block.shape[0] // m
-        op = ModuleOperator(projector.model.algebra, rank, rank, block)
-        blocks.append(orthogonalize_idempotent(op).rep)
-    channel_blocks = []
-    for ch, block in projector.channel_blocks:
-        # channel blocks need not be module-shaped; orthogonalize directly
-        f = block @ block.conj().T + (
-            np.eye(block.shape[0]) - block.conj().T
-        ) @ (np.eye(block.shape[0]) - block)
-        orth_block = np.linalg.solve(
-            f.conj().T, (block @ block.conj().T).conj().T
-        ).conj().T
-        channel_blocks.append((ch, orth_block))
     return BoundaryProjector(
         model=projector.model,
         n_y=projector.n_y,
-        method=projector.method + "+orthogonalized",
-        etas=list(projector.etas),
-        blocks=blocks,
-        channel_blocks=channel_blocks,
+        method=method,
+        channel_blocks=[(ch, orth(b)) for ch, b in projector.channel_blocks],
     )
 
 
@@ -681,8 +593,6 @@ def calderon_vs_aps_index(sys, method="exact"):
     compared with hilbmod.relative_index; the result is an integer
     (complex-dimension counting) reported with the truncation radius.
     """
-    from .hilbmod import relative_index
-
     model = sys.model
     n_y = sys.grid.n_y
     c_proj = calderon_projector(sys, method=method)

@@ -75,6 +75,53 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+#: config path -> malformed value; each must be a config error
+MALFORMED_VALUES = {
+    "schema-version-string": (("schema_version",), "abc"),
+    "algebra-n-string": (("algebra", "n"), "two"),
+    "scale-list": (("model", "v"), {"kind": "scaled-identity", "scale": [1]}),
+    "algebra-n-fraction": (("algebra", "n"), 2.7),
+    "n-u-string": (("grid", "n_u"), "x"),
+    "seed-string": (("seed",), "s"),
+    "tolerance-string": (("tolerances",), {"oracle": "x"}),
+    "r-bool": (("model", "r"), True),
+    "tolerance-infinite": (("tolerances",), {"oracle": float("inf")}),
+    "values-string": (("model", "v"), {"kind": "diag", "values": ["1", 2]}),
+    "matrix-ragged": (
+        ("model", "holonomy"),
+        {"kind": "matrix", "real": [[1], [0, 1]]},
+    ),
+}
+
+
+def test_matrix_potential_parses(tmp_path):
+    raw = segment_config(tmp_path / "out")
+    raw["model"]["v"] = {
+        "kind": "matrix",
+        "real": [[1.0, 0.2], [0.2, -0.5]],
+        "imag": [[0.0, 0.1], [-0.1, 0.0]],
+    }
+    v = parse_config(raw)["model"].v_rep
+    assert np.array_equal(v, [[1.0, 0.2 + 0.1j], [0.2 - 0.1j, -0.5]])
+
+
+@pytest.mark.parametrize(
+    "path, value", list(MALFORMED_VALUES.values()), ids=list(MALFORMED_VALUES)
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, path, value):
+    out = tmp_path / "out"
+    raw = segment_config(out)
+    obj = raw
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    code = main(["run", write_config(tmp_path, raw)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 # -- running scenarios --------------------------------------------------
 
 

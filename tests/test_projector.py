@@ -304,6 +304,26 @@ def test_aps_assembled_projector(built, rng):
     assert diag["a_membership_defect"] < 1e-10
 
 
+@pytest.mark.parametrize("sign", [-1, 1], ids=["below-2pi", "above-0"])
+def test_holonomy_within_rounding_of_identity_acts_as_none(sign):
+    rng = np.random.default_rng(5)
+    alg = CStarAlgebra.matrix(2)
+    v = hermitian(rng, 2)
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    plain = ProductDiracModel("cylinder", alg, v=v)
+    h = np.exp(sign * 2j * np.pi * 1e-14) * np.eye(2)
+    twisted = ProductDiracModel("cylinder", alg, v=v, holonomy=h)
+    assert all(0.0 <= s < 1.0 for s, _ in twisted.holonomy_channels())
+    ref = sorted(ch.eta_eff for ch in plain.mode_channels(grid.n_y))
+    got = sorted(ch.eta_eff for ch in twisted.mode_channels(grid.n_y))
+    assert len(got) == len(ref)
+    assert np.abs(np.array(got) - np.array(ref)).max() < 1e-12
+    diag_ref = calderon_projector(build_double(plain, grid)).diagnostics()
+    diag = calderon_projector(build_double(twisted, grid)).diagnostics()
+    assert diag["dimension"] == diag_ref["dimension"]
+    assert diag["mode_count"] == diag_ref["mode_count"]
+
+
 def test_orthogonalized_calderon_fixed_point(built):
     model, grid, sysd = built
     proj = calderon_projector(sysd)
@@ -315,12 +335,12 @@ def test_orthogonalized_calderon_fixed_point(built):
 def test_orthogonalized_skewed_idempotent(built, rng):
     model, grid, sysd = built
     proj = calderon_projector(sysd)
-    dim = proj.blocks[0].shape[0]
+    dim = proj.channel_blocks[0][1].shape[0]
     s = np.eye(dim) + 0.1 * (
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     )
     skewed_blocks = [
-        s @ block @ np.linalg.inv(s) for block in proj.blocks
+        (ch, s @ block @ np.linalg.inv(s)) for ch, block in proj.channel_blocks
     ]
     from calderon.projector import BoundaryProjector
 
@@ -328,15 +348,13 @@ def test_orthogonalized_skewed_idempotent(built, rng):
         model=model,
         n_y=grid.n_y,
         method="skewed",
-        etas=list(proj.etas),
-        blocks=skewed_blocks,
-        channel_blocks=[],
+        channel_blocks=skewed_blocks,
     )
     orth = orthogonalized_calderon(skewed)
     mat = orth.matrix()
     assert np.linalg.norm(mat @ mat - mat, 2) < 1e-10
     assert np.linalg.norm(mat - mat.conj().T, 2) < 1e-10
-    for orig, fixed in zip(skewed_blocks, orth.blocks):
+    for (_, orig), (_, fixed) in zip(skewed_blocks, orth.channel_blocks):
         ang = scipy.linalg.subspace_angles(
             scipy.linalg.orth(orig), scipy.linalg.orth(fixed)
         )
