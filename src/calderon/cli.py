@@ -419,10 +419,9 @@ def _task_double(cfg, out_dir, run):
     ok = sysd.sigma_min > cfg["tolerances"]["sigma_min"] and ghost[
         "trivial_kernel"
     ]
-    if sysd.per_mode:
-        dims = sysd.kernel_dims()
-        metrics["max_kernel_dim"] = int(max(dims))
-        ok = ok and max(dims) == 0
+    dims = sysd.kernel_dims()
+    metrics["max_kernel_dim"] = int(max(dims))
+    ok = ok and max(dims) == 0
     return ("pass" if ok else "fail"), metrics
 
 
@@ -443,7 +442,7 @@ def _task_calderon(cfg, out_dir, run):
     rng = np.random.default_rng(cfg["seed"])
     metrics = dict(diag)
     ok = diag["idempotency_defect"] < cfg["tolerances"]["idempotency"]
-    if sysd.per_mode and not cfg["model"].y_dependent:
+    if sysd.per_mode:
         metrics["oracle_defect"] = _oracle_defect(proj)
         ok = ok and metrics["oracle_defect"] < cfg["tolerances"]["oracle"]
     if cfg["model"].h_rep is None:
@@ -542,7 +541,7 @@ def _task_convergence(cfg, out_dir, run):
         proj = calderon_projector(sysd)
         idem = proj.diagnostics()["idempotency_defect"]
         row = [n_u, green, idem]
-        if sysd.per_mode and not model.y_dependent:
+        if sysd.per_mode:
             oracles.append(_oracle_defect(proj))
             row.append(oracles[-1])
         greens.append(green)

@@ -141,24 +141,29 @@ class CStarAlgebra:
         return AlgebraElement(self, np.zeros((self.rep_dim,) * 2, dtype=complex))
 
     def project_matrix(self, mat):
-        """Orthogonal projection of a rep_dim x rep_dim matrix onto the algebra.
+        """Orthogonal projection of a rep_dim x rep_dim matrix, or of each
+        matrix of a stack (..., rep_dim, rep_dim), onto the algebra.
 
         For M_n(C) this is the identity.  For a group algebra the regular
         representation images L_g are Hilbert-Schmidt orthogonal, so the
         projection is a sum of normalized HS inner products.
         """
         mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.rep_dim, self.rep_dim):
+        if mat.ndim < 2 or mat.shape[-2:] != (self.rep_dim, self.rep_dim):
             raise StructureError("matrix has wrong shape for this algebra")
         if self.kind == "matrix":
             return mat
-        coeff = np.einsum("gij,ij->g", self._group_basis, mat) / self.order
-        return np.einsum("g,gij->ij", coeff, self._group_basis)
+        coeff = np.einsum("gij,...ij->...g", self._group_basis, mat) / self.order
+        return np.einsum("...g,gij->...ij", coeff, self._group_basis)
 
     def membership_defect(self, mat):
-        """Operator-norm distance from ``mat`` to the algebra span."""
+        """Operator-norm distance from ``mat`` to the algebra span: a float,
+        or an array of distances for a stack (..., rep_dim, rep_dim)."""
         mat = np.asarray(mat, dtype=complex)
-        return float(np.linalg.norm(mat - self.project_matrix(mat), 2))
+        defect = np.linalg.norm(
+            mat - self.project_matrix(mat), 2, axis=(-2, -1)
+        )
+        return float(defect) if defect.ndim == 0 else defect
 
     def element(self, mat, check=True, tol=1e-10):
         """Wrap a representing matrix as an algebra element.

@@ -16,31 +16,33 @@ exp(2B) a = -a, which is impossible for self-adjoint B: the double is
 injective mode by mode.
 
 Two discretizations are provided: an analytic per-mode path (Chebyshev
-collocation in u, exact in the y-modes, constant V only) and a dense path
-(4th-order finite differences in u with one-sided closures, pseudospectral
-in y, V(y) allowed).
+collocation in u, exact in the y-modes, constant V only) and a y-coupled
+path (4th-order finite differences in u with one-sided closures,
+pseudospectral in y, V(y) allowed).  The per-mode path has one channel
+per mode and eigenphase; the y-coupled path has a single channel whose
+tangential block is B over all (y-point, fiber) coordinates, which is
+Hermitian as well.
 
-On the per-mode path each channel is solved and certified in the
-eigenbasis of its Hermitian tangential block b = U diag(lambda) U*.  The
-channel system kron(D, I) + kron(S, b) plus identity gluing rows is
-unitarily similar to the block diagonal of the scalar transmission systems
-A(lambda_k) = A(0) + lambda_k S of size 2(n_u+1), which are real because D
-and lambda_k are.  Its smallest singular value is the minimum over the
-full SVDs of the A(lambda_k) (no estimate), and each A(lambda_k) is
-LU-factored once.  The eigendecomposition residual ||bU - U Lambda||_2 and
-the unitarity defect ||U*U - I||_2 are kept with the channel: by Weyl's
-inequality the decoupled sigma_min is within ||bU - U Lambda||_2 +
-2 ||b||_2 ||U*U - I||_2 of that of the coupled channel system.  The
-dense path certifies with one full SVD of the assembled matrix.
+Every channel is solved and certified in the eigenbasis of its Hermitian
+tangential block b = U diag(lambda) U*.  The channel system kron(D, I) +
+kron(S, b) plus identity gluing rows is unitarily similar to the block
+diagonal of the scalar transmission systems A(lambda_k) = A(0) + lambda_k S
+of size 2(n_u+1), which are real because D and lambda_k are.  Its smallest
+singular value is the minimum over the full SVDs of the A(lambda_k) (no
+estimate), and each A(lambda_k) is LU-factored once.  The
+eigendecomposition residual ||bU - U Lambda||_2 and the unitarity defect
+||U*U - I||_2 are kept with the channel: by Weyl's inequality the
+decoupled sigma_min is within ||bU - U Lambda||_2 + 2 ||b||_2 ||U*U - I||_2
+of that of the coupled channel system.
 
 :meth:`DoubleSystem.solve` is the one solve of the double: the inverse
-(:func:`invert_double`), the Poisson operator and the dense Calderon
-projector are that transmission solve with different data.
+(:func:`invert_double`) and the Poisson operator are that transmission
+solve with different data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -170,12 +172,10 @@ class CollarGrid:
     def eta(self):
         return np.fft.fftfreq(self.n_y, d=1.0 / self.n_y)
 
-    def dealiased_eta(self):
-        """Integer y-frequencies kept by the 2/3 rule, ascending."""
-        if self.n_y == 1:
-            return np.array([0.0])
-        cut = self.n_y // 3
-        return np.arange(-cut, cut + 1, dtype=float)
+
+def mode_radius(n_y):
+    """Largest |eta| of the integer y-frequencies kept by the 2/3 rule."""
+    return n_y // 3
 
 
 class CollarFunction:
@@ -222,15 +222,17 @@ class CollarFunction:
 
 @dataclass
 class ModeChannel:
-    """One per-mode block: effective frequency and fiber basis.
+    """One channel block: effective frequency and fiber basis.
 
     ``basis`` embeds the channel's twist subspace into the full twist fiber
-    C^(r*m); ``b_mat`` is the tangential matrix on spinor x subspace.
+    C^(r*m); ``b_mat`` is the tangential matrix on spinor x subspace.  The
+    y-coupled channel has eta = 0, no basis, and ``b_mat`` is B over all
+    (y-point, fiber) coordinates.
     """
 
     eta: float
     shift: float
-    basis: np.ndarray  # (r*m, q)
+    basis: np.ndarray  # (r*m, q), or None on the y-coupled channel
     b_mat: np.ndarray  # (2q, 2q)
 
     @property
@@ -425,7 +427,7 @@ class ProductDiracModel:
                 )
             )
             return channels
-        cut = n_y // 3
+        cut = mode_radius(n_y)
         for shift, basis in self.holonomy_channels():
             v_sub = basis.conj().T @ self.v_rep @ basis
             for eta in range(-cut, cut + 1):
@@ -533,7 +535,7 @@ def green_residual(model, s1, s2):
 
 @dataclass
 class ChannelSystem:
-    """One mode channel, decoupled in the eigenbasis of its tangential block.
+    """One channel, decoupled in the eigenbasis of its tangential block.
 
     ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``.  ``matrix`` stacks the
     real scalar systems A(eigvals[k]) row-wise, shape (2q * 2(n_u+1),
@@ -558,27 +560,29 @@ class DoubleSystem:
 
     model: ProductDiracModel
     grid: CollarGrid
-    channels: list = field(default_factory=list)
-    dense_matrix: np.ndarray = None
-    dense_lu: tuple = None
-    sigma_min: float = 0.0
-    bound_constant: float = 0.0
+    per_mode: bool  # False: the one y-coupled channel
+    channels: list  # ChannelSystem, one per channel
+    sigma_min: float
+    bound_constant: float
+
+    # dense_matrix and dense_lu are read-only aliases of channels[0].matrix
+    # and channels[0].lu on the y-coupled path (None per mode); they stay
+    # because benchmarks/tracing.py reads them for the system's dof and bytes
+    @property
+    def dense_matrix(self):
+        return None if self.per_mode else self.channels[0].matrix
 
     @property
-    def per_mode(self):
-        return self.dense_matrix is None
+    def dense_lu(self):
+        return None if self.per_mode else self.channels[0].lu
 
     def certificate(self):
         """How ``sigma_min`` was obtained: the method, the largest matrix
-        dimension put through a full SVD and, on the per-mode path, the
-        largest eigendecomposition residual and unitarity defect."""
-        if not self.per_mode:
-            return {
-                "sigma_min_method": "dense full SVD",
-                "svd_max_dim": int(self.dense_matrix.shape[0]),
-            }
+        dimension put through a full SVD, and the largest
+        eigendecomposition residual and unitarity defect."""
         return {
-            "sigma_min_method": "per-mode decoupled full SVD",
+            "sigma_min_method": "%s decoupled full SVD"
+            % ("per-mode" if self.per_mode else "y-coupled"),
             "svd_max_dim": int(self.channels[0].matrix.shape[1]),
             "eig_residual": max(cs.eig_residual for cs in self.channels),
             "eig_unitarity_defect": max(
@@ -587,8 +591,6 @@ class DoubleSystem:
         }
 
     def kernel_dims(self):
-        if not self.per_mode:
-            raise StructureError("kernel dims are a per-mode diagnostic")
         return [cs.kernel_dim for cs in self.channels]
 
     def solve(self, f1=None, f2=None, jump0=None, jump1=None):
@@ -613,7 +615,7 @@ class DoubleSystem:
                 None if a is None else a.reshape(a.shape[:-3] + (blk, -1))
                 for a in data
             )
-            sol = _solve_block(grid, blk, self.dense_lu, *flat)
+            sol = _solve_block(grid, self.channels[0], *flat)
             return sol[0].reshape(shape), sol[1].reshape(shape)
         out = np.zeros((2,) + shape, dtype=complex)
         for cs in self.channels:
@@ -622,7 +624,7 @@ class DoubleSystem:
                 None if a is None else _values_to_channel(a, ch, grid.n_y)
                 for a in data
             )
-            sol = _solve_block(grid, ch.dim, cs, *gathered)
+            sol = _solve_block(grid, cs, *gathered)
             _channel_to_values(sol, ch, grid.n_y, out)
         return out[0], out[1]
 
@@ -728,7 +730,7 @@ def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
 
 
 def _exact_kernel_dim(b_mat):
-    """Kernel dimension of the continuum per-mode matching problem.
+    """Kernel dimension of the continuum matching problem of one channel.
 
     Side-1 solutions exp(-uB) a and side-2 solutions exp(uB) c match iff
     a = c and exp(B) c = -exp(-B) a; the stacked matrix has trivial kernel
@@ -751,47 +753,40 @@ def build_double(model, grid, path=None):
     """Assemble the discretized invertible double and certify injectivity.
 
     ``path`` defaults to per-mode for constant V on a Chebyshev grid or any
-    constant-V uniform grid, and to the dense 2-d assembly for y-dependent
-    V.  The certificate is sigma_min of the assembled system (per mode: of
-    the decoupled scalar systems, see the module docstring); the discrete
-    analogue of the lower bound ||sigma|| <= C ||D sigma|| is reported as
-    bound_constant = 1 / sigma_min.
+    constant-V uniform grid, and to the y-coupled assembly ("dense2d",
+    uniform grid only) for y-dependent V.  The certificate is sigma_min of
+    the channel systems, each from its decoupled scalar systems (see the
+    module docstring); the discrete analogue of the lower bound ||sigma||
+    <= C ||D sigma|| is reported as bound_constant = 1 / sigma_min.
     """
     if path is None:
         path = "dense2d" if model.y_dependent else "per-mode"
     if path == "per-mode":
-        a0, s = _scalar_systems(grid)
-        channels = [
-            _decoupled_channel(ch, a0, s) for ch in model.mode_channels(grid.n_y)
-        ]
-        sigma_min = min(cs.sigma_min for cs in channels)
-        sys = DoubleSystem(
-            model=model,
-            grid=grid,
-            channels=channels,
-            sigma_min=float(sigma_min),
-            bound_constant=float(1.0 / sigma_min),
-        )
+        channels = model.mode_channels(grid.n_y)
     elif path == "dense2d":
-        mat = _dense2d_matrix(model, grid)
-        s = np.linalg.svd(mat, compute_uv=False)
-        sigma_min = float(s[-1])
-        sys = DoubleSystem(
-            model=model,
-            grid=grid,
-            dense_matrix=mat,
-            dense_lu=scipy.linalg.lu_factor(mat),
-            sigma_min=sigma_min,
-            bound_constant=float(1.0 / sigma_min),
-        )
+        if grid.kind != "uniform":
+            raise StructureError("the dense path uses the uniform grid")
+        if model.h_rep is not None:
+            raise StructureError("the dense path needs trivial holonomy")
+        b_big = _tangential_big_matrix(model, grid)
+        channels = [ModeChannel(eta=0.0, shift=0.0, basis=None, b_mat=b_big)]
     else:
         raise StructureError("unknown path %r" % (path,))
-    if sys.sigma_min < DOUBLE_CERT_TOL:
+    a0, s = _scalar_systems(grid)
+    systems = [_decoupled_channel(ch, a0, s) for ch in channels]
+    sigma_min = float(min(cs.sigma_min for cs in systems))
+    if sigma_min < DOUBLE_CERT_TOL:
         raise CertificationError(
-            "double not certifiably invertible (sigma_min %.3e)"
-            % sys.sigma_min
+            "double not certifiably invertible (sigma_min %.3e)" % sigma_min
         )
-    return sys
+    return DoubleSystem(
+        model=model,
+        grid=grid,
+        per_mode=path == "per-mode",
+        channels=systems,
+        sigma_min=sigma_min,
+        bound_constant=1.0 / sigma_min,
+    )
 
 
 def _tangential_big_matrix(model, grid):
@@ -821,15 +816,6 @@ def _tangential_big_matrix(model, grid):
     return big
 
 
-def _dense2d_matrix(model, grid):
-    """Full transmission system with y-coupling (dense path, V(y))."""
-    if grid.kind != "uniform":
-        raise StructureError("the dense path uses the uniform grid")
-    b_big = _tangential_big_matrix(model, grid)
-    # same layout as the per-mode system, with the y-coupled tangential block
-    return _channel_matrix(grid, b_big)
-
-
 def _solve_channel(cs, rhs):
     """Solve the transmission system of channel ``cs`` for ``rhs`` laid out
     as :func:`_channel_rhs` builds it: rotate the fiber axis into the
@@ -842,15 +828,12 @@ def _solve_channel(cs, rhs):
     return (u @ sol).reshape(rhs.shape)
 
 
-def _solve_block(grid, q2, factors, f1=None, f2=None, jump0=None, jump1=None):
-    """Nodal (phi, tau), shape (2, n_nodes, q2, ...), of one mode channel
-    (``factors`` its ChannelSystem) or of the dense system (``factors`` its
-    LU, q2 = n_y * n_fiber), for data laid out as :func:`_channel_rhs`."""
+def _solve_block(grid, cs, f1=None, f2=None, jump0=None, jump1=None):
+    """Nodal (phi, tau), shape (2, n_nodes, q2, ...), of the channel system
+    ``cs`` (q2 = cs.channel.dim), for data laid out as :func:`_channel_rhs`."""
+    q2 = cs.channel.dim
     rhs = _channel_rhs(grid, q2, f1, f2, jump0, jump1)
-    if isinstance(factors, ChannelSystem):
-        sol = _solve_channel(factors, rhs)
-    else:
-        sol = scipy.linalg.lu_solve(factors, rhs.reshape(rhs.shape[0], -1))
+    sol = _solve_channel(cs, rhs)
     return sol.reshape((2, grid.n_nodes, q2) + rhs.shape[1:])
 
 
@@ -901,37 +884,22 @@ def ghost_solution_check(sys):
 
     Stacks the side-1 collocation rows at every node with the two trace
     rows and reports the smallest singular value of the stacked operator
-    per channel (or of the dense stack); a trivial kernel certifies the
-    absence of discrete ghost solutions.  Per mode the stack decouples in
-    the eigenbasis of b into the real scalar stacks [D + lambda I; e_0^T;
-    e_n^T], one per eigenvalue.
+    per channel; a trivial kernel certifies the absence of discrete ghost
+    solutions.  The stack decouples in the eigenbasis of b into the real
+    scalar stacks [D + lambda I; e_0^T; e_n^T], one per eigenvalue.
     """
-    grid = sys.grid
-    n = grid.n_u
-    d = grid.diff_matrix()
+    n = sys.grid.n_u
     eye_nodes = np.eye(n + 1)
-
-    if sys.per_mode:
-        base = np.vstack([d, eye_nodes[[0, n]]])
-        select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
-        per_channel = [
-            float(
-                np.linalg.svd(
-                    base + cs.eigvals[:, None, None] * select,
-                    compute_uv=False,
-                ).min()
-            )
-            for cs in sys.channels
-        ]
-    else:
-        b_big = _tangential_big_matrix(sys.model, grid)
-        q2 = b_big.shape[0]
-        l_plus = np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_big)
-        trace_rows = np.zeros((2 * q2, (n + 1) * q2), dtype=complex)
-        trace_rows[:q2, :q2] = np.eye(q2)
-        trace_rows[q2:, n * q2 :] = np.eye(q2)
-        stack = np.vstack([l_plus, trace_rows])
-        per_channel = [float(np.linalg.svd(stack, compute_uv=False)[-1])]
+    base = np.vstack([sys.grid.diff_matrix(), eye_nodes[[0, n]]])
+    select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
+    per_channel = [
+        float(
+            np.linalg.svd(
+                base + cs.eigvals[:, None, None] * select, compute_uv=False
+            ).min()
+        )
+        for cs in sys.channels
+    ]
     sigma = min(per_channel)
     return {
         "sigma_min": sigma,

@@ -226,12 +226,9 @@ def membership_defect(algebra, rep):
     m = algebra.rep_dim
     l = rep.shape[0] // m
     k = rep.shape[1] // m
-    worst = 0.0
-    for i in range(l):
-        for j in range(k):
-            block = rep[i * m : (i + 1) * m, j * m : (j + 1) * m]
-            worst = max(worst, algebra.membership_defect(block))
-    return worst
+    # blocks[i, j] = rep[i*m:(i+1)*m, j*m:(j+1)*m]
+    blocks = rep[: l * m, : k * m].reshape(l, m, k, m).swapaxes(1, 2)
+    return float(np.max(algebra.membership_defect(blocks), initial=0.0))
 
 
 # -- basic operations ---------------------------------------------------

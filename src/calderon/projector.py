@@ -32,6 +32,7 @@ from .dirac import (
     _channel_to_values,
     _solve_block,
     _values_to_channel,
+    mode_radius,
 )
 from .errors import CertificationError, StructureError
 from .hilbmod import (
@@ -77,7 +78,7 @@ class BoundaryData:
         """Random data supported on the dealiased frequency set."""
         shape = (n_y, model.n_fiber, model.m)
         out = []
-        cut = n_y // 3 if n_y > 1 else 0
+        cut = mode_radius(n_y)
         y = 2.0 * np.pi * np.arange(n_y) / n_y
         for _ in range(2):
             vals = np.zeros(shape, dtype=complex)
@@ -142,8 +143,9 @@ class BoundaryProjector:
     read-only ``etas`` and ``blocks`` are derived from them once:
     ``blocks[i]`` acts on the full-fiber double trace (2 * n_fiber complex
     dimensions) of the integer frequency ``etas[i]``, and with holonomy it
-    is the sum of the embedded eigenphase-channel blocks.  The dense path
-    stores a single matrix over all (component, y, fiber) coordinates.
+    is the sum of the embedded eigenphase-channel blocks.  The y-coupled
+    path stores its one channel block as ``dense``, a single matrix over
+    all (component, y, fiber) coordinates.
     """
 
     model: object
@@ -282,7 +284,7 @@ def _collocation_projector_block(sys_channel, grid):
     q2 = sys_channel.channel.dim
     # columns: first q2 excite g0, last q2 excite g1
     jumps = np.eye(2 * q2, dtype=complex).reshape(2, q2, 2 * q2)
-    phi = _solve_block(grid, q2, sys_channel, jump0=jumps[0], jump1=jumps[1])[0]
+    phi = _solve_block(grid, sys_channel, jump0=jumps[0], jump1=jumps[1])[0]
     return np.vstack([phi[0], phi[-1]])
 
 
@@ -307,34 +309,27 @@ def boundary_trace(model, s):
 def calderon_projector(sys, method="collocation"):
     """Assemble the Calderon projector of the double system.
 
-    ``method='collocation'`` reads the traces of the discrete transmission
-    solves; ``method='exact'`` uses the per-mode matrix-exponential graph
-    projection (constant-coefficient path only).  On a dense y-coupled
-    system the columns are the Poisson solves of the full jump basis.
+    One block per channel of the double.  ``method='collocation'`` reads
+    the traces of the discrete transmission solves of the jump basis;
+    ``method='exact'`` is the matrix-exponential graph projection of the
+    channel's tangential block (exact in u; on the y-coupled path the
+    y-discretization stays).
     """
-    grid = sys.grid
-    model = sys.model
-    if not sys.per_mode:
-        blk = grid.n_y * model.n_fiber
-        jumps = np.eye(2 * blk, dtype=complex).reshape(
-            2, grid.n_y, model.n_fiber, 2 * blk
-        )
-        phi, _ = sys.solve(jump0=jumps[0], jump1=jumps[1])
-        dense = np.vstack([phi[0], phi[-1]]).reshape(2 * blk, 2 * blk)
-        return BoundaryProjector(
-            model=model, n_y=grid.n_y, method="dense", dense=dense
-        )
     channel_blocks = []
     for cs in sys.channels:
         if method == "exact":
             block = exact_projector_block(cs.channel.b_mat)
         elif method == "collocation":
-            block = _collocation_projector_block(cs, grid)
+            block = _collocation_projector_block(cs, sys.grid)
         else:
             raise StructureError("unknown method %r" % (method,))
         channel_blocks.append((cs.channel, block))
+    if sys.per_mode:
+        stored = {"channel_blocks": channel_blocks}
+    else:
+        stored = {"dense": channel_blocks[0][1]}
     return BoundaryProjector(
-        model=model, n_y=grid.n_y, method=method, channel_blocks=channel_blocks
+        model=sys.model, n_y=sys.grid.n_y, method=method, **stored
     )
 
 
@@ -603,6 +598,6 @@ def calderon_vs_aps_index(sys, method="exact"):
     )
     return {
         "index": int(index),
-        "mode_radius": n_y // 3 if n_y > 1 else 0,
+        "mode_radius": mode_radius(n_y),
         "dimension": c_orth.matrix().shape[0],
     }

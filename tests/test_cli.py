@@ -288,9 +288,11 @@ def test_double_reports_how_sigma_min_was_certified(tmp_path):
     }
     raw["grid"] = {"n_u": 8, "n_y": 8, "kind": "uniform"}
     metrics = cli.run_scenario(parse_config(raw))["tasks"][0]["metrics"]
-    assert metrics["sigma_min_method"] == "dense full SVD"
-    assert metrics["svd_max_dim"] == 2 * (8 + 1) * 8 * 4
-    assert "eig_residual" not in metrics
+    assert metrics["sigma_min_method"] == "y-coupled decoupled full SVD"
+    assert metrics["svd_max_dim"] == 2 * (8 + 1)
+    assert metrics["eig_residual"] < 1e-12
+    assert metrics["eig_unitarity_defect"] < 1e-12
+    assert metrics["max_kernel_dim"] == 0
 
 
 def test_linalg_error_becomes_fail_entry(tmp_path, monkeypatch):

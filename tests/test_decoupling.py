@@ -1,5 +1,6 @@
-"""The per-mode double, solved in the eigenbasis of each tangential block,
-against the coupled channel system it replaces."""
+"""The double, solved in the eigenbasis of each channel's tangential block
+(per mode, or the one y-coupled channel of a V(y) model), against the
+coupled channel system it replaces."""
 
 import numpy as np
 import pytest
@@ -25,7 +26,8 @@ from conftest import fixture_models, hermitian
 
 
 def decoupling_models():
-    """fixture_models() plus a segment with a sigma_1 term w."""
+    """fixture_models() plus a segment with a sigma_1 term w and a cylinder
+    with V(y), whose double is one y-coupled channel."""
     rng = np.random.default_rng(7)
     m2 = CStarAlgebra.matrix(2)
     segment_w = (
@@ -35,7 +37,15 @@ def decoupling_models():
         ),
         CollarGrid(n_u=16, n_y=1, kind="chebyshev"),
     )
-    return fixture_models() + [segment_w]
+    base = np.diag([0.9, -0.4]).astype(complex)
+    cylinder_vy = (
+        "cylinder-M2-vy",
+        ProductDiracModel(
+            "cylinder", m2, v=lambda y: base + 0.3 * np.cos(y) * np.eye(2)
+        ),
+        CollarGrid(n_u=8, n_y=8, kind="uniform"),
+    )
+    return fixture_models() + [segment_w, cylinder_vy]
 
 
 CASES = decoupling_models()
@@ -88,7 +98,9 @@ def test_sigma_min_matches_coupled_svd(case):
 def test_certificate_records_method_and_residuals(case):
     model, grid, sysd = case
     cert = sysd.certificate()
-    assert cert["sigma_min_method"] == "per-mode decoupled full SVD"
+    path = "per-mode" if sysd.per_mode else "y-coupled"
+    assert sysd.per_mode != model.y_dependent
+    assert cert["sigma_min_method"] == path + " decoupled full SVD"
     assert cert["svd_max_dim"] == 2 * grid.n_nodes
     assert 0.0 <= cert["eig_residual"] < 1e-12
     assert 0.0 <= cert["eig_unitarity_defect"] < 1e-12
@@ -115,8 +127,7 @@ def test_collocation_blocks_match_coupled_solve(case, monkeypatch):
     fast = calderon_projector(sysd)
     monkeypatch.setattr(dirac, "_solve_channel", coupled_solver(grid))
     ref = calderon_projector(sysd)
-    for (_, a), (_, b) in zip(fast.channel_blocks, ref.channel_blocks):
-        assert rel_diff(a, b) < 1e-12
+    assert rel_diff(fast.matrix(), ref.matrix()) < 1e-12
 
 
 def test_invert_double_and_poisson_match_coupled_solve(case, monkeypatch):
@@ -153,7 +164,8 @@ def test_blockwise_diagnostics_match_assembled_matrix(case):
         membership_defect(model.algebra, mat)
     )
     assert diag["dimension"] == mat.shape[0]
-    assert diag["mode_count"] == len(proj.blocks)
+    if sysd.per_mode:
+        assert diag["mode_count"] == len(proj.blocks)
     ref_idem = np.linalg.norm(mat @ mat - mat, 2)
     ref_sa = np.linalg.norm(mat - mat.conj().T, 2)
     assert abs(diag["idempotency_defect"] - ref_idem) <= 1e-14

@@ -370,3 +370,7 @@ def test_invert_double_rejects_holonomy(rng):
     f = CollarFunction(grid, np.zeros((17, 12, 4, 2), dtype=complex))
     with pytest.raises(StructureError):
         invert_double(sysd, f)
+    # the y-coupled B has no holonomy twist, so that path refuses to build
+    uniform = CollarGrid(n_u=16, n_y=12, kind="uniform")
+    with pytest.raises(StructureError):
+        build_double(model, uniform, path="dense2d")

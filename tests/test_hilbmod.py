@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from calderon import hilbmod
-from calderon.csalg import is_positive, star
+from calderon.csalg import CStarAlgebra, is_positive, star
 from calderon.errors import CertificationError, StructureError
 from calderon.hilbmod import (
     ModuleOperator,
@@ -83,6 +83,32 @@ def test_adjoint_identity(algebra, rng):
 def test_operator_entries_in_algebra(algebra, rng):
     t = ModuleOperator.random(algebra, 2, 3, rng)
     assert membership_defect(algebra, t.rep) < 1e-10
+
+
+def test_membership_defect_is_blockwise_maximum(algebra, rng):
+    m = algebra.rep_dim
+    rep = rng.standard_normal((3 * m, 2 * m)) + 1j * rng.standard_normal(
+        (3 * m, 2 * m)
+    )
+    ref = max(
+        algebra.membership_defect(rep[i * m : (i + 1) * m, j * m : (j + 1) * m])
+        for i in range(3)
+        for j in range(2)
+    )
+    assert membership_defect(algebra, rep) == ref
+
+
+@pytest.mark.parametrize(
+    "algebra", [CStarAlgebra.cyclic(4), CStarAlgebra.symmetric(3)], ids=["Z4", "S3"]
+)
+def test_membership_defect_finds_one_junk_block(algebra, rng):
+    m = algebra.rep_dim
+    rep = ModuleOperator.random(algebra, 2, 3, rng).rep.copy()
+    junk = rng.standard_normal((m, m))
+    rep[2 * m :, m : 2 * m] = junk
+    expected = algebra.membership_defect(junk)
+    assert expected > 1e-3
+    assert membership_defect(algebra, rep) == expected
 
 
 def test_vector_from_column_is_invariant(algebra, rng):

@@ -174,6 +174,27 @@ def test_dense_projector_converges_to_oracle():
     assert max(idems) < 1e-12
 
 
+def test_y_coupled_projector_converges_to_exact_graph_projection():
+    """With V(y) the one channel's exact-in-u projector is the graph
+    projection of the y-coupled B; the FD4 collocation projector converges
+    to it at 4th order."""
+    alg = CStarAlgebra.matrix(2)
+    base = np.diag([0.9, -0.4]).astype(complex)
+    model = ProductDiracModel(
+        "cylinder", alg, v=lambda y: base + 0.3 * np.cos(y) * np.eye(2)
+    )
+    errs = []
+    for n_u in (16, 32, 64):
+        sysd = build_double(model, CollarGrid(n_u=n_u, n_y=8, kind="uniform"))
+        oracle = exact_projector_block(sysd.channels[0].channel.b_mat)
+        exact = calderon_projector(sysd, method="exact").matrix()
+        assert np.array_equal(exact, oracle)
+        proj = calderon_projector(sysd).matrix()
+        errs.append(np.linalg.norm(proj - oracle, 2))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert orders.min() >= 3.5
+
+
 # -- Poisson operator ---------------------------------------------------
 
 
