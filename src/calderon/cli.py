@@ -36,6 +36,7 @@ from .dirac import (
     build_double,
     ghost_solution_check,
     green_residual,
+    y_points,
 )
 from .projector import (
     calderon_projector,
@@ -496,11 +497,7 @@ def _task_index(cfg, out_dir, run):
 def _manufactured_pair(model, grid, rng):
     """Two smooth side-1 sections for residual studies."""
     u = grid.u_nodes()
-    y = (
-        2.0 * np.pi * np.arange(grid.n_y) / grid.n_y
-        if grid.n_y > 1
-        else np.zeros(1)
-    )
+    y = y_points(grid.n_y)
     out = []
     n_f, m = model.n_fiber, model.m
     band = range(-2, 3) if grid.n_y > 1 else [0]

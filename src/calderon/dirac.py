@@ -21,7 +21,9 @@ path (4th-order finite differences in u with one-sided closures,
 pseudospectral in y, V(y) allowed).  The per-mode path has one channel
 per mode and eigenphase; the y-coupled path has a single channel whose
 tangential block is B over all (y-point, fiber) coordinates, which is
-Hermitian as well.
+Hermitian as well.  The coordinates of that channel are the boundary
+samples themselves, so gathering data into it and scattering a solution
+back are reshapes; past that, both paths run the same code.
 
 Every channel is solved and certified in the eigenbasis of its Hermitian
 tangential block b = U diag(lambda) U*.  The channel system kron(D, I) +
@@ -178,6 +180,16 @@ def mode_radius(n_y):
     return n_y // 3
 
 
+def y_points(n_y):
+    """The n_y equispaced sample points 2 pi j / n_y of the boundary circle."""
+    return 2.0 * np.pi * np.arange(n_y) / n_y
+
+
+def y_weight(n_y):
+    """Quadrature weight of one y-sample (1 on the segment, where n_y = 1)."""
+    return 2.0 * np.pi / n_y if n_y > 1 else 1.0
+
+
 class CollarFunction:
     """Section sampled on a collar grid: shape (n_nodes, n_y, fiber, m)."""
 
@@ -210,11 +222,8 @@ class CollarFunction:
         """Quadrature L^2 norm (Frobenius fiberwise)."""
         w = self.grid.quad_weights()
         dens = np.sum(np.abs(self.values) ** 2, axis=(2, 3))
-        dy = 2.0 * np.pi / self.grid.n_y if self.grid.n_y > 1 else 1.0
+        dy = y_weight(self.grid.n_y)
         return float(np.sqrt(np.sum(w[:, None] * dens) * dy))
-
-    def max_abs(self):
-        return float(np.abs(self.values).max())
 
 
 # -- the model ----------------------------------------------------------
@@ -227,7 +236,8 @@ class ModeChannel:
     ``basis`` embeds the channel's twist subspace into the full twist fiber
     C^(r*m); ``b_mat`` is the tangential matrix on spinor x subspace.  The
     y-coupled channel has eta = 0, no basis, and ``b_mat`` is B over all
-    (y-point, fiber) coordinates.
+    (y-point, fiber) coordinates: its coordinates are the boundary samples
+    themselves.
     """
 
     eta: float
@@ -376,7 +386,7 @@ class ProductDiracModel:
 
     def v_samples(self, n_y):
         """Samples of V(y) on the y-grid, shape (n_y, rm, rm)."""
-        y = 2.0 * np.pi * np.arange(n_y) / n_y
+        y = y_points(n_y)
         if self.v_callable is not None:
             out = np.stack(
                 [np.asarray(self.v_callable(yj), dtype=complex) for yj in y]
@@ -499,16 +509,14 @@ def collar_inner_product(s1, s2):
     if s1.grid != s2.grid:
         raise StructureError("grid mismatch")
     w = s1.grid.quad_weights()
-    dy = 2.0 * np.pi / s1.grid.n_y if s1.grid.n_y > 1 else 1.0
     # sum_i x_i^* y_i at every node, then quadrature
     point = np.einsum("uyim,uyin->umn", s1.values.conj(), s2.values)
-    return dy * np.einsum("u,umn->mn", w, point)
+    return y_weight(s1.grid.n_y) * np.einsum("u,umn->mn", w, point)
 
 
 def boundary_inner_product(p1, p2, n_y):
     """A-valued inner product of boundary y-profiles (shape (n_y, f, m))."""
-    dy = 2.0 * np.pi / n_y if n_y > 1 else 1.0
-    return dy * np.einsum("yim,yin->mn", p1.conj(), p2)
+    return y_weight(n_y) * np.einsum("yim,yin->mn", p1.conj(), p2)
 
 
 def green_residual(model, s1, s2):
@@ -608,16 +616,7 @@ class DoubleSystem:
         grid = self.grid
         data = (f1, f2, jump0, jump1)
         given = next(a for a in data if a is not None)
-        shape = (grid.n_nodes,) + given.shape[-3:]
-        if not self.per_mode:
-            blk = grid.n_y * self.model.n_fiber
-            flat = (
-                None if a is None else a.reshape(a.shape[:-3] + (blk, -1))
-                for a in data
-            )
-            sol = _solve_block(grid, self.channels[0], *flat)
-            return sol[0].reshape(shape), sol[1].reshape(shape)
-        out = np.zeros((2,) + shape, dtype=complex)
+        out = np.zeros((2, grid.n_nodes) + given.shape[-3:], dtype=complex)
         for cs in self.channels:
             ch = cs.channel
             gathered = (
@@ -838,9 +837,13 @@ def _solve_block(grid, cs, f1=None, f2=None, jump0=None, jump1=None):
 
 
 def _values_to_channel(values, ch, n_y):
-    """Coefficients of mode channel ``ch`` in values sampled on the boundary
-    circle, shape (..., n_y, n_fiber, cols): the y-Fourier coefficient of
-    frequency ``ch.eta`` in the channel's twist subspace, (..., 2q, cols)."""
+    """Coefficients of channel ``ch`` in values sampled on the boundary
+    circle, shape (..., n_y, n_fiber, cols): for a mode channel the
+    y-Fourier coefficient of frequency ``ch.eta`` in the channel's twist
+    subspace, (..., 2q, cols); for the y-coupled channel (no basis) the
+    samples themselves, (..., n_y * n_fiber, cols)."""
+    if ch.basis is None:
+        return values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
     coeffs = np.fft.fft(values, axis=-3) / n_y
     slab = coeffs[..., int(ch.eta) % n_y, :, :]
     rm = ch.basis.shape[0]
@@ -853,13 +856,15 @@ def _channel_to_values(channel_vals, ch, n_y, out):
     """Add the samples of channel coefficients (..., 2q, cols) to ``out``,
     shape (..., n_y, n_fiber, cols): the inverse of
     :func:`_values_to_channel` on the channel."""
+    if ch.basis is None:
+        out += channel_vals.reshape(out.shape)
+        return out
     rm, q = ch.basis.shape
     top, bot = channel_vals[..., :q, :], channel_vals[..., q:, :]
     slab = np.zeros(top.shape[:-2] + (2 * rm, top.shape[-1]), dtype=complex)
     slab[..., :rm, :] = np.einsum("fq,...qm->...fm", ch.basis, top)
     slab[..., rm:, :] = np.einsum("fq,...qm->...fm", ch.basis, bot)
-    y = 2.0 * np.pi * np.arange(n_y) / n_y
-    phase = np.exp(1j * ch.eta_eff * y)
+    phase = np.exp(1j * ch.eta_eff * y_points(n_y))
     out += phase[:, None, None] * slab[..., None, :, :]
     return out
 

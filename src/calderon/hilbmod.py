@@ -114,7 +114,7 @@ class ModuleOperator:
 
     __slots__ = ("algebra", "source_rank", "target_rank", "rep")
 
-    def __init__(self, algebra, source_rank, target_rank, rep, check=False):
+    def __init__(self, algebra, source_rank, target_rank, rep):
         self.algebra = algebra
         self.source_rank = int(source_rank)
         self.target_rank = int(target_rank)
@@ -122,10 +122,6 @@ class ModuleOperator:
         m = algebra.rep_dim
         if rep.shape != (self.target_rank * m, self.source_rank * m):
             raise StructureError("rep shape does not match ranks/algebra")
-        if check and algebra.kind == "group":
-            defect = membership_defect(algebra, rep)
-            if defect > 1e-8 * max(1.0, np.linalg.norm(rep, 2)):
-                raise StructureError("operator entries not in the algebra")
         self.rep = rep
 
     @classmethod

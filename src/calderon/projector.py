@@ -11,11 +11,11 @@ projection
     P(T) = [[(1+T^2)^-1,   (1+T^2)^-1 T ],
             [T (1+T^2)^-1, T (1+T^2)^-1 T]],       T = e^{-b}.
 
-The projector is assembled mode by mode and stored as one block per mode
-channel; its columns are the traces of Poisson solves of jump data.  Its
-principal symbol (the large |eta| limit of the u=0 block) is the positive
-spectral projection of b, computed independently by a contour integral over
-a half-disk.
+The projector is stored as one block per channel of the double (per mode
+and eigenphase, or the one y-coupled channel); its columns are the traces
+of Poisson solves of jump data.  Its principal symbol (the large |eta|
+limit of the u=0 block) is the positive spectral projection of b, computed
+independently by a contour integral over a half-disk.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .dirac import (
@@ -33,6 +32,8 @@ from .dirac import (
     _solve_block,
     _values_to_channel,
     mode_radius,
+    y_points,
+    y_weight,
 )
 from .errors import CertificationError, StructureError
 from .hilbmod import (
@@ -79,7 +80,7 @@ class BoundaryData:
         shape = (n_y, model.n_fiber, model.m)
         out = []
         cut = mode_radius(n_y)
-        y = 2.0 * np.pi * np.arange(n_y) / n_y
+        y = y_points(n_y)
         for _ in range(2):
             vals = np.zeros(shape, dtype=complex)
             for eta in range(-cut, cut + 1):
@@ -92,7 +93,7 @@ class BoundaryData:
         return cls(model, n_y, out[0], out[1])
 
     def norm(self):
-        dy = 2.0 * np.pi / self.n_y if self.n_y > 1 else 1.0
+        dy = y_weight(self.n_y)
         return float(
             np.sqrt(
                 dy * (np.sum(np.abs(self.g0) ** 2) + np.sum(np.abs(self.g1) ** 2))
@@ -116,7 +117,7 @@ class BoundaryData:
     # the two traces are gathered and scattered as a 2-node axis
 
     def channel_coeff(self, ch):
-        """Stacked (2 * ch.dim, m) coefficient of one mode channel."""
+        """Stacked (2 * ch.dim, m) coefficient of one channel."""
         traces = np.stack([self.g0, self.g1])
         coeff = _values_to_channel(traces, ch, self.n_y)
         return coeff.reshape(-1, self.model.m)
@@ -135,47 +136,36 @@ class BoundaryData:
 
 @dataclass
 class BoundaryProjector:
-    """Projector acting on boundary data, assembled over the dealiased modes.
+    """Projector acting on boundary data, one block per channel.
 
-    Per mode the projector is stored once, as ``channel_blocks``: one
-    (channel, matrix) pair per mode channel, the matrix acting on the
+    The projector is stored once, as ``channel_blocks``: one (channel,
+    matrix) pair per channel of the double, the matrix acting on the
     channel's double trace (2 * channel.dim complex dimensions).  The
-    read-only ``etas`` and ``blocks`` are derived from them once:
-    ``blocks[i]`` acts on the full-fiber double trace (2 * n_fiber complex
-    dimensions) of the integer frequency ``etas[i]``, and with holonomy it
+    read-only ``blocks`` are derived from them once, in ascending integer
+    frequency: per mode, a block acts on the full-fiber double trace
+    (2 * n_fiber complex dimensions) of one frequency, and with holonomy it
     is the sum of the embedded eigenphase-channel blocks.  The y-coupled
-    path stores its one channel block as ``dense``, a single matrix over
-    all (component, y, fiber) coordinates.
+    projector has one channel, with no basis: its block acts on all
+    (component, y, fiber) coordinates and is its one full block.
     """
 
     model: object
     n_y: int
     method: str
     channel_blocks: list = field(default_factory=list)  # (channel, matrix)
-    dense: np.ndarray = None
 
     @property
     def per_mode(self):
-        return self.dense is None
+        """False on the y-coupled projector, whose channel has no basis."""
+        return all(ch.basis is not None for ch, _ in self.channel_blocks)
 
     @cached_property
-    def _by_eta(self):
-        return _group_by_eta(self.model, self.channel_blocks)
-
-    @property
-    def etas(self):
-        """Integer frequencies of ``blocks``, ascending."""
-        return self._by_eta[0]
-
-    @property
     def blocks(self):
         """Full-fiber blocks, one per integer frequency."""
-        return self._by_eta[1]
+        return _group_by_eta(self.model, self.channel_blocks)
 
     def matrix(self):
         """Assembled complex matrix (deterministic mode ordering)."""
-        if not self.per_mode:
-            return self.dense
         return scipy.linalg.block_diag(*self.blocks)
 
     def as_module_operator(self):
@@ -190,11 +180,6 @@ class BoundaryProjector:
         """Apply to boundary data (trivial holonomy)."""
         if g.model is not self.model and g.model.n_fiber != self.model.n_fiber:
             raise StructureError("boundary data model mismatch")
-        if not self.per_mode:
-            traces = np.stack([g.g0, g.g1])
-            out = self.dense @ traces.reshape(-1, self.model.m)
-            out = out.reshape(traces.shape)
-            return BoundaryData(self.model, self.n_y, out[0], out[1])
         coeffs = []
         for ch, block in self.channel_blocks:
             coeffs.append((ch, block @ g.channel_coeff(ch)))
@@ -202,22 +187,21 @@ class BoundaryProjector:
 
     def diagnostics(self):
         """Idempotency and self-adjointness defects (2-norm), dimension and
-        algebra-membership defect.  Per mode they are maxima over the
-        diagonal blocks: the 2-norm of a block-diagonal matrix is the
-        largest block norm, and its off-diagonal m-blocks are exactly zero.
+        algebra-membership defect: maxima over the diagonal blocks, since
+        the 2-norm of a block-diagonal matrix is the largest block norm and
+        its off-diagonal m-blocks are exactly zero.
         """
-        blocks = self.blocks if self.per_mode else [self.dense]
         alg = self.model.algebra
         out = {
             "idempotency_defect": max(
-                float(np.linalg.norm(b @ b - b, 2)) for b in blocks
+                float(np.linalg.norm(b @ b - b, 2)) for b in self.blocks
             ),
             "self_adjointness_defect": max(
-                float(np.linalg.norm(b - b.conj().T, 2)) for b in blocks
+                float(np.linalg.norm(b - b.conj().T, 2)) for b in self.blocks
             ),
-            "dimension": sum(b.shape[0] for b in blocks),
+            "dimension": sum(b.shape[0] for b in self.blocks),
             "a_membership_defect": max(
-                float(membership_defect(alg, b)) for b in blocks
+                float(membership_defect(alg, b)) for b in self.blocks
             ),
         }
         if self.per_mode:
@@ -242,6 +226,8 @@ class BoundaryProjector:
 
 def _embed_channel_block(model, ch, block):
     """Embed a (2d x 2d) channel block into the full-fiber double trace."""
+    if ch.basis is None:  # the y-coupled channel acts on it already
+        return block
     rm = model.rm
     n_f = model.n_fiber
     q = ch.basis.shape[1]
@@ -253,7 +239,7 @@ def _embed_channel_block(model, ch, block):
 
 
 def _group_by_eta(model, channel_blocks):
-    """Sum embedded channel blocks sharing the same integer frequency."""
+    """Sum embedded channel blocks sharing an integer frequency, ascending."""
     by_eta = {}
     for ch, block in channel_blocks:
         key = int(round(ch.eta))
@@ -262,8 +248,7 @@ def _group_by_eta(model, channel_blocks):
             by_eta[key] = by_eta[key] + emb
         else:
             by_eta[key] = emb
-    etas = sorted(by_eta)
-    return etas, [by_eta[e] for e in etas]
+    return [by_eta[e] for e in sorted(by_eta)]
 
 
 # -- Poisson operator and Calderon projector ---------------------------
@@ -324,88 +309,12 @@ def calderon_projector(sys, method="collocation"):
         else:
             raise StructureError("unknown method %r" % (method,))
         channel_blocks.append((cs.channel, block))
-    if sys.per_mode:
-        stored = {"channel_blocks": channel_blocks}
-    else:
-        stored = {"dense": channel_blocks[0][1]}
     return BoundaryProjector(
-        model=sys.model, n_y=sys.grid.n_y, method=method, **stored
+        model=sys.model,
+        n_y=sys.grid.n_y,
+        method=method,
+        channel_blocks=channel_blocks,
     )
-
-
-# -- independent Cauchy space oracle -----------------------------------
-
-
-@dataclass
-class CauchySpaces:
-    """Bases of the two Cauchy data spaces of one mode, with certificates."""
-
-    eta: float
-    h1: np.ndarray  # (2 q2, q2) columns span side-1 traces
-    h2: np.ndarray
-    orthogonality_defect: float
-    min_angle: float
-
-    @property
-    def dim_total(self):
-        return self.h1.shape[1] + self.h2.shape[1]
-
-
-def _ode_propagator(b_mat, sign, rtol=1e-12, atol=1e-14):
-    """Fundamental solution of phi' = sign * b phi at u = 1, by integration.
-
-    Deliberately avoids the matrix exponential so it can serve as an
-    independent oracle for it.
-    """
-    q2 = b_mat.shape[0]
-
-    def rhs(_, y):
-        phi = y.reshape(q2, q2)
-        return (sign * (b_mat @ phi)).ravel()
-
-    sol = scipy.integrate.solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.eye(q2, dtype=complex).ravel(),
-        rtol=rtol,
-        atol=atol,
-        method="DOP853",
-    )
-    if not sol.success:
-        raise CertificationError("Cauchy-space ODE integration failed")
-    return sol.y[:, -1].reshape(q2, q2)
-
-
-def cauchy_space_oracle(model, eta):
-    """Cauchy data spaces of one mode from direct ODE solves.
-
-    H1 collects the u=0 and u=1 traces of decaying side-1 solutions
-    phi' = -b phi; H2 those of the side-2 solutions in the pulled-back
-    gauge, tau' = +b tau, whose contribution to the double trace carries
-    the gluing sign at u=1.
-    """
-    b = model.tangential_matrix(eta)
-    q2 = b.shape[0]
-    prop_minus = _ode_propagator(b, -1.0)  # e^{-b}
-    prop_plus = _ode_propagator(b, +1.0)  # e^{+b}
-    h1 = np.vstack([np.eye(q2), prop_minus])
-    h2 = np.vstack([np.eye(q2), -prop_plus])
-    gram = h1.conj().T @ h2
-    orth = float(np.linalg.norm(gram, 2))
-    angles = scipy.linalg.subspace_angles(h1, h2)
-    return CauchySpaces(
-        eta=float(eta),
-        h1=h1,
-        h2=h2,
-        orthogonality_defect=orth,
-        min_angle=float(angles.min()) if angles.size else np.pi / 2,
-    )
-
-
-def graph_projection_least_squares(basis):
-    """Orthogonal projection onto the column span, via normal equations."""
-    gram = basis.conj().T @ basis
-    return basis @ np.linalg.solve(gram, basis.conj().T)
 
 
 # -- principal symbol by contour integration ---------------------------
@@ -560,24 +469,15 @@ def aps_projection(model, n_y=None, eta=None):
 
 def orthogonalized_calderon(projector):
     """Orthogonal projection with the same range, by the certified F-solve
-    of each channel block (or of the dense matrix)."""
-
-    def orth(mat):
-        return orthogonalize_idempotent_matrix(mat)[0]
-
-    method = projector.method + "+orthogonalized"
-    if not projector.per_mode:
-        return BoundaryProjector(
-            model=projector.model,
-            n_y=projector.n_y,
-            method=method,
-            dense=orth(projector.dense),
-        )
+    of each channel block."""
     return BoundaryProjector(
         model=projector.model,
         n_y=projector.n_y,
-        method=method,
-        channel_blocks=[(ch, orth(b)) for ch, b in projector.channel_blocks],
+        method=projector.method + "+orthogonalized",
+        channel_blocks=[
+            (ch, orthogonalize_idempotent_matrix(b)[0])
+            for ch, b in projector.channel_blocks
+        ],
     )
 
 

@@ -43,6 +43,16 @@ def cylinder_fixture(seed=424242):
     return model, grid
 
 
+def y_coupled_model():
+    """Cylinder over M2 with V(y) = diag(0.9, -0.4) + 0.3 cos(y): its double
+    is the one y-coupled channel."""
+    alg = CStarAlgebra.matrix(2)
+    base = np.diag([0.9, -0.4]).astype(complex)
+    return ProductDiracModel(
+        "cylinder", alg, v=lambda y: base + 0.3 * np.cos(y) * np.eye(2)
+    )
+
+
 def fixture_models():
     """The model family exercised by the double/projector acceptance tests."""
     rng = np.random.default_rng(99)

@@ -35,7 +35,6 @@ from calderon.hilbmod import (
 from calderon.projector import (
     calderon_projector,
     calderon_vs_aps_index,
-    cauchy_space_oracle,
     exact_projector_block,
     principal_symbol,
     spectral_projection_positive,
@@ -43,6 +42,7 @@ from calderon.projector import (
 )
 
 from conftest import cylinder_fixture, fixture_models, hermitian
+from ode_oracle import cauchy_space_oracle
 
 ALGEBRAS = [
     CStarAlgebra.matrix(2),

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +9,22 @@ import pytest
 from calderon import cli
 from calderon.cli import ConfigError, main, parse_config
 from calderon.errors import CertificationError
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    """The ODE oracle is a test helper, so importing the package does not
+    load scipy.integrate."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, calderon.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def segment_config(output_dir, tasks=("double", "calderon")):

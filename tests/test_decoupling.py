@@ -22,7 +22,7 @@ from calderon.errors import StructureError
 from calderon.hilbmod import membership_defect
 from calderon.projector import BoundaryData, calderon_projector, poisson
 
-from conftest import fixture_models, hermitian
+from conftest import fixture_models, hermitian, y_coupled_model
 
 
 def decoupling_models():
@@ -37,12 +37,9 @@ def decoupling_models():
         ),
         CollarGrid(n_u=16, n_y=1, kind="chebyshev"),
     )
-    base = np.diag([0.9, -0.4]).astype(complex)
     cylinder_vy = (
         "cylinder-M2-vy",
-        ProductDiracModel(
-            "cylinder", m2, v=lambda y: base + 0.3 * np.cos(y) * np.eye(2)
-        ),
+        y_coupled_model(),
         CollarGrid(n_u=8, n_y=8, kind="uniform"),
     )
     return fixture_models() + [segment_w, cylinder_vy]

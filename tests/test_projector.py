@@ -16,9 +16,7 @@ from calderon.projector import (
     boundary_trace,
     calderon_projector,
     calderon_vs_aps_index,
-    cauchy_space_oracle,
     exact_projector_block,
-    graph_projection_least_squares,
     orthogonalized_calderon,
     poisson,
     principal_symbol,
@@ -26,7 +24,8 @@ from calderon.projector import (
     symbol_limit_check,
 )
 
-from conftest import cylinder_fixture, hermitian
+from conftest import cylinder_fixture, hermitian, y_coupled_model
+from ode_oracle import cauchy_space_oracle, graph_projection_least_squares
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +34,27 @@ def built():
     return model, grid, build_double(model, grid)
 
 
+@pytest.fixture(scope="module")
+def built_vy():
+    """The y-coupled double: one channel whose coordinates are the boundary
+    samples, so its gather and scatter are reshapes."""
+    model = y_coupled_model()
+    grid = CollarGrid(n_u=8, n_y=8, kind="uniform")
+    return model, grid, build_double(model, grid)
+
+
 # -- boundary data ------------------------------------------------------
 
 
-def test_boundary_data_mode_roundtrip(built, rng):
-    model, grid, sysd = built
-    g = BoundaryData.random_band_limited(model, grid.n_y, rng)
-    coeffs = [
-        (cs.channel, g.channel_coeff(cs.channel)) for cs in sysd.channels
-    ]
-    back = BoundaryData.from_channel_coeffs(model, grid.n_y, coeffs)
-    assert np.abs(back.g0 - g.g0).max() < 1e-12
-    assert np.abs(back.g1 - g.g1).max() < 1e-12
+def test_boundary_data_mode_roundtrip(built, built_vy, rng):
+    for model, grid, sysd in (built, built_vy):
+        g = BoundaryData.random_band_limited(model, grid.n_y, rng)
+        coeffs = [
+            (cs.channel, g.channel_coeff(cs.channel)) for cs in sysd.channels
+        ]
+        back = BoundaryData.from_channel_coeffs(model, grid.n_y, coeffs)
+        assert np.abs(back.g0 - g.g0).max() < 1e-12
+        assert np.abs(back.g1 - g.g1).max() < 1e-12
 
 
 # -- Cauchy space oracle ------------------------------------------------
@@ -178,11 +186,7 @@ def test_y_coupled_projector_converges_to_exact_graph_projection():
     """With V(y) the one channel's exact-in-u projector is the graph
     projection of the y-coupled B; the FD4 collocation projector converges
     to it at 4th order."""
-    alg = CStarAlgebra.matrix(2)
-    base = np.diag([0.9, -0.4]).astype(complex)
-    model = ProductDiracModel(
-        "cylinder", alg, v=lambda y: base + 0.3 * np.cos(y) * np.eye(2)
-    )
+    model = y_coupled_model()
     errs = []
     for n_u in (16, 32, 64):
         sysd = build_double(model, CollarGrid(n_u=n_u, n_y=8, kind="uniform"))
@@ -205,17 +209,17 @@ def test_poisson_zero_data(built):
     assert np.abs(u_sol.values).max() == 0.0
 
 
-def test_poisson_interior_solution_and_trace(built, rng):
-    model, grid, sysd = built
-    g = BoundaryData.random_band_limited(model, grid.n_y, rng)
-    u_sol = poisson(sysd, g)
-    res = apply_dirac(model, u_sol, side=1)
-    assert np.abs(res.values[1:-1]).max() < 1e-9
-    proj = calderon_projector(sysd)
-    cg = proj.apply(g)
-    tr = boundary_trace(model, u_sol)
-    assert np.abs(tr.g0 - cg.g0).max() < 1e-10
-    assert np.abs(tr.g1 - cg.g1).max() < 1e-10
+def test_poisson_interior_solution_and_trace(built, built_vy, rng):
+    for model, grid, sysd in (built, built_vy):
+        g = BoundaryData.random_band_limited(model, grid.n_y, rng)
+        u_sol = poisson(sysd, g)
+        res = apply_dirac(model, u_sol, side=1)
+        assert np.abs(res.values[1:-1]).max() < 1e-9
+        proj = calderon_projector(sysd)
+        cg = proj.apply(g)
+        tr = boundary_trace(model, u_sol)
+        assert np.abs(tr.g0 - cg.g0).max() < 1e-10
+        assert np.abs(tr.g1 - cg.g1).max() < 1e-10
 
 
 def test_poisson_reproduces_cauchy_data(built, rng):
@@ -351,6 +355,14 @@ def test_orthogonalized_calderon_fixed_point(built):
     orth = orthogonalized_calderon(proj)
     # the graph projection of self-adjoint b is already orthogonal
     assert np.linalg.norm(orth.matrix() - proj.matrix(), 2) < 1e-10
+
+
+def test_orthogonalized_y_coupled_projector(built_vy):
+    model, grid, sysd = built_vy
+    orth = orthogonalized_calderon(calderon_projector(sysd)).matrix()
+    assert orth.shape == (2 * grid.n_y * model.n_fiber,) * 2
+    assert np.linalg.norm(orth @ orth - orth, 2) < 1e-12
+    assert np.linalg.norm(orth - orth.conj().T, 2) < 1e-12
 
 
 def test_orthogonalized_skewed_idempotent(built, rng):
