@@ -433,22 +433,39 @@ def orthogonalize_idempotent_matrix(rep, idem_tol=1e-8):
     return orth, float(f_eigs.min())
 
 
-def _check_projection(P, tol):
-    rep = P.rep
-    if P.source_rank != P.target_rank:
-        raise StructureError("projection must be square")
-    scale = max(1.0, np.linalg.norm(rep, 2))
-    if np.linalg.norm(rep @ rep - rep, 2) > tol * scale**2:
+def _diagonal_blocks(P):
+    """Diagonal blocks of a projection: one for a ModuleOperator, else the
+    given sequence of square matrices."""
+    if isinstance(P, ModuleOperator):
+        if P.source_rank != P.target_rank:
+            raise StructureError("projection must be square")
+        return [P.rep]
+    blocks = [np.asarray(b) for b in P]
+    if any(b.ndim != 2 or b.shape[0] != b.shape[1] for b in blocks):
+        raise StructureError("projection blocks must be square")
+    return blocks
+
+
+def _check_projection(blocks, tol):
+    """Idempotency and self-adjointness of a block diagonal, in the 2-norm
+    (the largest block norm) and relative to its norm."""
+    scale = max([1.0] + [np.linalg.norm(b, 2) for b in blocks])
+    idem = max((np.linalg.norm(b @ b - b, 2) for b in blocks), default=0.0)
+    if idem > tol * scale**2:
         raise StructureError("operator is not idempotent within tolerance")
-    if np.linalg.norm(rep - rep.conj().T, 2) > tol * scale:
+    asym = max((np.linalg.norm(b - b.conj().T, 2) for b in blocks), default=0.0)
+    if asym > tol * scale:
         raise StructureError("operator is not self-adjoint within tolerance")
 
 
-def _rank(mat):
-    s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+def _rank(blocks):
+    """Rank of a block diagonal: its singular values are those of its
+    blocks, counted above RANK_RTOL times the largest of them all."""
+    s = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    top = max([0.0] + [v[0] for v in s if v.size])
+    if top == 0.0:
         return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return sum(int(np.sum(v > RANK_RTOL * top)) for v in s)
 
 
 def relative_index(P, Q, tol=1e-10):
@@ -457,15 +474,20 @@ def relative_index(P, Q, tol=1e-10):
     Returns dim ker(QP: ran P -> ran Q) - dim ker(PQ: ran Q -> ran P) with
     dimensions counted over C in the representation.  Valued in Z rather
     than K_0(A); for group algebras this forgets the module structure.
+    ``P`` and ``Q`` are ModuleOperators, or block diagonals given as
+    sequences of their diagonal blocks, paired by position; a block
+    diagonal gives the same integer as its assembled matrix.
     """
-    _check_projection(P, tol)
-    _check_projection(Q, tol)
-    if P.rep.shape != Q.rep.shape:
+    p_blocks = _diagonal_blocks(P)
+    q_blocks = _diagonal_blocks(Q)
+    _check_projection(p_blocks, tol)
+    _check_projection(q_blocks, tol)
+    if [b.shape for b in p_blocks] != [b.shape for b in q_blocks]:
         raise StructureError("projections act on different modules")
-    rank_p = _rank(P.rep)
-    rank_q = _rank(Q.rep)
-    rank_qp = _rank(Q.rep @ P.rep)
-    rank_pq = _rank(P.rep @ Q.rep)
+    rank_p = _rank(p_blocks)
+    rank_q = _rank(q_blocks)
+    rank_qp = _rank([q @ p for p, q in zip(p_blocks, q_blocks)])
+    rank_pq = _rank([p @ q for p, q in zip(p_blocks, q_blocks)])
     return (rank_p - rank_qp) - (rank_q - rank_pq)
 
 

@@ -15,7 +15,7 @@ The projector is stored as one block per channel of the double (per mode
 and eigenphase, or the one y-coupled channel); its columns are the traces
 of Poisson solves of jump data.  Its principal symbol (the large |eta|
 limit of the u=0 block) is the positive spectral projection of b, computed
-independently by a contour integral over a half-disk.
+independently by a trapezoidal rule for the integral form of the matrix sign.
 """
 
 from __future__ import annotations
@@ -317,51 +317,34 @@ def calderon_projector(sys, method="collocation"):
     )
 
 
-# -- principal symbol by contour integration ---------------------------
+# -- principal symbol by the sign integral -----------------------------
 
 PINCH_TOL = 1e-6
 
 
-def _resolvent_sum(b_mat, taus, weights):
-    q2 = b_mat.shape[0]
-    taus = np.asarray(taus, dtype=complex)
-    ib = 1j * b_mat
-    batch = taus[:, None, None] * np.eye(q2) - ib[None]
-    res = np.linalg.inv(batch)
-    return np.einsum("k,kij->ij", np.asarray(weights, dtype=complex), res)
-
-
-def _contour_quadrature(b_mat, radius, panels, nodes=10):
-    """Gauss-Legendre contour integral of the resolvent over the half-disk
-    boundary: diameter [-R, R] then arc R e^{i theta}, theta in [0, pi]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    acc = np.zeros_like(b_mat, dtype=complex)
-    # diameter
-    edges = np.linspace(-radius, radius, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        taus = mid + half * x
-        acc += _resolvent_sum(b_mat, taus, half * w)
-    # arc
-    edges = np.linspace(0.0, np.pi, panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        thetas = mid + half * x
-        taus = radius * np.exp(1j * thetas)
-        dtau = 1j * taus  # d tau / d theta
-        acc += _resolvent_sum(b_mat, taus, half * w * dtau)
-    return acc / (2.0j * np.pi)
-
-
 def principal_symbol(model_or_matrix, eta=None, tol=1e-12, max_doublings=10):
-    """Positive spectral projection of the tangential symbol, by contour.
+    """Positive spectral projection of the tangential symbol, by the
+    integral form of the matrix sign.
 
     Accepts either a model plus frequency (the fiber matrix is B(eta)) or a
-    Hermitian matrix directly.  Integrates (1/2 pi i) of the resolvent of
-    i*b over the boundary of the upper half-disk of radius
-    R = 2 * spectral radius + 1, doubling the panel count until successive
-    results agree to ``tol``.
+    Hermitian matrix directly.  Computes
+
+        P+ = 1/2 + (1/pi) int t herm((b - i t)^{-1}) ds,   t = e^s,
+
+    with the trapezoidal rule in s over [log|lambda|_min - 40,
+    log|lambda|_max + 40] (the eigenvalues only set the window).  The
+    integrand is analytic in |Im s| < pi/2, so the rule converges like
+    exp(-pi^2 / h).  Starting at h ~ 1, each halving adds only the new
+    midpoints; it stops when successive levels agree to ``tol`` in the
+    2-norm.
     """
+    return _principal_symbol_nodes(model_or_matrix, eta, tol, max_doublings)[0]
+
+
+def _principal_symbol_nodes(
+    model_or_matrix, eta=None, tol=1e-12, max_doublings=10
+):
+    """:func:`principal_symbol` and the number of resolvents it inverted."""
     if eta is not None or hasattr(model_or_matrix, "tangential_matrix"):
         b = model_or_matrix.tangential_matrix(eta)
     else:
@@ -371,23 +354,33 @@ def principal_symbol(model_or_matrix, eta=None, tol=1e-12, max_doublings=10):
     scale = max(1.0, np.linalg.norm(b, 2))
     if np.linalg.norm(b - b.conj().T, 2) > 1e-10 * scale:
         raise StructureError("tangential symbol must be self-adjoint")
-    eigs = np.linalg.eigvalsh(0.5 * (b + b.conj().T))
-    if np.abs(eigs).min() < PINCH_TOL:
+    eigs = np.abs(np.linalg.eigvalsh(0.5 * (b + b.conj().T)))
+    if eigs.min() < PINCH_TOL:
         raise CertificationError(
-            "contour pinched: eigenvalue %.3e within %.0e of zero"
-            % (np.abs(eigs).min(), PINCH_TOL)
+            "sign integral pinched: eigenvalue %.3e within %.0e of zero"
+            % (eigs.min(), PINCH_TOL)
         )
-    radius = 2.0 * float(np.abs(eigs).max()) + 1.0
-    panels = 8
-    prev = _contour_quadrature(b, radius, panels)
-    for _ in range(max_doublings):
-        panels *= 2
-        cur = _contour_quadrature(b, radius, panels)
-        if np.linalg.norm(cur - prev, 2) < tol:
-            return cur
+    lo = np.log(eigs.min()) - 40.0
+    width = np.log(eigs.max()) + 40.0 - lo
+    panels = int(np.ceil(width))
+    h = width / panels
+    eye = np.eye(b.shape[0])
+    acc = np.zeros(b.shape, dtype=complex)  # sum of t (b - it)^{-1} so far
+    offsets = np.arange(panels + 1.0)  # the first level includes both ends
+    prev = None
+    for _ in range(max_doublings + 1):
+        t = np.exp(lo + h * offsets)
+        res = np.linalg.inv(b - 1j * t[:, None, None] * eye)
+        acc += np.einsum("k,kij->ij", t, res)
+        cur = 0.5 * eye + (h / (2.0 * np.pi)) * (acc + acc.conj().T)
+        if prev is not None and np.linalg.norm(cur - prev, 2) < tol:
+            return cur, panels + 1
         prev = cur
+        panels *= 2
+        h *= 0.5
+        offsets = np.arange(1.0, panels, 2.0)  # the new midpoints
     raise CertificationError(
-        "contour quadrature did not reach %.1e agreement" % tol
+        "sign integral did not reach %.1e agreement" % tol
     )
 
 
@@ -484,20 +477,19 @@ def orthogonalized_calderon(projector):
 def calderon_vs_aps_index(sys, method="exact"):
     """Relative index of the APS projection against the Calderon range.
 
-    Both projectors are assembled over the same dealiased mode set and
-    compared with hilbmod.relative_index; the result is an integer
-    (complex-dimension counting) reported with the truncation radius.
+    Both projectors are built over the same dealiased mode set and compared
+    with hilbmod.relative_index, block by block per integer frequency; the
+    result is an integer (complex-dimension counting) reported with the
+    truncation radius.
     """
     model = sys.model
     n_y = sys.grid.n_y
     c_proj = calderon_projector(sys, method=method)
     c_orth = orthogonalized_calderon(c_proj)
     pi_proj = aps_projection(model, n_y=n_y)
-    index = relative_index(
-        pi_proj.as_module_operator(), c_orth.as_module_operator()
-    )
+    index = relative_index(pi_proj.blocks, c_orth.blocks)
     return {
         "index": int(index),
         "mode_radius": mode_radius(n_y),
-        "dimension": c_orth.matrix().shape[0],
+        "dimension": sum(b.shape[0] for b in c_orth.blocks),
     }

@@ -313,6 +313,19 @@ def test_double_reports_how_sigma_min_was_certified(tmp_path):
     assert metrics["max_kernel_dim"] == 0
 
 
+def test_symbol_reports_how_it_was_computed(tmp_path):
+    out = tmp_path / "out"
+    raw = cylinder_config(out, tasks=["symbol"])
+    assert main(["run", write_config(tmp_path, raw)]) == 0
+    metrics = strict_report(out)["tasks"][0]["metrics"]
+    method = "nested trapezoid, sign integral in log t"
+    assert metrics["symbol_method"] == method
+    # at least two levels over a window wider than 80
+    assert metrics["symbol_max_nodes"] > 2 * 80
+    header = (out / "symbol_limit.csv").read_text().splitlines()[0]
+    assert header == "eta,delta"
+
+
 def test_linalg_error_becomes_fail_entry(tmp_path, monkeypatch):
     def singular(cfg, out_dir, run):
         raise np.linalg.LinAlgError("Singular matrix")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from calderon.csalg import CStarAlgebra
 from calderon.dirac import (
@@ -10,6 +11,7 @@ from calderon.dirac import (
     build_double,
 )
 from calderon.errors import CertificationError, StructureError
+from calderon import projector
 from calderon.projector import (
     BoundaryData,
     aps_projection,
@@ -267,6 +269,62 @@ def test_symbol_random_hermitian(rng):
         assert dev < 1e-10
 
 
+@pytest.mark.parametrize(
+    "eigs", [[1e6, -1e6, 0.5], [1e-3, 1e3, -2.0]], ids=["wide", "graded"]
+)
+def test_symbol_wide_spectra(eigs, rng):
+    # a half-disk contour quadrature of the resolvent does not converge here
+    diag = np.diag(eigs).astype(complex)
+    u = np.linalg.qr(hermitian(rng, len(eigs)))[0]
+    for b in (diag, u @ diag @ u.conj().T):
+        b = 0.5 * (b + b.conj().T)
+        dev = np.linalg.norm(
+            principal_symbol(b) - spectral_projection_positive(b), 2
+        )
+        assert dev < 1e-10
+
+
+def test_symbol_zero_tol_fails_to_certify():
+    with pytest.raises(CertificationError):
+        principal_symbol(np.diag([1.0, -1.0]).astype(complex), tol=0.0)
+
+
+def test_symbol_halving_reuses_nodes(monkeypatch):
+    inverted = []
+    inv = np.linalg.inv
+
+    def counting_inv(a):
+        inverted.append(a.shape[0])
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    b = np.diag([2.0, -0.5]).astype(complex)
+    _, nodes = projector._principal_symbol_nodes(b)
+    # window [log 0.5 - 40, log 2 + 40], first panels of width h <= 1
+    first = int(np.ceil(np.log(2.0) - np.log(0.5) + 80.0))
+    final_grid = first * 2 ** (len(inverted) - 1) + 1
+    assert len(inverted) >= 2
+    assert sum(inverted) == nodes == final_grid
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    mags=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8),
+    signs=st.lists(st.booleans(), min_size=8, max_size=8),
+    c=st.floats(1e-2, 1e2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symbol_scaled_hermitian_property(mags, signs, c, seed):
+    eigs = np.array([m if s else -m for m, s in zip(mags, signs)])
+    u = np.linalg.qr(hermitian(np.random.default_rng(seed), len(eigs)))[0]
+    h = u @ np.diag(eigs) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    dev = np.linalg.norm(
+        principal_symbol(c * h) - spectral_projection_positive(c * h), 2
+    )
+    assert dev < 1e-10
+
+
 def test_symbol_pinched_contour():
     with pytest.raises(CertificationError):
         principal_symbol(np.diag([1.0, 1e-9]).astype(complex))
@@ -430,6 +488,24 @@ def test_index_spectral_shift_k2():
     assert i0 == _mode_rank_oracle(base, 12) == 0
     assert i1 == _mode_rank_oracle(shifted, 12) == 2
     assert i1 - i0 == 2
+
+
+def test_index_blocks_match_assembled():
+    from calderon.hilbmod import relative_index
+
+    alg = CStarAlgebra.matrix(2)
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    model = ProductDiracModel(
+        "cylinder", alg, v=np.diag([1.0, 0.0]).astype(complex)
+    )
+    orth = orthogonalized_calderon(
+        calderon_projector(build_double(model, grid), method="exact")
+    )
+    aps = aps_projection(model, n_y=grid.n_y)
+    assembled = relative_index(
+        aps.as_module_operator(), orth.as_module_operator()
+    )
+    assert relative_index(aps.blocks, orth.blocks) == assembled == 2
 
 
 def test_index_self_comparison(built):
