@@ -31,7 +31,8 @@ kron(S, b) plus identity gluing rows is unitarily similar to the block
 diagonal of the scalar transmission systems A(lambda_k) = A(0) + lambda_k S
 of size 2(n_u+1), which are real because D and lambda_k are.  Its smallest
 singular value is the minimum over the full SVDs of the A(lambda_k) (no
-estimate), and each A(lambda_k) is LU-factored once.  The
+estimate).  No LU factors are stored: a solve is one batched
+``np.linalg.solve`` over the A(lambda_k) of the channel.  The
 eigendecomposition residual ||bU - U Lambda||_2 and the unitarity defect
 ||U*U - I||_2 are kept with the channel: by Weyl's inequality the
 decoupled sigma_min is within ||bU - U Lambda||_2 + 2 ||b||_2 ||U*U - I||_2
@@ -47,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .csalg import AlgebraElement
 from .errors import CertificationError, StructureError
@@ -547,19 +547,23 @@ class ChannelSystem:
 
     ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``.  ``matrix`` stacks the
     real scalar systems A(eigvals[k]) row-wise, shape (2q * 2(n_u+1),
-    2(n_u+1)), so its row count is the channel's number of unknowns;
-    ``lu`` holds their LU factors, one (lu, piv) pair per eigenvalue.
+    2(n_u+1)), so its row count is the channel's number of unknowns.  No
+    LU factors are kept: :func:`_solve_channel` solves all of them in one
+    batched ``np.linalg.solve``.
     """
 
     channel: ModeChannel
     eigvals: np.ndarray  # (2q,)
     eigvecs: np.ndarray  # (2q, 2q)
     matrix: np.ndarray
-    lu: tuple
     sigma_min: float
     kernel_dim: int
     eig_residual: float  # ||b U - U Lambda||_2
     unitarity_defect: float  # ||U* U - I||_2
+
+    # no stored factors; benchmarks/tracing.py still reads ``lu`` (and
+    # DoubleSystem.dense_lu) when it counts the bytes a system holds
+    lu = None
 
 
 @dataclass
@@ -683,7 +687,7 @@ def _scalar_systems(grid):
 
 
 def _decoupled_channel(ch, a0, s):
-    """Eigendecompose b, certify and factor the scalar systems of ``ch``."""
+    """Eigendecompose b and certify the scalar systems of ``ch``."""
     b = ch.b_mat
     lam, vecs = np.linalg.eigh(b)
     systems = a0 + lam[:, None, None] * s
@@ -693,7 +697,6 @@ def _decoupled_channel(ch, a0, s):
         eigvals=lam,
         eigvecs=vecs,
         matrix=systems.reshape(-1, a0.shape[1]),
-        lu=tuple(scipy.linalg.lu_factor(a) for a in systems),
         sigma_min=sigma,
         kernel_dim=_exact_kernel_dim(b),
         eig_residual=float(np.linalg.norm(b @ vecs - vecs * lam, 2)),
@@ -728,6 +731,46 @@ def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
     return np.concatenate(rhs).reshape((-1,) + tail)
 
 
+#: numerator coefficients of the [13/13] Pade approximant to exp (the
+#: denominator has the same ones with alternating signs) and the 1-norm up
+#: to which it is accurate to unit roundoff (Higham, SIAM J. Matrix Anal.
+#: Appl. 26(4), 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def expm(a):
+    """Matrix exponential by scaling and squaring with the [13/13] Pade
+    approximant (Higham 2005): scale ``a`` by 2^-s until its 1-norm is at
+    most theta_13, evaluate the approximant, square s times.  Uses no
+    eigendecomposition, so it is an independent check of eigenbasis code."""
+    a = np.asarray(a)
+    norm = np.linalg.norm(a, 1)
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    c = _PADE13
+    eye = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (
+        a6 @ (c[13] * a6 + c[11] * a4 + c[9] * a2)
+        + c[7] * a6 + c[5] * a4 + c[3] * a2 + c[1] * eye
+    )
+    v = (
+        a6 @ (c[12] * a6 + c[10] * a4 + c[8] * a2)
+        + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
+    )
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def _exact_kernel_dim(b_mat):
     """Kernel dimension of the continuum matching problem of one channel.
 
@@ -736,8 +779,8 @@ def _exact_kernel_dim(b_mat):
     for self-adjoint B.
     """
     q2 = b_mat.shape[0]
-    e_minus = scipy.linalg.expm(-b_mat)
-    e_plus = scipy.linalg.expm(b_mat)
+    e_minus = expm(-b_mat)
+    e_plus = expm(b_mat)
     mat = np.block(
         [
             [np.eye(q2), -np.eye(q2)],
@@ -818,12 +861,14 @@ def _tangential_big_matrix(model, grid):
 def _solve_channel(cs, rhs):
     """Solve the transmission system of channel ``cs`` for ``rhs`` laid out
     as :func:`_channel_rhs` builds it: rotate the fiber axis into the
-    eigenbasis of b, solve one scalar system per eigenvalue, rotate back."""
+    eigenbasis of b, solve the scalar systems of all eigenvalues in one
+    batched ``np.linalg.solve``, rotate back."""
     u = cs.eigvecs
+    n = cs.matrix.shape[1]
     coef = u.conj().T @ rhs.reshape(-1, u.shape[0], rhs[0].size)
-    sol = np.empty_like(coef)
-    for k, lu in enumerate(cs.lu):
-        sol[:, k] = scipy.linalg.lu_solve(lu, coef[:, k])
+    sol = np.linalg.solve(
+        cs.matrix.reshape(-1, n, n), coef.transpose(1, 0, 2)
+    ).transpose(1, 0, 2)
     return (u @ sol).reshape(rhs.shape)
 
 

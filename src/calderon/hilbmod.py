@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .csalg import AlgebraElement
 from .errors import CertificationError, StructureError
@@ -477,6 +476,10 @@ def relative_index(P, Q, tol=1e-10):
     ``P`` and ``Q`` are ModuleOperators, or block diagonals given as
     sequences of their diagonal blocks, paired by position; a block
     diagonal gives the same integer as its assembled matrix.
+
+    For orthogonal projections (QP)* = PQ, so QP and PQ have the same rank
+    and the index (rank P - rank QP) - (rank Q - rank PQ) is rank P -
+    rank Q: only those two ranks are computed.
     """
     p_blocks = _diagonal_blocks(P)
     q_blocks = _diagonal_blocks(Q)
@@ -484,19 +487,4 @@ def relative_index(P, Q, tol=1e-10):
     _check_projection(q_blocks, tol)
     if [b.shape for b in p_blocks] != [b.shape for b in q_blocks]:
         raise StructureError("projections act on different modules")
-    rank_p = _rank(p_blocks)
-    rank_q = _rank(q_blocks)
-    rank_qp = _rank([q @ p for p, q in zip(p_blocks, q_blocks)])
-    rank_pq = _rank([p @ q for p, q in zip(p_blocks, q_blocks)])
-    return (rank_p - rank_qp) - (rank_q - rank_pq)
-
-
-def principal_angles(rep_a, rep_b):
-    """Principal angles between the column ranges of two matrices."""
-    qa = scipy.linalg.orth(rep_a)
-    qb = scipy.linalg.orth(rep_b)
-    if qa.shape[1] != qb.shape[1]:
-        raise StructureError("ranges have different dimensions")
-    if qa.shape[1] == 0:
-        return np.zeros(0)
-    return scipy.linalg.subspace_angles(qa, qb)
+    return _rank(p_blocks) - _rank(q_blocks)

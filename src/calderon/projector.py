@@ -24,13 +24,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .dirac import (
     CollarFunction,
     _channel_to_values,
     _solve_block,
     _values_to_channel,
+    expm,
     mode_radius,
     y_points,
     y_weight,
@@ -166,7 +166,7 @@ class BoundaryProjector:
 
     def matrix(self):
         """Assembled complex matrix (deterministic mode ordering)."""
-        return scipy.linalg.block_diag(*self.blocks)
+        return _block_diag(self.blocks)
 
     def as_module_operator(self):
         mat = self.matrix()
@@ -224,6 +224,18 @@ class BoundaryProjector:
         return worst
 
 
+def _block_diag(blocks):
+    """Block-diagonal matrix with the given 2-d blocks along the diagonal."""
+    rows, cols = np.sum([b.shape for b in blocks], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
 def _embed_channel_block(model, ch, block):
     """Embed a (2d x 2d) channel block into the full-fiber double trace."""
     if ch.basis is None:  # the y-coupled channel acts on it already
@@ -234,7 +246,7 @@ def _embed_channel_block(model, ch, block):
     e_f = np.zeros((n_f, 2 * q), dtype=complex)
     e_f[:rm, :q] = ch.basis
     e_f[rm:, q:] = ch.basis
-    e_b = scipy.linalg.block_diag(e_f, e_f)
+    e_b = _block_diag([e_f, e_f])
     return e_b @ block @ e_b.conj().T
 
 
@@ -256,8 +268,8 @@ def _group_by_eta(model, channel_blocks):
 
 def exact_projector_block(b_mat):
     """The graph projection P(e^{-b}) on the double trace of one mode."""
-    t = scipy.linalg.expm(-np.asarray(b_mat, dtype=complex))
-    e_plus = scipy.linalg.expm(np.asarray(b_mat, dtype=complex))
+    t = expm(-np.asarray(b_mat, dtype=complex))
+    e_plus = expm(np.asarray(b_mat, dtype=complex))
     q2 = t.shape[0]
     m_mat = e_plus + t
     top = np.linalg.solve(m_mat, np.hstack([e_plus, np.eye(q2)]))
@@ -446,8 +458,8 @@ def aps_projection(model, n_y=None, eta=None):
     """
 
     def block(b):
-        return scipy.linalg.block_diag(
-            spectral_projection_positive(b), spectral_projection_positive(-b)
+        return _block_diag(
+            [spectral_projection_positive(b), spectral_projection_positive(-b)]
         )
 
     if eta is not None:

@@ -28,7 +28,6 @@ from calderon.hilbmod import (
     inner_product,
     mishchenko_decompose,
     orthogonalize_idempotent,
-    principal_angles,
     rank_one,
     relative_index,
 )
@@ -41,6 +40,7 @@ from calderon.projector import (
     symbol_limit_check,
 )
 
+from angles import principal_angles
 from conftest import cylinder_fixture, fixture_models, hermitian
 from ode_oracle import cauchy_space_oracle
 

@@ -13,10 +13,15 @@ from calderon.errors import CertificationError
 
 def test_cli_import_leaves_out_scipy_integrate():
     """The ODE oracle is a test helper, so importing the package does not
-    load scipy.integrate."""
+    load scipy.integrate; the package uses numpy only, so no scipy module
+    is loaded at all."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, calderon.cli; print('scipy.integrate' in sys.modules)"
+    code = (
+        "import sys, calderon.cli; "
+        "print('scipy.integrate' in sys.modules); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -24,7 +29,9 @@ def test_cli_import_leaves_out_scipy_integrate():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    integrate_loaded, scipy_modules = out.stdout.split("\n")[:2]
+    assert integrate_loaded == "False"
+    assert scipy_modules == "[]"
 
 
 def segment_config(output_dir, tasks=("double", "calderon")):

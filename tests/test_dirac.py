@@ -12,6 +12,7 @@ from calderon.dirac import (
     build_double,
     chebyshev_nodes_diff,
     clenshaw_curtis_weights,
+    expm,
     fd4_diff,
     ghost_solution_check,
     green_residual,
@@ -210,6 +211,33 @@ def test_green_formula_dense_convergence(rng):
         errs.append(alg_norm(green_residual(model, s1, s2)))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() > 3.5
+
+
+def test_expm_matches_scipy(rng):
+    """The numpy Pade expm against scipy's, on Hermitian matrices (the
+    tangential blocks) and on real non-normal ones, at norms from 0 to past
+    the scaling threshold; errors are relative, in the Frobenius norm."""
+
+    def rel_err(a):
+        ref = scipy.linalg.expm(a)
+        return np.linalg.norm(expm(a) - ref) / np.linalg.norm(ref)
+
+    worst_herm = worst_nonnormal = 0.0
+    for n in range(1, 49):
+        for norm2 in (0.0, 1e-3, 0.5, 3.0, 12.0, 40.0):
+            for a, herm in (
+                (hermitian(rng, n), True),
+                (rng.standard_normal((n, n)), False),
+                (np.triu(rng.standard_normal((n, n))), False),
+            ):
+                a = a * (norm2 / max(np.linalg.norm(a, 2), 1e-300))
+                err = rel_err(a)
+                if herm:
+                    worst_herm = max(worst_herm, err)
+                else:
+                    worst_nonnormal = max(worst_nonnormal, err)
+    assert worst_herm <= 1e-12
+    assert worst_nonnormal <= 1e-11
 
 
 # -- the double ---------------------------------------------------------

@@ -13,11 +13,12 @@ from calderon.hilbmod import (
     membership_defect,
     mishchenko_decompose,
     orthogonalize_idempotent,
-    principal_angles,
     rank_one,
     relative_index,
     vector_from_column,
 )
+
+from angles import principal_angles
 
 
 def test_inner_product_axioms(algebra, rng):
