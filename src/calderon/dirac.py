@@ -15,15 +15,16 @@ so homogeneous solutions phi = exp(-uB) a, tau = exp(uB) a must satisfy
 exp(2B) a = -a, which is impossible for self-adjoint B: the double is
 injective mode by mode.
 
-Two discretizations are provided: an analytic per-mode path (Chebyshev
-collocation in u, exact in the y-modes, constant V only) and a y-coupled
-path (4th-order finite differences in u with one-sided closures,
-pseudospectral in y, V(y) allowed).  The per-mode path has one channel
-per mode and eigenphase; the y-coupled path has a single channel whose
-tangential block is B over all (y-point, fiber) coordinates, which is
-Hermitian as well.  The coordinates of that channel are the boundary
-samples themselves, so gathering data into it and scattering a solution
-back are reshapes; past that, both paths run the same code.
+Two choices are independent.  The u-rule comes from ``grid.kind``:
+Chebyshev collocation, or 4th-order finite differences with one-sided
+closures on a uniform grid.  The channels come from V
+(:meth:`ProductDiracModel.mode_channels`): a constant V gives one channel
+per dealiased y-mode and holonomy eigenphase; a V(y) gives a single
+channel whose tangential block is B over all (y-point, fiber)
+coordinates, pseudospectral in y and Hermitian as well.  The coordinates
+of that channel are the boundary samples themselves, so gathering data
+into it and scattering a solution back are reshapes; past that, every
+channel runs the same code on either u-grid.
 
 Every channel is solved and certified in the eigenbasis of its Hermitian
 tangential block b = U diag(lambda) U*.  The channel system kron(D, I) +
@@ -142,7 +143,7 @@ class CollarGrid:
 
     n_u: int  # number of u-intervals
     n_y: int  # y-points on the boundary circle (1 for the segment)
-    kind: str  # 'chebyshev' (analytic path) | 'uniform' (dense path)
+    kind: str  # u-rule: 'chebyshev' (collocation) | 'uniform' (FD4)
 
     def __post_init__(self):
         if self.kind not in ("chebyshev", "uniform"):
@@ -170,9 +171,6 @@ class CollarGrid:
         if self.kind == "chebyshev":
             return clenshaw_curtis_weights(self.n_u)
         return simpson_weights(self.n_u, 1.0 / self.n_u)
-
-    def eta(self):
-        return np.fft.fftfreq(self.n_y, d=1.0 / self.n_y)
 
 
 def mode_radius(n_y):
@@ -263,8 +261,8 @@ class ProductDiracModel:
     algebra : CStarAlgebra
     r : twist rank (the coefficient bundle is A^r)
     v : the sigma_3 potential; a self-adjoint ModuleOperator A^r -> A^r, or
-        a callable y -> (r*m, r*m) Hermitian complex matrix for the
-        y-dependent dense path, or None (= 0)
+        a callable y -> (r*m, r*m) Hermitian complex matrix (V(y): the
+        double then has one y-coupled channel), or None (= 0)
     w : optional self-adjoint sigma_1 term (segment only)
     holonomy : optional unitary ModuleOperator A^r -> A^r twisting the
         y-periodicity; must commute with constant v
@@ -423,9 +421,18 @@ class ProductDiracModel:
         return channels
 
     def mode_channels(self, n_y):
-        """Per-mode tangential blocks over the dealiased frequency set."""
+        """The channels of the double on n_y boundary points.
+
+        Constant V: one tangential block per dealiased frequency and
+        holonomy eigenphase.  V(y): the one y-coupled channel, whose block
+        is B over all (y-point, fiber) coordinates, i.e. the operator of
+        :func:`_tangential_apply` applied to the identity.
+        """
         if self.y_dependent:
-            raise StructureError("per-mode channels need constant v")
+            n = n_y * self.n_fiber
+            eye = np.eye(n, dtype=complex).reshape(1, n_y, self.n_fiber, n)
+            b = _tangential_apply(self, n_y, eye).reshape(n, n)
+            return [ModeChannel(eta=0.0, shift=0.0, basis=None, b_mat=b)]
         channels = []
         if self.base == "segment":
             channels.append(
@@ -453,8 +460,9 @@ class ProductDiracModel:
 # -- applying the operator ---------------------------------------------
 
 
-def _tangential_apply(model, grid, values):
-    """Apply B = sigma_1 (-i d/dy) + sigma_3 V(y) to sampled values."""
+def _tangential_apply(model, n_y, values):
+    """Apply B = sigma_1 (-i d/dy) + sigma_3 V(y) to values sampled on n_y
+    boundary points, shape (n_nodes, n_y, n_fiber, cols)."""
     if values.shape[2] != model.n_fiber:
         raise StructureError("fiber dimension mismatch")
     if model.h_rep is not None:
@@ -463,12 +471,12 @@ def _tangential_apply(model, grid, values):
         )
     # B(0) at every y-point, then sigma_1 tensor (-i d/dy)
     b0 = np.stack(
-        [model.tangential_matrix(0.0, v) for v in model.v_samples(grid.n_y)]
+        [model.tangential_matrix(0.0, v) for v in model.v_samples(n_y)]
     )
     out = np.einsum("yij,uyjm->uyim", b0, values)
-    if grid.n_y > 1:
+    if n_y > 1:
         rm = model.rm
-        eta = grid.eta()
+        eta = np.fft.fftfreq(n_y, d=1.0 / n_y)
         coeffs = np.fft.fft(values, axis=1)
         dy_vals = np.fft.ifft(1j * eta[None, :, None, None] * coeffs, axis=1)
         out[:, :, :rm] += -1j * dy_vals[:, :, rm:]
@@ -482,8 +490,9 @@ def apply_dirac(model, s, side=1):
     side-1 E^- sections.
 
     The u-derivative uses the grid's differentiation matrix: spectral
-    collocation on a Chebyshev grid (the analytic path), 4th-order finite
-    differences with one-sided closures on a uniform grid (the dense path).
+    collocation on a Chebyshev grid, 4th-order finite differences with
+    one-sided closures on a uniform grid.  The tangential part is applied
+    pseudospectrally in y, for constant V and V(y) alike.
     """
     if side not in (1, 2):
         raise StructureError("side must be 1 or 2")
@@ -494,7 +503,7 @@ def apply_dirac(model, s, side=1):
         g_star = model.g_rep.conj().T
         vals = np.einsum("ij,uyjm->uyim", g_star, vals)
     dvals = np.einsum("uv,vyim->uyim", d, vals)
-    bvals = _tangential_apply(model, grid, vals)
+    bvals = _tangential_apply(model, grid.n_y, vals)
     if side == 1:
         out = np.einsum(
             "ij,uyjm->uyim", model.g_rep, dvals + bvals
@@ -572,13 +581,18 @@ class DoubleSystem:
 
     model: ProductDiracModel
     grid: CollarGrid
-    per_mode: bool  # False: the one y-coupled channel
     channels: list  # ChannelSystem, one per channel
     sigma_min: float
     bound_constant: float
 
+    @property
+    def per_mode(self):
+        """False on the double of a V(y) model, whose one channel has no
+        basis."""
+        return all(cs.channel.basis is not None for cs in self.channels)
+
     # dense_matrix and dense_lu are read-only aliases of channels[0].matrix
-    # and channels[0].lu on the y-coupled path (None per mode); they stay
+    # and channels[0].lu on the y-coupled channel (None per mode); they stay
     # because benchmarks/tracing.py reads them for the system's dof and bytes
     @property
     def dense_matrix(self):
@@ -775,47 +789,29 @@ def _exact_kernel_dim(b_mat):
     """Kernel dimension of the continuum matching problem of one channel.
 
     Side-1 solutions exp(-uB) a and side-2 solutions exp(uB) c match iff
-    a = c and exp(B) c = -exp(-B) a; the stacked matrix has trivial kernel
-    for self-adjoint B.
+    a = c and (exp(B) + exp(-B)) a = 0.  For self-adjoint B that matrix is
+    2 cosh B >= 2, so a singular value below 1 marks a kernel direction.
+    (A threshold relative to the largest singular value, about
+    exp(||B||), would count rounding as kernel once ||B|| is large.)
     """
-    q2 = b_mat.shape[0]
-    e_minus = expm(-b_mat)
-    e_plus = expm(b_mat)
-    mat = np.block(
-        [
-            [np.eye(q2), -np.eye(q2)],
-            [e_minus, e_plus],
-        ]
-    )
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s <= 1e-10 * s[0]))
+    s = np.linalg.svd(expm(b_mat) + expm(-b_mat), compute_uv=False)
+    return int(np.sum(s < 1.0))
 
 
-def build_double(model, grid, path=None):
+def build_double(model, grid):
     """Assemble the discretized invertible double and certify injectivity.
 
-    ``path`` defaults to per-mode for constant V on a Chebyshev grid or any
-    constant-V uniform grid, and to the y-coupled assembly ("dense2d",
-    uniform grid only) for y-dependent V.  The certificate is sigma_min of
-    the channel systems, each from its decoupled scalar systems (see the
-    module docstring); the discrete analogue of the lower bound ||sigma||
-    <= C ||D sigma|| is reported as bound_constant = 1 / sigma_min.
+    The channels come from the model (:meth:`ProductDiracModel.mode_channels`)
+    and the u-rule from ``grid.kind``; every combination runs this one code
+    path.  The certificate is sigma_min of the channel systems, each from
+    its decoupled scalar systems (see the module docstring); the discrete
+    analogue of the lower bound ||sigma|| <= C ||D sigma|| is reported as
+    bound_constant = 1 / sigma_min.
     """
-    if path is None:
-        path = "dense2d" if model.y_dependent else "per-mode"
-    if path == "per-mode":
-        channels = model.mode_channels(grid.n_y)
-    elif path == "dense2d":
-        if grid.kind != "uniform":
-            raise StructureError("the dense path uses the uniform grid")
-        if model.h_rep is not None:
-            raise StructureError("the dense path needs trivial holonomy")
-        b_big = _tangential_big_matrix(model, grid)
-        channels = [ModeChannel(eta=0.0, shift=0.0, basis=None, b_mat=b_big)]
-    else:
-        raise StructureError("unknown path %r" % (path,))
     a0, s = _scalar_systems(grid)
-    systems = [_decoupled_channel(ch, a0, s) for ch in channels]
+    systems = [
+        _decoupled_channel(ch, a0, s) for ch in model.mode_channels(grid.n_y)
+    ]
     sigma_min = float(min(cs.sigma_min for cs in systems))
     if sigma_min < DOUBLE_CERT_TOL:
         raise CertificationError(
@@ -824,38 +820,10 @@ def build_double(model, grid, path=None):
     return DoubleSystem(
         model=model,
         grid=grid,
-        per_mode=path == "per-mode",
         channels=systems,
         sigma_min=sigma_min,
         bound_constant=1.0 / sigma_min,
     )
-
-
-def _tangential_big_matrix(model, grid):
-    """B as a dense matrix over (y-points x fiber)."""
-    n_y = grid.n_y
-    rm = model.rm
-    n_f = model.n_fiber
-    if n_y > 1:
-        # spectral differentiation matrix on the y-circle
-        f = np.fft.fft(np.eye(n_y), axis=0)
-        eta = grid.eta()
-        d_y = np.real_if_close(
-            np.linalg.inv(f) @ (1j * np.diag(eta)) @ f
-        ).astype(complex)
-    else:
-        d_y = np.zeros((1, 1), dtype=complex)
-    v = model.v_samples(n_y)
-    big = np.zeros((n_y * n_f, n_y * n_f), dtype=complex)
-    s1 = np.kron(SIGMA_1, np.eye(rm))
-    for j in range(n_y):
-        # B at frequency 0; the sigma_1 (-i d/dy) part couples the y-points
-        big[j * n_f : (j + 1) * n_f, j * n_f : (j + 1) * n_f] += (
-            model.tangential_matrix(0.0, v[j])
-        )
-    if n_y > 1:
-        big += np.kron(-1j * d_y, s1)
-    return big
 
 
 def _solve_channel(cs, rhs):

@@ -489,10 +489,11 @@ def orthogonalized_calderon(projector):
 def calderon_vs_aps_index(sys, method="exact"):
     """Relative index of the APS projection against the Calderon range.
 
-    Both projectors are built over the same dealiased mode set and compared
-    with hilbmod.relative_index, block by block per integer frequency; the
-    result is an integer (complex-dimension counting) reported with the
-    truncation radius.
+    Both projectors are built over the same channels (the model's
+    :meth:`~calderon.dirac.ProductDiracModel.mode_channels`, per mode or the
+    one y-coupled channel) and compared with hilbmod.relative_index, block
+    by block per integer frequency; the result is an integer
+    (complex-dimension counting) reported with the truncation radius.
     """
     model = sys.model
     n_y = sys.grid.n_y

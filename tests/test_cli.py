@@ -371,6 +371,33 @@ def test_nan_metric_fails_task_and_report_stays_strict(tmp_path, monkeypatch):
     }
 
 
+def test_y_coupled_chebyshev_calderon_gates_oracle_defect(tmp_path):
+    """V(y) on a Chebyshev grid: the calderon task reports the distance to
+    the exact graph projection and gates it at tolerances.oracle."""
+    raw = {
+        "algebra": {"kind": "matrix", "n": 2},
+        "model": {
+            "base": "cylinder",
+            "r": 1,
+            "v": {
+                "kind": "cosine",
+                "base": {"kind": "diag", "values": [0.9, -0.4]},
+                "amplitude": 0.3,
+            },
+        },
+        "grid": {"n_u": 16, "n_y": 12, "kind": "chebyshev"},
+        "tasks": ["calderon"],
+        "seed": 5,
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main(["run", write_config(tmp_path, raw)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tasks"][0]["metrics"]["oracle_defect"] < 1e-9
+    raw["tolerances"] = {"oracle": 1e-30}
+    raw["output_dir"] = str(tmp_path / "strict")
+    assert main(["run", write_config(tmp_path, raw, "strict.json")]) == 1
+
+
 # -- selfcheck and plumbing ---------------------------------------------
 
 
@@ -378,7 +405,7 @@ def test_selfcheck_passes(tmp_path, capsys):
     code = main(["selfcheck", "--output-dir", str(tmp_path / "sc")])
     assert code == 0
     text = capsys.readouterr().out
-    assert text.count("overall: pass") == 3
+    assert text.count("overall: pass") == 4
 
 
 def test_version_flag(capsys):

@@ -27,7 +27,7 @@ from conftest import fixture_models, hermitian, y_coupled_model
 
 def decoupling_models():
     """fixture_models() plus a segment with a sigma_1 term w and a cylinder
-    with V(y), whose double is one y-coupled channel."""
+    with V(y), whose double is one y-coupled channel, on either u-grid."""
     rng = np.random.default_rng(7)
     m2 = CStarAlgebra.matrix(2)
     segment_w = (
@@ -42,7 +42,12 @@ def decoupling_models():
         y_coupled_model(),
         CollarGrid(n_u=8, n_y=8, kind="uniform"),
     )
-    return fixture_models() + [segment_w, cylinder_vy]
+    cylinder_vy_cheb = (
+        "cylinder-M2-vy-cheb",
+        y_coupled_model(),
+        CollarGrid(n_u=16, n_y=8, kind="chebyshev"),
+    )
+    return fixture_models() + [segment_w, cylinder_vy, cylinder_vy_cheb]
 
 
 CASES = decoupling_models()

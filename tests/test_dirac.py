@@ -10,6 +10,7 @@ from calderon.dirac import (
     ProductDiracModel,
     apply_dirac,
     build_double,
+    _exact_kernel_dim,
     chebyshev_nodes_diff,
     clenshaw_curtis_weights,
     expm,
@@ -22,7 +23,7 @@ from calderon.dirac import (
 from calderon.errors import CertificationError, StructureError
 from calderon.projector import BoundaryData, poisson
 
-from conftest import cylinder_fixture, fixture_models, hermitian
+from conftest import cylinder_fixture, fixture_models, hermitian, y_coupled_model
 
 
 # -- discretization building blocks ------------------------------------
@@ -252,6 +253,26 @@ def test_double_certificates():
         assert ghost["trivial_kernel"], name
 
 
+def test_exact_kernel_dim_holds_for_large_tangential_blocks(rng):
+    """The matching matrix 2 cosh B >= 2 has no kernel for Hermitian B,
+    however large ||B||: the count must not grow with exp(||B||)."""
+    for lam in (5.0, 25.0, 45.0):
+        assert _exact_kernel_dim(np.diag([lam, -lam, 0.3]).astype(complex)) == 0
+    b = hermitian(rng, 12)
+    assert _exact_kernel_dim(35.0 * b / np.linalg.norm(b, 2)) == 0
+    # a genuine kernel is still found: cosh(i pi / 2) = 0
+    assert _exact_kernel_dim(0.5j * np.pi * np.eye(2)) == 2
+    # per-mode blocks with |eta| up to 32, and the y-coupled B on 64 points
+    per_mode = ProductDiracModel(
+        "cylinder", CStarAlgebra.matrix(2), v=np.diag([1.0, 0.5])
+    )
+    for model, grid in (
+        (per_mode, CollarGrid(n_u=16, n_y=96, kind="chebyshev")),
+        (y_coupled_model(), CollarGrid(n_u=16, n_y=64, kind="uniform")),
+    ):
+        assert max(build_double(model, grid).kernel_dims()) == 0
+
+
 def test_double_rejects_near_singular():
     # transmission with periodic (instead of antiperiodic) matching has the
     # constant section in its kernel; emulate by a zero-potential segment
@@ -352,16 +373,19 @@ def test_sigma_min_stable_under_refinement():
 
 @pytest.mark.parametrize("name", ["M2", "Z4"])
 def test_per_mode_and_dense_solves_agree(name):
-    """The one solve on both discretizations: on a constant-V uniform grid
-    the dense system is block-diagonal in the y-modes, so band-limited data
-    must give the per-mode solution."""
+    """The one solve on both channel kinds: a constant V given as V(y) gives
+    the y-coupled channel, which is block-diagonal in the y-modes, so
+    band-limited data must give the per-mode solution."""
     rng = np.random.default_rng(11)
     alg = {"M2": CStarAlgebra.matrix(2), "Z4": CStarAlgebra.cyclic(4)}[name]
     a = alg.random_element(rng).mat
-    model = ProductDiracModel("cylinder", alg, v=0.5 * (a + a.conj().T))
+    v = 0.5 * (a + a.conj().T)
+    model = ProductDiracModel("cylinder", alg, v=v)
     grid = CollarGrid(n_u=8, n_y=8, kind="uniform")
     per_mode = build_double(model, grid)
-    dense = build_double(model, grid, path="dense2d")
+    dense = build_double(
+        ProductDiracModel("cylinder", alg, v=lambda y: v), grid
+    )
     assert per_mode.per_mode and not dense.per_mode
 
     g = BoundaryData.random_band_limited(model, grid.n_y, rng)
@@ -398,7 +422,11 @@ def test_invert_double_rejects_holonomy(rng):
     f = CollarFunction(grid, np.zeros((17, 12, 4, 2), dtype=complex))
     with pytest.raises(StructureError):
         invert_double(sysd, f)
-    # the y-coupled B has no holonomy twist, so that path refuses to build
-    uniform = CollarGrid(n_u=16, n_y=12, kind="uniform")
-    with pytest.raises(StructureError):
-        build_double(model, uniform, path="dense2d")
+    # the y-coupled B has no holonomy twist, so V(y) refuses a holonomy
+    with pytest.raises(StructureError, match="holonomy with y-dependent v"):
+        ProductDiracModel(
+            "cylinder",
+            alg,
+            v=lambda y: np.zeros((2, 2)),
+            holonomy=-np.eye(2, dtype=complex),
+        )

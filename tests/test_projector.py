@@ -201,6 +201,17 @@ def test_y_coupled_projector_converges_to_exact_graph_projection():
     assert orders.min() >= 3.5
 
 
+def test_y_coupled_chebyshev_projector_matches_exact_graph_projection():
+    """V(y) on a Chebyshev grid: the collocation projector of the one
+    y-coupled channel is spectrally close to its exact graph projection."""
+    model = y_coupled_model()
+    sysd = build_double(model, CollarGrid(n_u=24, n_y=12, kind="chebyshev"))
+    assert not sysd.per_mode
+    oracle = exact_projector_block(sysd.channels[0].channel.b_mat)
+    proj = calderon_projector(sysd).matrix()
+    assert np.linalg.norm(proj - oracle, 2) < 1e-9
+
+
 # -- Poisson operator ---------------------------------------------------
 
 
@@ -488,6 +499,20 @@ def test_index_spectral_shift_k2():
     assert i0 == _mode_rank_oracle(base, 12) == 0
     assert i1 == _mode_rank_oracle(shifted, 12) == 2
     assert i1 - i0 == 2
+
+
+def test_y_coupled_index_of_zero_potential_matches_per_mode():
+    """V = 0 given as V(y) has the y-coupled channel; its index is the
+    per-mode one, the kernel of B(0) = 0 on the full fiber."""
+    alg = CStarAlgebra.matrix(2)
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    zero = np.zeros((2, 2), dtype=complex)
+    per_mode = ProductDiracModel("cylinder", alg, v=zero)
+    coupled = ProductDiracModel("cylinder", alg, v=lambda y: zero)
+    i_mode = calderon_vs_aps_index(build_double(per_mode, grid))["index"]
+    i_coupled = calderon_vs_aps_index(build_double(coupled, grid))["index"]
+    assert i_mode == _mode_rank_oracle(per_mode, grid.n_y) == 4
+    assert i_coupled == i_mode
 
 
 def test_index_blocks_match_assembled():
