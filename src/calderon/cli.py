@@ -315,17 +315,26 @@ def write_csv(path, header, rows):
 def export_projector(out_dir, name, proj):
     mat = proj.matrix()
     np.save(os.path.join(out_dir, name + ".npy"), mat)
-    # one entry per line, formatted as write_csv formats ints and floats
+    # one entry per line, formatted as write_csv formats ints and floats; an
+    # entry with all bits zero (+0.0 in both parts) is a head and a tail
     n_rows, n_cols = mat.shape
+    flat = mat.ravel()
+    heads = ["%d" % i for i in range(n_rows)]
+    tails = [",%d,%s,%s\n" % (j, _fmt(0.0), _fmt(0.0)) for j in range(n_cols)]
     entries = zip(
         np.repeat(np.arange(n_rows), n_cols).tolist(),
         np.tile(np.arange(n_cols), n_rows).tolist(),
-        mat.real.ravel().tolist(),
-        mat.imag.ravel().tolist(),
+        flat.real.tolist(),
+        flat.imag.tolist(),
+        flat.view(np.uint64).reshape(-1, 2).any(axis=1).tolist(),
     )
     with open(os.path.join(out_dir, name + ".csv"), "w") as fh:
         fh.write("row,col,real,imag\n")
-        fh.writelines("%d,%d,%.17e,%.17e\n" % entry for entry in entries)
+        fh.writelines(
+            "%d,%d,%.17e,%.17e\n" % (i, j, re, im) if bits else
+            heads[i] + tails[j]
+            for i, j, re, im, bits in entries
+        )
     diag = proj.diagnostics()
     with open(os.path.join(out_dir, name + "_diagnostics.txt"), "w") as fh:
         for key in sorted(diag):

@@ -557,8 +557,8 @@ class ChannelSystem:
     ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``.  ``matrix`` stacks the
     real scalar systems A(eigvals[k]) row-wise, shape (2q * 2(n_u+1),
     2(n_u+1)), so its row count is the channel's number of unknowns.  No
-    LU factors are kept: :func:`_solve_channel` solves all of them in one
-    batched ``np.linalg.solve``.
+    LU factors are kept: :func:`_solve_channel` solves grid-level data in
+    one batched ``np.linalg.solve``; the projector solves two jump columns.
     """
 
     channel: ModeChannel
@@ -654,46 +654,23 @@ def _row_selection(n):
     return side1, side2
 
 
-def _channel_matrix(grid, b_mat):
-    """Transmission system for one tangential block.
+def _scalar_systems(grid):
+    """A(0) and S of the real scalar transmission system of one eigenvalue,
+    A(lambda) = A(0) + lambda S.
 
-    Unknowns: (phi at nodes, tau at nodes) x fiber.  Equations: (d/du + B)
-    phi = side-1 rhs at the selected nodes, (-d/du + B) tau = side-2 rhs,
-    plus the gluing rows phi(0) - tau(0) = jump0, phi(1) + tau(1) = jump1.
+    Unknowns: phi then tau at the n_u + 1 nodes.  Rows: (d/du + lambda) phi
+    at the side-1 nodes, (-d/du + lambda) tau at the side-2 nodes, then the
+    gluing rows phi(0) - tau(0) (jump0, row 2 n_u) and phi(1) + tau(1)
+    (jump1, row 2 n_u + 1).
     """
     n = grid.n_u
-    q2 = b_mat.shape[0]
     d = grid.diff_matrix()
-    eye_nodes = np.eye(n + 1)
     side1_rows, side2_rows = _row_selection(n)
-    l_plus = np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_mat)
-    l_minus = -np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_mat)
-
-    dim_side = (n + 1) * q2
-    total = 2 * dim_side
-    mat = np.zeros((total, total), dtype=complex)
-    row = 0
-    for i in side1_rows:
-        mat[row : row + q2, :dim_side] = l_plus[i * q2 : (i + 1) * q2]
-        row += q2
-    for i in side2_rows:
-        mat[row : row + q2, dim_side:] = l_minus[i * q2 : (i + 1) * q2]
-        row += q2
-    # gluing rows
-    mat[row : row + q2, 0:q2] = np.eye(q2)
-    mat[row : row + q2, dim_side : dim_side + q2] = -np.eye(q2)
-    row += q2
-    mat[row : row + q2, dim_side - q2 : dim_side] = np.eye(q2)
-    mat[row : row + q2, total - q2 : total] = np.eye(q2)
-    return mat
-
-
-def _scalar_systems(grid):
-    """A(0) and S of the real scalar transmission system of one eigenvalue:
-    A(lambda) = A(0) + lambda S equals _channel_matrix(grid, [[lambda]])."""
-    n = grid.n_u
-    side1_rows, side2_rows = _row_selection(n)
-    a0 = _channel_matrix(grid, np.zeros((1, 1))).real
+    a0 = np.zeros((2 * n + 2, 2 * n + 2))
+    a0[:n, : n + 1] = d[side1_rows]
+    a0[n : 2 * n, n + 1 :] = -d[side2_rows]
+    a0[2 * n, [0, n + 1]] = 1.0, -1.0
+    a0[2 * n + 1, [n, 2 * n + 1]] = 1.0
     s = np.zeros_like(a0)
     s[np.arange(n), side1_rows] = 1.0
     s[n + np.arange(n), n + 1 + side2_rows] = 1.0
@@ -721,7 +698,8 @@ def _decoupled_channel(ch, a0, s):
 
 
 def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
-    """Right-hand side vector matching :func:`_channel_matrix`.
+    """Right-hand side of the channel system, in the row order of
+    :func:`_scalar_systems` with the q2 fiber rows inside each row.
 
     ``f1``/``f2`` have shape (n+1, q2, ...) and are the already-transformed
     rhs for (d/du + B) phi and (-d/du + B) tau; the jumps have shape
@@ -830,13 +808,15 @@ def _solve_channel(cs, rhs):
     """Solve the transmission system of channel ``cs`` for ``rhs`` laid out
     as :func:`_channel_rhs` builds it: rotate the fiber axis into the
     eigenbasis of b, solve the scalar systems of all eigenvalues in one
-    batched ``np.linalg.solve``, rotate back."""
+    batched ``np.linalg.solve``, rotate back.  The complex data is viewed as
+    interleaved real columns, so the real A(lambda_k) factor in real
+    arithmetic."""
     u = cs.eigvecs
     n = cs.matrix.shape[1]
     coef = u.conj().T @ rhs.reshape(-1, u.shape[0], rhs[0].size)
     sol = np.linalg.solve(
-        cs.matrix.reshape(-1, n, n), coef.transpose(1, 0, 2)
-    ).transpose(1, 0, 2)
+        cs.matrix.reshape(-1, n, n), coef.transpose(1, 0, 2).view(float)
+    ).view(complex).transpose(1, 0, 2)
     return (u @ sol).reshape(rhs.shape)
 
 

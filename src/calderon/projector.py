@@ -12,10 +12,12 @@ projection
             [T (1+T^2)^-1, T (1+T^2)^-1 T]],       T = e^{-b}.
 
 The projector is stored as one block per channel of the double (per mode
-and eigenphase, or the one y-coupled channel); its columns are the traces
-of Poisson solves of jump data.  Its principal symbol (the large |eta|
-limit of the u=0 block) is the positive spectral projection of b, computed
-independently by a trapezoidal rule for the integral form of the matrix sign.
+and eigenphase, or the one y-coupled channel), built from the 2x2 maps
+p(lambda) from jump data to traces of the real scalar systems A(lambda) of
+the double, the discrete P(e^{-lambda}).  Its principal symbol (the large
+|eta| limit of the u=0 block) is the positive spectral projection of b,
+computed independently by a trapezoidal rule for the integral form of the
+matrix sign.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import numpy as np
 from .dirac import (
     CollarFunction,
     _channel_to_values,
-    _solve_block,
     _values_to_channel,
     expm,
     mode_radius,
@@ -276,13 +277,19 @@ def exact_projector_block(b_mat):
     return np.vstack([top, t @ top])
 
 
-def _collocation_projector_block(sys_channel, grid):
-    """Channel block of C from the transmission solve with jump data."""
-    q2 = sys_channel.channel.dim
-    # columns: first q2 excite g0, last q2 excite g1
-    jumps = np.eye(2 * q2, dtype=complex).reshape(2, q2, 2 * q2)
-    phi = _solve_block(grid, sys_channel, jump0=jumps[0], jump1=jumps[1])[0]
-    return np.vstack([phi[0], phi[-1]])
+def _collocation_projector_block(cs, grid):
+    """Channel block of C, (I_2 x U) [p_ij(lambda_k)] (I_2 x U*): p(lambda_k)
+    maps the jumps at the gluing rows 2 n_u, 2 n_u + 1 of A(lambda_k) to
+    the traces phi(0), phi(1), by one real 2-column solve per eigenvalue."""
+    n = cs.matrix.shape[1]
+    e = np.zeros((1, n, 2))
+    e[0, [n - 2, n - 1], [0, 1]] = 1.0
+    p = np.linalg.solve(cs.matrix.reshape(-1, n, n), e)[:, [0, grid.n_u]]
+    u = cs.eigvecs
+    u_star = u.conj().T
+    return np.block(
+        [[(u * p[:, i, j]) @ u_star for j in (0, 1)] for i in (0, 1)]
+    )
 
 
 def poisson(sys, g, with_side2=False):
@@ -307,10 +314,11 @@ def calderon_projector(sys, method="collocation"):
     """Assemble the Calderon projector of the double system.
 
     One block per channel of the double.  ``method='collocation'`` reads
-    the traces of the discrete transmission solves of the jump basis;
-    ``method='exact'`` is the matrix-exponential graph projection of the
-    channel's tangential block (exact in u; on the y-coupled path the
-    y-discretization stays).
+    the traces of the discrete transmission solve under jump data, as one
+    2x2 trace map per eigenvalue of the channel's tangential block rotated
+    back with its eigenvectors; ``method='exact'`` is the
+    matrix-exponential graph projection of the channel's tangential block
+    (exact in u; on the y-coupled path the y-discretization stays).
     """
     channel_blocks = []
     for cs in sys.channels:
@@ -493,7 +501,9 @@ def calderon_vs_aps_index(sys, method="exact"):
     :meth:`~calderon.dirac.ProductDiracModel.mode_channels`, per mode or the
     one y-coupled channel) and compared with hilbmod.relative_index, block
     by block per integer frequency; the result is an integer
-    (complex-dimension counting) reported with the truncation radius.
+    (complex-dimension counting) reported with the frequency set it counts:
+    ``mode_radius`` (|eta| <= n_y // 3) per mode, ``y_frequencies`` = n_y
+    on the y-coupled channel, which counts every y-frequency.
     """
     model = sys.model
     n_y = sys.grid.n_y
@@ -501,8 +511,9 @@ def calderon_vs_aps_index(sys, method="exact"):
     c_orth = orthogonalized_calderon(c_proj)
     pi_proj = aps_projection(model, n_y=n_y)
     index = relative_index(pi_proj.blocks, c_orth.blocks)
-    return {
-        "index": int(index),
-        "mode_radius": mode_radius(n_y),
-        "dimension": sum(b.shape[0] for b in c_orth.blocks),
-    }
+    out = {"index": int(index), "dimension": sum(map(len, c_orth.blocks))}
+    if sys.per_mode:
+        out["mode_radius"] = mode_radius(n_y)
+    else:
+        out["y_frequencies"] = n_y
+    return out

@@ -169,6 +169,36 @@ def test_run_minimal_scenario(tmp_path, capsys):
     assert "overall: pass" in text
 
 
+def test_export_projector_matches_one_line_formatter(tmp_path):
+    """The zero-entry shortcut writes the bytes of the plain formatter: only
+    +0.0 in both parts is shortened; -0.0 keeps its sign."""
+    tiny = 5e-324  # the smallest subnormal
+    mat = np.array(
+        [
+            [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)],
+            [complex(-0.0, -0.0), complex(tiny, 0.0), complex(0.0, -tiny)],
+            [complex(-tiny, 2.5e-310), 1.0, complex(np.pi, -np.e)],
+            [complex(-2.5, 3e-17), complex(0.0, 1e300), complex(0.0, 0.0)],
+        ]
+    )
+    assert np.signbit([mat[0, 1].real, mat[0, 2].imag, mat[1, 0].imag]).all()
+
+    class Proj:
+        def matrix(self):
+            return mat
+
+        def diagnostics(self):
+            return {}
+
+    cli.export_projector(str(tmp_path), "p", Proj())
+    ref = "row,col,real,imag\n" + "".join(
+        "%d,%d,%.17e,%.17e\n" % (i, j, x.real, x.imag)
+        for (i, j), x in np.ndenumerate(mat)
+    )
+    assert (tmp_path / "p.csv").read_text() == ref
+    assert ref.count("-0.00000000000000000e+00") == 4
+
+
 def test_repeat_runs_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -12,7 +12,7 @@ from calderon.dirac import (
     CollarFunction,
     CollarGrid,
     ProductDiracModel,
-    _channel_matrix,
+    _row_selection,
     _scalar_systems,
     build_double,
     ghost_solution_check,
@@ -58,6 +58,41 @@ IDS = [name for name, _, _ in CASES]
 def case(request):
     name, model, grid = request.param
     return model, grid, build_double(model, grid)
+
+
+def _channel_matrix(grid, b_mat):
+    """Coupled transmission system of one tangential block, the oracle for
+    the decoupled scalar systems.
+
+    Unknowns: (phi at nodes, tau at nodes) x fiber.  Equations: (d/du + B)
+    phi = side-1 rhs at the selected nodes, (-d/du + B) tau = side-2 rhs,
+    plus the gluing rows phi(0) - tau(0) = jump0, phi(1) + tau(1) = jump1.
+    """
+    n = grid.n_u
+    q2 = b_mat.shape[0]
+    d = grid.diff_matrix()
+    eye_nodes = np.eye(n + 1)
+    side1_rows, side2_rows = _row_selection(n)
+    l_plus = np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_mat)
+    l_minus = -np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_mat)
+
+    dim_side = (n + 1) * q2
+    total = 2 * dim_side
+    mat = np.zeros((total, total), dtype=complex)
+    row = 0
+    for i in side1_rows:
+        mat[row : row + q2, :dim_side] = l_plus[i * q2 : (i + 1) * q2]
+        row += q2
+    for i in side2_rows:
+        mat[row : row + q2, dim_side:] = l_minus[i * q2 : (i + 1) * q2]
+        row += q2
+    # gluing rows
+    mat[row : row + q2, 0:q2] = np.eye(q2)
+    mat[row : row + q2, dim_side : dim_side + q2] = -np.eye(q2)
+    row += q2
+    mat[row : row + q2, dim_side - q2 : dim_side] = np.eye(q2)
+    mat[row : row + q2, total - q2 : total] = np.eye(q2)
+    return mat
 
 
 def coupled_solver(grid):
@@ -124,12 +159,22 @@ def test_ghost_sigma_matches_coupled_stack(case):
         assert abs(sigma - ref) <= 1e-12 * ref
 
 
-def test_collocation_blocks_match_coupled_solve(case, monkeypatch):
+def test_collocation_blocks_match_coupled_solve(case):
+    """Each channel block against the traces phi(0), phi(1) of one LU solve
+    of the coupled channel matrix with the identity jump basis."""
     model, grid, sysd = case
-    fast = calderon_projector(sysd)
-    monkeypatch.setattr(dirac, "_solve_channel", coupled_solver(grid))
-    ref = calderon_projector(sysd)
-    assert rel_diff(fast.matrix(), ref.matrix()) < 1e-12
+    n = grid.n_u
+    proj = calderon_projector(sysd)
+    assert len(proj.channel_blocks) == len(sysd.channels)
+    for cs, (ch, block) in zip(sysd.channels, proj.channel_blocks):
+        assert ch is cs.channel
+        q2 = ch.dim
+        mat = _channel_matrix(grid, ch.b_mat)
+        jumps = np.zeros((mat.shape[0], 2 * q2))
+        jumps[2 * n * q2 :] = np.eye(2 * q2)  # the two gluing row blocks
+        sol = scipy.linalg.lu_solve(scipy.linalg.lu_factor(mat), jumps)
+        ref = np.vstack([sol[:q2], sol[n * q2 : (n + 1) * q2]])
+        assert rel_diff(block, ref) < 1e-12
 
 
 def test_invert_double_and_poisson_match_coupled_solve(case, monkeypatch):

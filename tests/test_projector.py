@@ -515,6 +515,22 @@ def test_y_coupled_index_of_zero_potential_matches_per_mode():
     assert i_coupled == i_mode
 
 
+def test_index_reports_the_frequency_set_it_counts():
+    """Per mode the index counts |eta| <= n_y // 3; the y-coupled channel
+    counts all n_y frequencies, so its dimension is 2 n_y n_fiber."""
+    alg = CStarAlgebra.matrix(2)
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    v = np.diag([1.0, -0.5]).astype(complex)
+    per_mode = ProductDiracModel("cylinder", alg, v=v)
+    coupled = ProductDiracModel("cylinder", alg, v=lambda y: v)
+    mode = calderon_vs_aps_index(build_double(per_mode, grid))
+    assert mode["mode_radius"] == 4 and "y_frequencies" not in mode
+    assert mode["dimension"] == 2 * (2 * 4 + 1) * per_mode.n_fiber
+    full = calderon_vs_aps_index(build_double(coupled, grid))
+    assert full["y_frequencies"] == 12 and "mode_radius" not in full
+    assert full["dimension"] == 2 * 12 * coupled.n_fiber
+
+
 def test_index_blocks_match_assembled():
     from calderon.hilbmod import relative_index
 
