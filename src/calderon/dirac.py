@@ -26,6 +26,12 @@ of that channel are the boundary samples themselves, so gathering data
 into it and scattering a solution back are reshapes; past that, every
 channel runs the same code on either u-grid.
 
+A holonomy H, s(y + 2 pi) = H s(y), is taken in the periodic gauge
+s = e^{iy Theta} p, Theta = sum of shift * basis basis^* over the
+eigenphase channels (e^{2 pi i Theta} = H).  Grid values and boundary data
+always mean p, on which B reads sigma_1 (-i d/dy + Theta) + sigma_3 V(y);
+V(y) must commute with H.
+
 Every channel is solved and certified in the eigenbasis of its Hermitian
 tangential block b = U diag(lambda) U*.  The channel system kron(D, I) +
 kron(S, b) plus identity gluing rows is unitarily similar to the block
@@ -229,10 +235,11 @@ class CollarFunction:
 
 @dataclass
 class ModeChannel:
-    """One channel block: effective frequency and fiber basis.
+    """One channel block: the integer frequency ``eta`` of the periodic
+    part, the eigenphase ``shift`` and the fiber basis.
 
     ``basis`` embeds the channel's twist subspace into the full twist fiber
-    C^(r*m); ``b_mat`` is the tangential matrix on spinor x subspace.  The
+    C^(r*m); ``b_mat`` is B(eta + shift) on spinor x subspace.  The
     y-coupled channel has eta = 0, no basis, and ``b_mat`` is B over all
     (y-point, fiber) coordinates: its coordinates are the boundary samples
     themselves.
@@ -242,10 +249,6 @@ class ModeChannel:
     shift: float
     basis: np.ndarray  # (r*m, q), or None on the y-coupled channel
     b_mat: np.ndarray  # (2q, 2q)
-
-    @property
-    def eta_eff(self):
-        return self.eta + self.shift
 
     @property
     def dim(self):
@@ -265,7 +268,7 @@ class ProductDiracModel:
         double then has one y-coupled channel), or None (= 0)
     w : optional self-adjoint sigma_1 term (segment only)
     holonomy : optional unitary ModuleOperator A^r -> A^r twisting the
-        y-periodicity; must commute with constant v
+        y-periodicity; must commute with v (with V(y) at every sample)
     """
 
     def __init__(self, base, algebra, r=1, v=None, w=None, holonomy=None):
@@ -313,17 +316,13 @@ class ProductDiracModel:
             )
             if defect > 1e-10:
                 raise StructureError("holonomy must be unitary")
-            if self.v_rep is not None:
-                comm = np.linalg.norm(
-                    self.h_rep @ self.v_rep - self.v_rep @ self.h_rep, 2
-                )
-                if comm > 1e-10:
-                    raise StructureError("holonomy must commute with v")
-            if self.v_callable is not None:
-                raise StructureError(
-                    "holonomy with y-dependent v is not supported"
-                )
+            self._check_commutes(self.v_samples(1)[0])
         self._check_clifford()
+
+    def _check_commutes(self, v):
+        h = self.h_rep
+        if h is not None and np.linalg.norm(h @ v - v @ h, 2) > 1e-10:
+            raise StructureError("holonomy must commute with v")
 
     def _coerce_operator(self, op, name):
         if isinstance(op, ModuleOperator):
@@ -363,12 +362,7 @@ class ProductDiracModel:
         if np.linalg.norm(g.conj().T + g, 2) > 1e-12:
             raise StructureError("G* must equal -G")
         eta_probe = 1.0 if self.base == "cylinder" else 0.0
-        v_probe = (
-            self.v_rep
-            if self.v_rep is not None
-            else np.asarray(self.v_callable(0.0), dtype=complex)
-        )
-        b = self.tangential_matrix(eta_probe, v_probe)
+        b = self.tangential_matrix(eta_probe, self.v_samples(1)[0])
         if np.linalg.norm(b - b.conj().T, 2) > 1e-10 * max(
             1.0, np.linalg.norm(b, 2)
         ):
@@ -461,26 +455,28 @@ class ProductDiracModel:
 
 
 def _tangential_apply(model, n_y, values):
-    """Apply B = sigma_1 (-i d/dy) + sigma_3 V(y) to values sampled on n_y
-    boundary points, shape (n_nodes, n_y, n_fiber, cols)."""
+    """Apply B = sigma_1 (-i d/dy + Theta) + sigma_3 V(y) to periodic parts
+    sampled on n_y boundary points, shape (n_nodes, n_y, n_fiber, cols)."""
     if values.shape[2] != model.n_fiber:
         raise StructureError("fiber dimension mismatch")
-    if model.h_rep is not None:
-        raise StructureError(
-            "grid-level application supports trivial holonomy only"
-        )
-    # B(0) at every y-point, then sigma_1 tensor (-i d/dy)
-    b0 = np.stack(
-        [model.tangential_matrix(0.0, v) for v in model.v_samples(n_y)]
-    )
+    # B(0) at every y-point, then sigma_1 tensor (-i d/dy + Theta)
+    v_samples = model.v_samples(n_y)
+    b0 = np.stack([model.tangential_matrix(0.0, v) for v in v_samples])
     out = np.einsum("yij,uyjm->uyim", b0, values)
     if n_y > 1:
+        for v in v_samples:
+            model._check_commutes(v)
+        theta = sum(s * e @ e.conj().T for s, e in model.holonomy_channels())
         rm = model.rm
         eta = np.fft.fftfreq(n_y, d=1.0 / n_y)
         coeffs = np.fft.fft(values, axis=1)
         dy_vals = np.fft.ifft(1j * eta[None, :, None, None] * coeffs, axis=1)
-        out[:, :, :rm] += -1j * dy_vals[:, :, rm:]
-        out[:, :, rm:] += -1j * dy_vals[:, :, :rm]
+        # (-i d/dy + Theta) on both spinor halves; sigma_1 swaps them
+        d = -1j * dy_vals + np.einsum(
+            "ij,uyjm->uyim", np.kron(np.eye(2), theta), values
+        )
+        out[:, :, :rm] += d[:, :, rm:]
+        out[:, :, rm:] += d[:, :, :rm]
     return out
 
 
@@ -624,13 +620,8 @@ class DoubleSystem:
         tau = f2, phi(0) - tau(0) = jump0 and phi(1) + tau(1) = jump1.
 
         ``f1``/``f2`` have shape (n_nodes, n_y, n_fiber, cols), the jumps
-        (n_y, n_fiber, cols); omitted data is zero.  Needs trivial holonomy.
+        (n_y, n_fiber, cols); omitted data is zero.
         """
-        if self.model.h_rep is not None:
-            raise StructureError(
-                "grid-level solves support trivial holonomy only; nontrivial "
-                "holonomy enters through the per-mode boundary projectors"
-            )
         grid = self.grid
         data = (f1, f2, jump0, jump1)
         given = next(a for a in data if a is not None)
@@ -641,7 +632,10 @@ class DoubleSystem:
                 None if a is None else _values_to_channel(a, ch, grid.n_y)
                 for a in data
             )
-            sol = _solve_block(grid, cs, *gathered)
+            rhs = _channel_rhs(grid, ch.dim, *gathered)
+            sol = _solve_channel(cs, rhs).reshape(
+                (2, grid.n_nodes, ch.dim) + rhs.shape[1:]
+            )
             _channel_to_values(sol, ch, grid.n_y, out)
         return out[0], out[1]
 
@@ -820,15 +814,6 @@ def _solve_channel(cs, rhs):
     return (u @ sol).reshape(rhs.shape)
 
 
-def _solve_block(grid, cs, f1=None, f2=None, jump0=None, jump1=None):
-    """Nodal (phi, tau), shape (2, n_nodes, q2, ...), of the channel system
-    ``cs`` (q2 = cs.channel.dim), for data laid out as :func:`_channel_rhs`."""
-    q2 = cs.channel.dim
-    rhs = _channel_rhs(grid, q2, f1, f2, jump0, jump1)
-    sol = _solve_channel(cs, rhs)
-    return sol.reshape((2, grid.n_nodes, q2) + rhs.shape[1:])
-
-
 def _values_to_channel(values, ch, n_y):
     """Coefficients of channel ``ch`` in values sampled on the boundary
     circle, shape (..., n_y, n_fiber, cols): for a mode channel the
@@ -857,7 +842,7 @@ def _channel_to_values(channel_vals, ch, n_y, out):
     slab = np.zeros(top.shape[:-2] + (2 * rm, top.shape[-1]), dtype=complex)
     slab[..., :rm, :] = np.einsum("fq,...qm->...fm", ch.basis, top)
     slab[..., rm:, :] = np.einsum("fq,...qm->...fm", ch.basis, bot)
-    phase = np.exp(1j * ch.eta_eff * y_points(n_y))
+    phase = np.exp(1j * ch.eta * y_points(n_y))
     out += phase[:, None, None] * slab[..., None, :, :]
     return out
 

@@ -152,7 +152,6 @@ class BoundaryProjector:
 
     model: object
     n_y: int
-    method: str
     channel_blocks: list = field(default_factory=list)  # (channel, matrix)
 
     @property
@@ -178,7 +177,7 @@ class BoundaryProjector:
         return ModuleOperator(self.model.algebra, rank, rank, mat)
 
     def apply(self, g):
-        """Apply to boundary data (trivial holonomy)."""
+        """Apply to boundary data."""
         if g.model is not self.model and g.model.n_fiber != self.model.n_fiber:
             raise StructureError("boundary data model mismatch")
         coeffs = []
@@ -330,10 +329,7 @@ def calderon_projector(sys, method="collocation"):
             raise StructureError("unknown method %r" % (method,))
         channel_blocks.append((cs.channel, block))
     return BoundaryProjector(
-        model=sys.model,
-        n_y=sys.grid.n_y,
-        method=method,
-        channel_blocks=channel_blocks,
+        model=sys.model, n_y=sys.grid.n_y, channel_blocks=channel_blocks
     )
 
 
@@ -476,7 +472,7 @@ def aps_projection(model, n_y=None, eta=None):
         raise StructureError("need n_y for the assembled projection")
     channel_blocks = [(ch, block(ch.b_mat)) for ch in model.mode_channels(n_y)]
     return BoundaryProjector(
-        model=model, n_y=n_y, method="aps", channel_blocks=channel_blocks
+        model=model, n_y=n_y, channel_blocks=channel_blocks
     )
 
 
@@ -486,7 +482,6 @@ def orthogonalized_calderon(projector):
     return BoundaryProjector(
         model=projector.model,
         n_y=projector.n_y,
-        method=projector.method + "+orthogonalized",
         channel_blocks=[
             (ch, orthogonalize_idempotent_matrix(b)[0])
             for ch, b in projector.channel_blocks
@@ -494,8 +489,9 @@ def orthogonalized_calderon(projector):
     )
 
 
-def calderon_vs_aps_index(sys, method="exact"):
-    """Relative index of the APS projection against the Calderon range.
+def calderon_vs_aps_index(sys):
+    """Relative index of the APS projection against the Calderon range,
+    the latter from the exact graph projection of each channel.
 
     Both projectors are built over the same channels (the model's
     :meth:`~calderon.dirac.ProductDiracModel.mode_channels`, per mode or the
@@ -507,7 +503,7 @@ def calderon_vs_aps_index(sys, method="exact"):
     """
     model = sys.model
     n_y = sys.grid.n_y
-    c_proj = calderon_projector(sys, method=method)
+    c_proj = calderon_projector(sys, method="exact")
     c_orth = orthogonalized_calderon(c_proj)
     pi_proj = aps_projection(model, n_y=n_y)
     index = relative_index(pi_proj.blocks, c_orth.blocks)

@@ -53,6 +53,16 @@ def y_coupled_model():
     )
 
 
+def twisted_model(v=None):
+    """Cylinder over M2 with holonomy diag(e^{2 pi i/4}, e^{2 pi i 0.6}) and
+    V = diag(1, 0.5), or the given (constant or callable) v."""
+    alg = CStarAlgebra.matrix(2)
+    if v is None:
+        v = np.diag([1.0, 0.5]).astype(complex)
+    holonomy = np.diag(np.exp(2j * np.pi * np.array([0.25, 0.6])))
+    return ProductDiracModel("cylinder", alg, v=v, holonomy=holonomy)
+
+
 def fixture_models():
     """The model family exercised by the double/projector acceptance tests."""
     rng = np.random.default_rng(99)

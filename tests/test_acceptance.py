@@ -262,8 +262,6 @@ def test_criterion_06_green_formula():
     worst = 0.0
     rng = np.random.default_rng(606)
     for _name, model, grid in fixture_models():
-        if model.h_rep is not None:
-            continue
         s1, s2 = _exponential_pair(model, grid, rng)
         scale = max(1.0, s1.norm() * s2.norm())
         worst = max(worst, alg_norm(green_residual(model, s1, s2)) / scale)
@@ -307,7 +305,7 @@ def test_criterion_07_calderon_projector():
                 np.linalg.norm(block - exact_projector_block(ch.b_mat), 2)
             ),
         )
-        cs = cauchy_space_oracle(model, ch.eta_eff)
+        cs = cauchy_space_oracle(model, ch.eta + ch.shift)
         a_r = scipy.linalg.subspace_angles(scipy.linalg.orth(block), cs.h1)
         a_k = scipy.linalg.subspace_angles(
             scipy.linalg.null_space(block), cs.h2
@@ -317,7 +315,7 @@ def test_criterion_07_calderon_projector():
     lin = proj.a_linearity_defect(np.random.default_rng(707), trials=10)
     ok = ok and lin < 1e-10
 
-    # dense path: oracle defect decays at 4th order; the discrete
+    # uniform grid: oracle defect decays at 4th order; the discrete
     # transmission projector is idempotent by construction at every
     # resolution, so its defect must sit at rounding level throughout
     dense_errs = []

@@ -187,10 +187,7 @@ def test_export_projector_matches_one_line_formatter(tmp_path):
         def matrix(self):
             return mat
 
-        def diagnostics(self):
-            return {}
-
-    cli.export_projector(str(tmp_path), "p", Proj())
+    cli.export_projector(str(tmp_path), "p", Proj(), {})
     ref = "row,col,real,imag\n" + "".join(
         "%d,%d,%.17e,%.17e\n" % (i, j, x.real, x.imag)
         for (i, j), x in np.ndenumerate(mat)
@@ -249,7 +246,7 @@ def test_convergence_rejects_spectral_grid(tmp_path):
     assert code == 1
     report = json.loads((out / "report.json").read_text())
     assert report["tasks"][0]["status"] == "fail"
-    assert "dense path" in report["tasks"][0]["metrics"]["error"]
+    assert "uniform grid" in report["tasks"][0]["metrics"]["error"]
 
 
 def test_convergence_levels_validation(tmp_path):
@@ -428,6 +425,58 @@ def test_y_coupled_chebyshev_calderon_gates_oracle_defect(tmp_path):
     assert main(["run", write_config(tmp_path, raw, "strict.json")]) == 1
 
 
+def twisted_config(output_dir, tasks, grid):
+    """M2 cylinder, V = diag(1, 0.5), holonomy diag(e^{2 pi i/4},
+    e^{2 pi i 0.6})."""
+    h = np.exp(2j * np.pi * np.array([0.25, 0.6]))
+    return {
+        "algebra": {"kind": "matrix", "n": 2},
+        "model": {
+            "base": "cylinder",
+            "v": {"kind": "diag", "values": [1.0, 0.5]},
+            "holonomy": {
+                "kind": "matrix",
+                "real": np.diag(h.real).tolist(),
+                "imag": np.diag(h.imag).tolist(),
+            },
+        },
+        "grid": grid,
+        "tasks": list(tasks),
+        "seed": 11,
+        "output_dir": str(output_dir),
+    }
+
+
+def test_calderon_gates_a_linearity_under_holonomy(tmp_path):
+    grid = {"n_u": 24, "n_y": 12, "kind": "chebyshev"}
+    raw = twisted_config(tmp_path / "out", ["calderon"], grid)
+    assert main(["run", write_config(tmp_path, raw)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["tasks"][0]["metrics"]["a_linearity_defect"] < 1e-10
+
+
+def test_convergence_passes_under_holonomy(tmp_path):
+    grid = {"n_u": 8, "n_y": 8, "kind": "uniform"}
+    raw = twisted_config(tmp_path / "out", ["convergence"], grid)
+    assert main(["run", write_config(tmp_path, raw)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    metrics = report["tasks"][0]["metrics"]
+    assert metrics["green_order"] >= 3.5 and metrics["oracle_order"] >= 3.5
+
+
+def test_holonomy_not_commuting_with_v_exits_2(tmp_path, capsys):
+    grid = {"n_u": 16, "n_y": 12, "kind": "chebyshev"}
+    raw = twisted_config(tmp_path / "out", ["double"], grid)
+    raw["model"]["v"] = {
+        "kind": "cosine",
+        "base": {"kind": "matrix", "real": [[1.0, 0.3], [0.3, 0.5]]},
+        "amplitude": 0.3,
+    }
+    assert main(["run", write_config(tmp_path, raw)]) == 2
+    assert "holonomy must commute with v" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- selfcheck and plumbing ---------------------------------------------
 
 
@@ -435,7 +484,7 @@ def test_selfcheck_passes(tmp_path, capsys):
     code = main(["selfcheck", "--output-dir", str(tmp_path / "sc")])
     assert code == 0
     text = capsys.readouterr().out
-    assert text.count("overall: pass") == 4
+    assert text.count("overall: pass") == 5
 
 
 def test_version_flag(capsys):

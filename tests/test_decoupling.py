@@ -18,7 +18,6 @@ from calderon.dirac import (
     ghost_solution_check,
     invert_double,
 )
-from calderon.errors import StructureError
 from calderon.hilbmod import membership_defect
 from calderon.projector import BoundaryData, calderon_projector, poisson
 
@@ -188,13 +187,6 @@ def test_invert_double_and_poisson_match_coupled_solve(case, monkeypatch):
         for _ in range(2)
     )
     g = BoundaryData.random_band_limited(model, grid.n_y, rng)
-    if model.h_rep is not None:
-        # holonomy enters only through the per-mode projector blocks
-        with pytest.raises(StructureError):
-            invert_double(sysd, f1, f2)
-        with pytest.raises(StructureError):
-            poisson(sysd, g)
-        return
     fast = invert_double(sysd, f1, f2) + poisson(sysd, g, with_side2=True)
     monkeypatch.setattr(dirac, "_solve_channel", coupled_solver(grid))
     ref = invert_double(sysd, f1, f2) + poisson(sysd, g, with_side2=True)

@@ -5,6 +5,7 @@ import scipy.linalg
 from calderon.csalg import CStarAlgebra
 from calderon.csalg import norm as alg_norm
 from calderon.dirac import (
+    SIGMA_1,
     CollarFunction,
     CollarGrid,
     ProductDiracModel,
@@ -23,7 +24,13 @@ from calderon.dirac import (
 from calderon.errors import CertificationError, StructureError
 from calderon.projector import BoundaryData, poisson
 
-from conftest import cylinder_fixture, fixture_models, hermitian, y_coupled_model
+from conftest import (
+    cylinder_fixture,
+    fixture_models,
+    hermitian,
+    twisted_model,
+    y_coupled_model,
+)
 
 
 # -- discretization building blocks ------------------------------------
@@ -166,7 +173,8 @@ def test_interior_adjointness(rng):
 
 
 def _exponential_pair(model, grid, rng, eta=2):
-    """Side-1 kernel element and a generic exponential E^- section."""
+    """Side-1 kernel element and a generic exponential E^- section; with a
+    holonomy, their periodic parts (B at eta + Theta)."""
     u = grid.u_nodes()
     y = (
         2 * np.pi * np.arange(grid.n_y) / grid.n_y
@@ -174,6 +182,11 @@ def _exponential_pair(model, grid, rng, eta=2):
         else np.zeros(1)
     )
     b = model.tangential_matrix(eta if grid.n_y > 1 else 0.0)
+    if grid.n_y > 1:
+        theta = sum(
+            s * e @ e.conj().T for s, e in model.holonomy_channels()
+        )
+        b = b + np.kron(SIGMA_1, theta)
     n_f, m = model.n_fiber, model.m
     a = rng.standard_normal((n_f, m)) + 1j * rng.standard_normal((n_f, m))
     c = rng.standard_normal((n_f, m)) + 1j * rng.standard_normal((n_f, m))
@@ -195,8 +208,6 @@ def _exponential_pair(model, grid, rng, eta=2):
 
 def test_green_formula_exponential_solutions(rng):
     for name, model, grid in fixture_models():
-        if model.h_rep is not None:
-            continue
         s1, s2 = _exponential_pair(model, grid, rng)
         res = alg_norm(green_residual(model, s1, s2))
         scale = max(1.0, s1.norm() * s2.norm())
@@ -409,24 +420,14 @@ def test_per_mode_and_dense_solves_agree(name):
         assert np.abs(a.values - b.values).max() <= 1e-11 * scale
 
 
-def test_invert_double_rejects_holonomy(rng):
-    alg = CStarAlgebra.matrix(2)
-    model = ProductDiracModel(
-        "cylinder",
-        alg,
-        v=np.zeros((2, 2)),
-        holonomy=-np.eye(2, dtype=complex),
-    )
+def test_holonomy_must_commute_with_v_of_y():
+    """The one holonomy refusal: a V(y) that does not commute with the
+    holonomy, caught at V(0) when the model is built and at the other
+    y-samples when the tangential operator is applied."""
+    off = np.array([[0.0, 0.3], [0.3, 0.0]])
+    with pytest.raises(StructureError, match="holonomy must commute with v"):
+        twisted_model(lambda y: np.diag([1.0, 0.5]) + off)
+    model = twisted_model(lambda y: np.diag([1.0, 0.5]) + np.sin(y) * off)
     grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
-    sysd = build_double(model, grid)
-    f = CollarFunction(grid, np.zeros((17, 12, 4, 2), dtype=complex))
-    with pytest.raises(StructureError):
-        invert_double(sysd, f)
-    # the y-coupled B has no holonomy twist, so V(y) refuses a holonomy
-    with pytest.raises(StructureError, match="holonomy with y-dependent v"):
-        ProductDiracModel(
-            "cylinder",
-            alg,
-            v=lambda y: np.zeros((2, 2)),
-            holonomy=-np.eye(2, dtype=complex),
-        )
+    with pytest.raises(StructureError, match="holonomy must commute with v"):
+        build_double(model, grid)

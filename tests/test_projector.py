@@ -26,7 +26,12 @@ from calderon.projector import (
     symbol_limit_check,
 )
 
-from conftest import cylinder_fixture, hermitian, y_coupled_model
+from conftest import (
+    cylinder_fixture,
+    hermitian,
+    twisted_model,
+    y_coupled_model,
+)
 from ode_oracle import cauchy_space_oracle, graph_projection_least_squares
 
 
@@ -119,7 +124,7 @@ def test_projector_range_kernel_vs_oracle(built):
     model, grid, sysd = built
     proj = calderon_projector(sysd)
     for ch, block in proj.channel_blocks:
-        cs = cauchy_space_oracle(model, ch.eta_eff)
+        cs = cauchy_space_oracle(model, ch.eta + ch.shift)
         ang_range = scipy.linalg.subspace_angles(
             scipy.linalg.orth(block), cs.h1
         )
@@ -158,7 +163,8 @@ def test_holonomy_invariance():
     plain = ProductDiracModel("cylinder", alg, v=v)
     for ch in twisted.mode_channels(12):
         block = exact_projector_block(ch.b_mat)
-        ref = exact_projector_block(plain.tangential_matrix(ch.eta_eff))
+        b = plain.tangential_matrix(ch.eta + ch.shift)
+        ref = exact_projector_block(b)
         assert np.linalg.norm(block - ref, 2) < 1e-12
 
 
@@ -408,14 +414,71 @@ def test_holonomy_within_rounding_of_identity_acts_as_none(sign):
     h = np.exp(sign * 2j * np.pi * 1e-14) * np.eye(2)
     twisted = ProductDiracModel("cylinder", alg, v=v, holonomy=h)
     assert all(0.0 <= s < 1.0 for s, _ in twisted.holonomy_channels())
-    ref = sorted(ch.eta_eff for ch in plain.mode_channels(grid.n_y))
-    got = sorted(ch.eta_eff for ch in twisted.mode_channels(grid.n_y))
+    ref = sorted(c.eta + c.shift for c in plain.mode_channels(grid.n_y))
+    got = sorted(c.eta + c.shift for c in twisted.mode_channels(grid.n_y))
     assert len(got) == len(ref)
     assert np.abs(np.array(got) - np.array(ref)).max() < 1e-12
-    diag_ref = calderon_projector(build_double(plain, grid)).diagnostics()
-    diag = calderon_projector(build_double(twisted, grid)).diagnostics()
+    sys_ref = build_double(plain, grid)
+    sysd = build_double(twisted, grid)
+    diag_ref = calderon_projector(sys_ref).diagnostics()
+    diag = calderon_projector(sysd).diagnostics()
     assert diag["dimension"] == diag_ref["dimension"]
     assert diag["mode_count"] == diag_ref["mode_count"]
+    g = BoundaryData.random_band_limited(plain, grid.n_y, rng)
+    ref = poisson(sys_ref, g).values
+    assert np.abs(poisson(sysd, g).values - ref).max() < 1e-12 * np.abs(
+        ref
+    ).max()
+
+
+def test_twisted_apply_is_idempotent_and_matches_poisson_traces(rng):
+    """With a holonomy, boundary data is the periodic part of the section in
+    both the projector blocks and the grid-level solve and operator: C is
+    idempotent on it and equals the traces of the Poisson solution, which
+    the twisted D+ annihilates in the interior."""
+    model = twisted_model()
+    grid = CollarGrid(n_u=24, n_y=12, kind="chebyshev")
+    sysd = build_double(model, grid)
+    proj = calderon_projector(sysd)
+    g = BoundaryData.random_band_limited(model, grid.n_y, rng)
+    cg = proj.apply(g)
+    assert (proj.apply(cg) - cg).norm() < 1e-12 * cg.norm()
+    u_sol = poisson(sysd, g)
+    assert (boundary_trace(model, u_sol) - cg).norm() < 1e-12 * cg.norm()
+    res = apply_dirac(model, u_sol, side=1).values[1:-1]
+    assert np.abs(res).max() < 1e-9 * np.abs(u_sol.values).max()
+
+
+def test_twisted_y_coupled_b_matches_per_mode_blocks():
+    """A constant V given as V(y) under a holonomy: the y-coupled B is
+    Hermitian with the spectrum of the per-mode twisted blocks
+    sigma_1 (eta + shift) + sigma_3 V over all n_y frequencies, and the
+    index is the per-mode one."""
+    v = np.diag([1.0, 0.5]).astype(complex)
+    per_mode = twisted_model(v)
+    coupled = twisted_model(lambda y: v)
+    grid = CollarGrid(n_u=24, n_y=12, kind="chebyshev")
+    (ch,) = coupled.mode_channels(grid.n_y)
+    b = ch.b_mat
+    scale = np.linalg.norm(b, 2)
+    assert np.linalg.norm(b - b.conj().T, 2) < 1e-12 * scale
+    ref = np.sort(
+        np.concatenate(
+            [
+                np.linalg.eigvalsh(
+                    per_mode.tangential_matrix(
+                        eta + shift, basis.conj().T @ v @ basis
+                    )
+                )
+                for shift, basis in per_mode.holonomy_channels()
+                for eta in np.fft.fftfreq(grid.n_y, d=1.0 / grid.n_y)
+            ]
+        )
+    )
+    assert np.abs(np.linalg.eigvalsh(b) - ref).max() < 1e-12 * scale
+    i_mode = calderon_vs_aps_index(build_double(per_mode, grid))["index"]
+    i_coupled = calderon_vs_aps_index(build_double(coupled, grid))["index"]
+    assert i_coupled == i_mode
 
 
 def test_orthogonalized_calderon_fixed_point(built):
@@ -447,10 +510,7 @@ def test_orthogonalized_skewed_idempotent(built, rng):
     from calderon.projector import BoundaryProjector
 
     skewed = BoundaryProjector(
-        model=model,
-        n_y=grid.n_y,
-        method="skewed",
-        channel_blocks=skewed_blocks,
+        model=model, n_y=grid.n_y, channel_blocks=skewed_blocks
     )
     orth = orthogonalized_calderon(skewed)
     mat = orth.matrix()
