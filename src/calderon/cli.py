@@ -39,10 +39,9 @@ from .dirac import (
     y_points,
 )
 from .projector import (
-    _principal_symbol_nodes,
+    _principal_symbol_steps,
     calderon_projector,
     calderon_vs_aps_index,
-    exact_projector_block,
     spectral_projection_positive,
     symbol_limit_check,
 )
@@ -347,9 +346,11 @@ def _task_module_check(cfg, out_dir, run):
     """Hilbert-module identity suite on the configured algebra."""
     alg = cfg["algebra"]
     rng = np.random.default_rng(cfg["seed"])
-    worst = 0.0
     trials = 200
-    for _ in range(trials):
+    m = alg.rep_dim
+    shapes = [(m, m), (m, m), (3 * m, 3 * m), (3 * m, m), (m, m)]
+    devs = [np.empty((trials,) + shape, complex) for shape in shapes]
+    for t in range(trials):
         x = hilbmod.ModuleVector.random(alg, 3, rng)
         y = hilbmod.ModuleVector.random(alg, 3, rng)
         z = hilbmod.ModuleVector.random(alg, 3, rng)
@@ -369,10 +370,12 @@ def _task_module_check(cfg, out_dir, run):
         # adjoint identity for a random operator
         t_op = hilbmod.ModuleOperator.random(alg, 3, 3, rng)
         d5 = (ip(t_op.apply(x), y) - ip(x, hilbmod.adjoint(t_op).apply(y))).mat
-        worst = max(
-            worst,
-            *[float(np.linalg.norm(d, 2)) for d in (d1, d2, d3, d4, d5)]
-        )
+        for dev, d in zip(devs, (d1, d2, d3, d4, d5)):
+            dev[t] = d
+    # one batched 2-norm per deviation kind
+    worst = max(
+        float(np.linalg.norm(dev, 2, axis=(-2, -1)).max()) for dev in devs
+    )
     status = "pass" if worst < 1e-10 else "fail"
     return status, {"max_deviation": worst, "trials": trials}
 
@@ -434,14 +437,15 @@ def _task_double(cfg, out_dir, run):
     return ("pass" if ok else "fail"), metrics
 
 
-def _oracle_defect(proj):
+def _oracle_defect(proj, exact):
     """Largest 2-norm distance of a channel block from its exact graph
-    projection."""
-    worst = 0.0
-    for ch, block in proj.channel_blocks:
-        oracle = exact_projector_block(ch.b_mat)
-        worst = max(worst, float(np.linalg.norm(block - oracle, 2)))
-    return worst
+    projection, the same channel's block of ``exact``."""
+    return max(
+        float(np.linalg.norm(block - oracle, 2))
+        for (_, block), (_, oracle) in zip(
+            proj.channel_blocks, exact.channel_blocks
+        )
+    )
 
 
 def _task_calderon(cfg, out_dir, run):
@@ -453,7 +457,7 @@ def _task_calderon(cfg, out_dir, run):
     ok = diag["idempotency_defect"] < cfg["tolerances"]["idempotency"]
     # the y-coupled FD4 projector is O(h^4) off the exact one: ungated there
     if sysd.per_mode or sysd.grid.kind == "chebyshev":
-        metrics["oracle_defect"] = _oracle_defect(proj)
+        metrics["oracle_defect"] = _oracle_defect(proj, run.exact_projector())
         ok = ok and metrics["oracle_defect"] < cfg["tolerances"]["oracle"]
     metrics["a_linearity_defect"] = proj.a_linearity_defect(rng, trials=5)
     ok = ok and metrics["a_linearity_defect"] < 1e-10
@@ -465,7 +469,8 @@ def _task_symbol(cfg, out_dir, run):
     rng = np.random.default_rng(cfg["seed"])
     worst = 0.0
     count = 0
-    max_nodes = 0
+    max_iterations = 0
+    max_last_step = 0.0
     n_f = cfg["model"].n_fiber
     while count < 100:
         b = rng.standard_normal((n_f, n_f)) + 1j * rng.standard_normal(
@@ -476,15 +481,17 @@ def _task_symbol(cfg, out_dir, run):
         if np.abs(eigs).min() <= 0.1:
             continue
         count += 1
-        symbol, nodes = _principal_symbol_nodes(b)
-        max_nodes = max(max_nodes, nodes)
+        symbol, iterations, last_step = _principal_symbol_steps(b)
+        max_iterations = max(max_iterations, iterations)
+        max_last_step = max(max_last_step, last_step)
         dev = np.linalg.norm(symbol - spectral_projection_positive(b), 2)
         worst = max(worst, float(dev))
     metrics = {
         "contour_vs_eig": worst,
         "samples": count,
-        "symbol_method": "nested trapezoid, sign integral in log t",
-        "symbol_max_nodes": max_nodes,
+        "symbol_method": "scaled Newton sign iteration (Byers-Xu)",
+        "symbol_max_iterations": max_iterations,
+        "symbol_max_last_step": max_last_step,
     }
     ok = worst < 1e-10
     if not cfg["model"].y_dependent and cfg["model"].base == "cylinder":
@@ -502,7 +509,7 @@ def _task_symbol(cfg, out_dir, run):
 
 
 def _task_index(cfg, out_dir, run):
-    result = calderon_vs_aps_index(run.double())
+    result = calderon_vs_aps_index(run.double(), run.exact_projector())
     return "pass", result
 
 
@@ -551,7 +558,8 @@ def _task_convergence(cfg, out_dir, run):
         idem = proj.diagnostics()["idempotency_defect"]
         row = [n_u, green, idem]
         if sysd.per_mode:
-            oracles.append(_oracle_defect(proj))
+            exact = calderon_projector(sysd, method="exact")
+            oracles.append(_oracle_defect(proj, exact))
             row.append(oracles[-1])
         greens.append(green)
         idems.append(idem)
@@ -619,6 +627,9 @@ class _ScenarioRun:
     ``double()`` builds the double of the configured model and grid on
     first use and hands the same system to every later task; a build that
     raised re-raises the same error to every task that asks for it.
+    ``exact_projector()`` builds the exact (matrix-exponential) Calderon
+    projector of that double once, for the ``calderon`` oracle gate and
+    the ``index`` task.
     """
 
     def __init__(self, cfg, levels):
@@ -626,6 +637,7 @@ class _ScenarioRun:
         self.levels = levels
         self._double = None
         self._error = None
+        self._exact = None
 
     def double(self):
         if self._error is not None:
@@ -639,6 +651,11 @@ class _ScenarioRun:
                 self._error = exc
                 raise
         return self._double
+
+    def exact_projector(self):
+        if self._exact is None:
+            self._exact = calderon_projector(self.double(), method="exact")
+        return self._exact
 
 
 def _nan_keys(obj, prefix=""):

@@ -268,7 +268,8 @@ class ProductDiracModel:
         double then has one y-coupled channel), or None (= 0)
     w : optional self-adjoint sigma_1 term (segment only)
     holonomy : optional unitary ModuleOperator A^r -> A^r twisting the
-        y-periodicity; must commute with v (with V(y) at every sample)
+        y-periodicity (cylinder only); must commute with v (with V(y) at
+        every sample)
     """
 
     def __init__(self, base, algebra, r=1, v=None, w=None, holonomy=None):
@@ -310,6 +311,8 @@ class ProductDiracModel:
         if holonomy is None:
             self.h_rep = None
         else:
+            if base != "cylinder":
+                raise StructureError("a holonomy needs the cylinder base")
             self.h_rep = self._coerce_operator(holonomy, "holonomy")
             defect = np.linalg.norm(
                 self.h_rep @ self.h_rep.conj().T - np.eye(self.rm), 2

@@ -23,7 +23,7 @@ class CertificationError(CalderonError):
     """Raised when a numerical certificate cannot be established.
 
     Examples: a range that is not certifiably closed, a double system whose
-    smallest singular value is below tolerance, a sign integral pinched by
+    smallest singular value is below tolerance, a sign iteration pinched by
     an eigenvalue near zero.
     """
 

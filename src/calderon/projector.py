@@ -16,8 +16,7 @@ and eigenphase, or the one y-coupled channel), built from the 2x2 maps
 p(lambda) from jump data to traces of the real scalar systems A(lambda) of
 the double, the discrete P(e^{-lambda}).  Its principal symbol (the large
 |eta| limit of the u=0 block) is the positive spectral projection of b,
-computed independently by a trapezoidal rule for the integral form of the
-matrix sign.
+computed independently by the scaled Newton iteration for the matrix sign.
 """
 
 from __future__ import annotations
@@ -333,34 +332,32 @@ def calderon_projector(sys, method="collocation"):
     )
 
 
-# -- principal symbol by the sign integral -----------------------------
+# -- principal symbol by the scaled Newton sign iteration ---------------
 
 PINCH_TOL = 1e-6
+#: steps before the sign iteration gives up; Byers-Xu needs at most 9
+SIGN_MAX_STEPS = 16
 
 
-def principal_symbol(model_or_matrix, eta=None, tol=1e-12, max_doublings=10):
-    """Positive spectral projection of the tangential symbol, by the
-    integral form of the matrix sign.
+def principal_symbol(model_or_matrix, eta=None, tol=1e-12):
+    """Positive spectral projection P+ = (I + sign b)/2 of the tangential
+    symbol, by the scaled Newton iteration for the matrix sign.
 
     Accepts either a model plus frequency (the fiber matrix is B(eta)) or a
-    Hermitian matrix directly.  Computes
-
-        P+ = 1/2 + (1/pi) int t herm((b - i t)^{-1}) ds,   t = e^s,
-
-    with the trapezoidal rule in s over [log|lambda|_min - 40,
-    log|lambda|_max + 40] (the eigenvalues only set the window).  The
-    integrand is analytic in |Im s| < pi/2, so the rule converges like
-    exp(-pi^2 / h).  Starting at h ~ 1, each halving adds only the new
-    midpoints; it stops when successive levels agree to ``tol`` in the
+    Hermitian matrix directly.  From X = b, each step X <- herm((mu X +
+    X^{-1}/mu)/2) takes one inverse.  The Byers-Xu scaling mu_0 = 1/sqrt(ac),
+    mu_1 = sqrt(2 sqrt(ac)/(a + c)), mu <- 1/sqrt((mu + 1/mu)/2), with a and
+    c the largest and smallest |eigenvalue| (they only set the schedule),
+    reaches double precision in at most 9 steps.  It stops when a step
+    moves X by less than ``tol`` in the Frobenius norm, a bound on the
     2-norm.
     """
-    return _principal_symbol_nodes(model_or_matrix, eta, tol, max_doublings)[0]
+    return _principal_symbol_steps(model_or_matrix, eta, tol)[0]
 
 
-def _principal_symbol_nodes(
-    model_or_matrix, eta=None, tol=1e-12, max_doublings=10
-):
-    """:func:`principal_symbol` and the number of resolvents it inverted."""
+def _principal_symbol_steps(model_or_matrix, eta=None, tol=1e-12):
+    """:func:`principal_symbol`, its number of steps (one inverse each) and
+    the Frobenius norm of its last step."""
     if eta is not None or hasattr(model_or_matrix, "tangential_matrix"):
         b = model_or_matrix.tangential_matrix(eta)
     else:
@@ -370,33 +367,28 @@ def _principal_symbol_nodes(
     scale = max(1.0, np.linalg.norm(b, 2))
     if np.linalg.norm(b - b.conj().T, 2) > 1e-10 * scale:
         raise StructureError("tangential symbol must be self-adjoint")
-    eigs = np.abs(np.linalg.eigvalsh(0.5 * (b + b.conj().T)))
-    if eigs.min() < PINCH_TOL:
+    x = 0.5 * (b + b.conj().T)
+    eigs = np.abs(np.linalg.eigvalsh(x))
+    a, c = eigs.max(), eigs.min()
+    if c < PINCH_TOL:
         raise CertificationError(
-            "sign integral pinched: eigenvalue %.3e within %.0e of zero"
-            % (eigs.min(), PINCH_TOL)
+            "sign iteration pinched: eigenvalue %.3e within %.0e of zero"
+            % (c, PINCH_TOL)
         )
-    lo = np.log(eigs.min()) - 40.0
-    width = np.log(eigs.max()) + 40.0 - lo
-    panels = int(np.ceil(width))
-    h = width / panels
-    eye = np.eye(b.shape[0])
-    acc = np.zeros(b.shape, dtype=complex)  # sum of t (b - it)^{-1} so far
-    offsets = np.arange(panels + 1.0)  # the first level includes both ends
-    prev = None
-    for _ in range(max_doublings + 1):
-        t = np.exp(lo + h * offsets)
-        res = np.linalg.inv(b - 1j * t[:, None, None] * eye)
-        acc += np.einsum("k,kij->ij", t, res)
-        cur = 0.5 * eye + (h / (2.0 * np.pi)) * (acc + acc.conj().T)
-        if prev is not None and np.linalg.norm(cur - prev, 2) < tol:
-            return cur, panels + 1
-        prev = cur
-        panels *= 2
-        h *= 0.5
-        offsets = np.arange(1.0, panels, 2.0)  # the new midpoints
+    mu = 1.0 / np.sqrt(a * c)
+    for k in range(1, SIGN_MAX_STEPS + 1):
+        x, prev = 0.5 * (mu * x + np.linalg.inv(x) / mu), x
+        x = 0.5 * (x + x.conj().T)
+        step = float(np.linalg.norm(x - prev))
+        if step < tol:
+            return 0.5 * (np.eye(b.shape[0]) + x), k, step
+        mu = (
+            np.sqrt(2.0 * np.sqrt(a * c) / (a + c))
+            if k == 1
+            else 1.0 / np.sqrt(0.5 * (mu + 1.0 / mu))
+        )
     raise CertificationError(
-        "sign integral did not reach %.1e agreement" % tol
+        "sign iteration did not reach %.1e agreement" % tol
     )
 
 
@@ -489,9 +481,11 @@ def orthogonalized_calderon(projector):
     )
 
 
-def calderon_vs_aps_index(sys):
+def calderon_vs_aps_index(sys, exact=None):
     """Relative index of the APS projection against the Calderon range,
-    the latter from the exact graph projection of each channel.
+    the latter from the exact graph projection of each channel:
+    ``exact``, if the caller has built ``calderon_projector(sys,
+    method='exact')`` already.
 
     Both projectors are built over the same channels (the model's
     :meth:`~calderon.dirac.ProductDiracModel.mode_channels`, per mode or the
@@ -503,7 +497,7 @@ def calderon_vs_aps_index(sys):
     """
     model = sys.model
     n_y = sys.grid.n_y
-    c_proj = calderon_projector(sys, method="exact")
+    c_proj = calderon_projector(sys, method="exact") if exact is None else exact
     c_orth = orthogonalized_calderon(c_proj)
     pi_proj = aps_projection(model, n_y=n_y)
     index = relative_index(pi_proj.blocks, c_orth.blocks)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from calderon import cli
+from calderon import cli, projector
 from calderon.cli import ConfigError, main, parse_config
 from calderon.errors import CertificationError
 
@@ -303,6 +303,26 @@ def test_double_is_built_once_per_scenario(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
+    # the calderon oracle gate and the index share the exact projector
+    calls = []
+    exact = projector.exact_projector_block
+
+    def counting_exact(b_mat):
+        calls.append(1)
+        return exact(b_mat)
+
+    monkeypatch.setattr(projector, "exact_projector_block", counting_exact)
+    # in case the cli holds its own reference to the oracle
+    monkeypatch.setattr(
+        cli, "exact_projector_block", counting_exact, raising=False
+    )
+    cfg = parse_config(cylinder_config(tmp_path / "out"))
+    report = cli.run_scenario(cfg)
+    assert report["status"] == "pass"
+    assert len(calls) == len(cfg["model"].mode_channels(cfg["grid"].n_y))
+
+
 def test_failed_build_fails_every_task_that_needs_it(tmp_path, monkeypatch):
     calls = []
 
@@ -352,10 +372,11 @@ def test_symbol_reports_how_it_was_computed(tmp_path):
     raw = cylinder_config(out, tasks=["symbol"])
     assert main(["run", write_config(tmp_path, raw)]) == 0
     metrics = strict_report(out)["tasks"][0]["metrics"]
-    method = "nested trapezoid, sign integral in log t"
+    method = "scaled Newton sign iteration (Byers-Xu)"
     assert metrics["symbol_method"] == method
-    # at least two levels over a window wider than 80
-    assert metrics["symbol_max_nodes"] > 2 * 80
+    # one inverse per iteration; Byers-Xu needs at most 9, plus one to see it
+    assert 2 <= metrics["symbol_max_iterations"] <= 10
+    assert 0.0 <= metrics["symbol_max_last_step"] < 1e-12
     header = (out / "symbol_limit.csv").read_text().splitlines()[0]
     assert header == "eta,delta"
 
@@ -475,6 +496,16 @@ def test_holonomy_not_commuting_with_v_exits_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, raw)]) == 2
     assert "holonomy must commute with v" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_holonomy_on_segment_exits_2(tmp_path, capsys):
+    # the segment has no y-periodicity for a holonomy to twist
+    out = tmp_path / "out"
+    raw = segment_config(out)
+    raw["model"]["holonomy"] = {"kind": "phase", "angle_fraction": 0.25}
+    assert main(["run", write_config(tmp_path, raw)]) == 2
+    assert "holonomy needs the cylinder base" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- selfcheck and plumbing ---------------------------------------------

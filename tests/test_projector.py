@@ -306,22 +306,49 @@ def test_symbol_zero_tol_fails_to_certify():
         principal_symbol(np.diag([1.0, -1.0]).astype(complex), tol=0.0)
 
 
-def test_symbol_halving_reuses_nodes(monkeypatch):
+def _counting_inv(monkeypatch):
+    """Patch np.linalg.inv to record the number of matrices of each call."""
     inverted = []
     inv = np.linalg.inv
 
     def counting_inv(a):
-        inverted.append(a.shape[0])
+        inverted.append(int(np.prod(np.shape(a)[:-2])))
         return inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    return inverted
+
+
+def test_symbol_one_inverse_per_iteration(monkeypatch):
+    inverted = _counting_inv(monkeypatch)
     b = np.diag([2.0, -0.5]).astype(complex)
-    _, nodes = projector._principal_symbol_nodes(b)
-    # window [log 0.5 - 40, log 2 + 40], first panels of width h <= 1
-    first = int(np.ceil(np.log(2.0) - np.log(0.5) + 80.0))
-    final_grid = first * 2 ** (len(inverted) - 1) + 1
-    assert len(inverted) >= 2
-    assert sum(inverted) == nodes == final_grid
+    _, iterations, last_step = projector._principal_symbol_steps(b)
+    assert iterations >= 2
+    assert sum(inverted) == len(inverted) == iterations
+    assert last_step < 1e-12
+
+
+@pytest.mark.parametrize(
+    "eigs",
+    [[1e12, -1e-3], [1e6, -1e6, 0.5], [1e-3, 1e3, -2.0]],
+    ids=["extreme", "wide", "graded"],
+)
+def test_symbol_inverse_budget(eigs, rng, monkeypatch):
+    # the scaled Newton iteration needs at most 9 steps, plus one to see it
+    diag = np.diag(eigs).astype(complex)
+    u = np.linalg.qr(hermitian(rng, len(eigs)))[0]
+    rotated = u @ diag @ u.conj().T
+    fibers = [diag, 0.5 * (rotated + rotated.conj().T)]
+    while len(fibers) < 22:
+        b = hermitian(rng, 8)
+        if np.abs(np.linalg.eigvalsh(b)).min() > 0.1:
+            fibers.append(b)
+    inverted = _counting_inv(monkeypatch)
+    for b in fibers:
+        inverted.clear()
+        q = principal_symbol(b)
+        assert sum(inverted) <= 10
+        assert np.linalg.norm(q - spectral_projection_positive(b), 2) < 1e-10
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
