@@ -36,14 +36,16 @@ Every channel is solved and certified in the eigenbasis of its Hermitian
 tangential block b = U diag(lambda) U*.  The channel system kron(D, I) +
 kron(S, b) plus identity gluing rows is unitarily similar to the block
 diagonal of the scalar transmission systems A(lambda_k) = A(0) + lambda_k S
-of size 2(n_u+1), which are real because D and lambda_k are.  Its smallest
-singular value is the minimum over the full SVDs of the A(lambda_k) (no
-estimate).  No LU factors are stored: a solve is one batched
-``np.linalg.solve`` over the A(lambda_k) of the channel.  The
-eigendecomposition residual ||bU - U Lambda||_2 and the unitarity defect
-||U*U - I||_2 are kept with the channel: by Weyl's inequality the
-decoupled sigma_min is within ||bU - U Lambda||_2 + 2 ||b||_2 ||U*U - I||_2
-of that of the coupled channel system.
+of size 2(n_u+1), which are real because D and lambda_k are.  The double
+stores one A(lambda) per distinct eigenvalue of all its channels (only
+bit-identical ones merge, as the spectra of the modes eta and -eta do).
+Their full SVDs give each channel's smallest singular value (no
+estimate), and a solve is one batched ``np.linalg.solve`` over the
+channel's A(lambda_k); no LU factors are stored.  The eigendecomposition
+residual ||bU - U Lambda||_2 and the unitarity defect ||U*U - I||_2 are
+kept with the channel: by Weyl's inequality the decoupled sigma_min is
+within ||bU - U Lambda||_2 + 2 ||b||_2 ||U*U - I||_2 of that of the
+coupled channel system.
 
 :meth:`DoubleSystem.solve` is the one solve of the double: the inverse
 (:func:`invert_double`) and the Poisson operator are that transmission
@@ -553,17 +555,18 @@ def green_residual(model, s1, s2):
 class ChannelSystem:
     """One channel, decoupled in the eigenbasis of its tangential block.
 
-    ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``.  ``matrix`` stacks the
-    real scalar systems A(eigvals[k]) row-wise, shape (2q * 2(n_u+1),
-    2(n_u+1)), so its row count is the channel's number of unknowns.  No
-    LU factors are kept: :func:`_solve_channel` solves grid-level data in
-    one batched ``np.linalg.solve``; the projector solves two jump columns.
+    ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``; A(eigvals[k]) is
+    ``systems[rows[k]]``.  The read-only ``matrix`` stacks them row-wise (a
+    copy), shape (2q * 2(n_u+1), 2(n_u+1)), so its row count is the
+    channel's number of unknowns.  No LU factors are kept: one batched
+    ``np.linalg.solve`` (:func:`_solve_channel`) solves grid-level data.
     """
 
     channel: ModeChannel
     eigvals: np.ndarray  # (2q,)
     eigvecs: np.ndarray  # (2q, 2q)
-    matrix: np.ndarray
+    rows: np.ndarray  # (2q,) indices into systems
+    systems: np.ndarray  # the double's store (L, N, N), shared
     sigma_min: float
     kernel_dim: int
     eig_residual: float  # ||b U - U Lambda||_2
@@ -573,6 +576,10 @@ class ChannelSystem:
     # DoubleSystem.dense_lu) when it counts the bytes a system holds
     lu = None
 
+    @property
+    def matrix(self):
+        return self.systems[self.rows].reshape(-1, self.systems.shape[-1])
+
 
 @dataclass
 class DoubleSystem:
@@ -581,6 +588,8 @@ class DoubleSystem:
     model: ProductDiracModel
     grid: CollarGrid
     channels: list  # ChannelSystem, one per channel
+    eigvals: np.ndarray  # (L,) the distinct eigenvalues of all channels
+    systems: np.ndarray  # (L, N, N) their A(lambda): the one store
     sigma_min: float
     bound_constant: float
 
@@ -602,13 +611,15 @@ class DoubleSystem:
         return None if self.per_mode else self.channels[0].lu
 
     def certificate(self):
-        """How ``sigma_min`` was obtained: the method, the largest matrix
-        dimension put through a full SVD, and the largest
-        eigendecomposition residual and unitarity defect."""
+        """How ``sigma_min`` was obtained: the method, the size and number
+        of the full SVDs against the channels' scalar systems, and the
+        largest eigendecomposition residual and unitarity defect."""
         return {
             "sigma_min_method": "%s decoupled full SVD"
             % ("per-mode" if self.per_mode else "y-coupled"),
-            "svd_max_dim": int(self.channels[0].matrix.shape[1]),
+            "svd_max_dim": int(self.systems.shape[-1]),
+            "distinct_eigenvalues": len(self.eigvals),
+            "scalar_systems": sum(len(cs.rows) for cs in self.channels),
             "eig_residual": max(cs.eig_residual for cs in self.channels),
             "eig_unitarity_defect": max(
                 cs.unitarity_defect for cs in self.channels
@@ -672,26 +683,6 @@ def _scalar_systems(grid):
     s[np.arange(n), side1_rows] = 1.0
     s[n + np.arange(n), n + 1 + side2_rows] = 1.0
     return a0, s
-
-
-def _decoupled_channel(ch, a0, s):
-    """Eigendecompose b and certify the scalar systems of ``ch``."""
-    b = ch.b_mat
-    lam, vecs = np.linalg.eigh(b)
-    systems = a0 + lam[:, None, None] * s
-    sigma = float(np.linalg.svd(systems, compute_uv=False).min())
-    return ChannelSystem(
-        channel=ch,
-        eigvals=lam,
-        eigvecs=vecs,
-        matrix=systems.reshape(-1, a0.shape[1]),
-        sigma_min=sigma,
-        kernel_dim=_exact_kernel_dim(b),
-        eig_residual=float(np.linalg.norm(b @ vecs - vecs * lam, 2)),
-        unitarity_defect=float(
-            np.linalg.norm(vecs.conj().T @ vecs - np.eye(len(lam)), 2)
-        ),
-    )
 
 
 def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
@@ -784,20 +775,34 @@ def build_double(model, grid):
     bound_constant = 1 / sigma_min.
     """
     a0, s = _scalar_systems(grid)
-    systems = [
-        _decoupled_channel(ch, a0, s) for ch in model.mode_channels(grid.n_y)
+    channels = model.mode_channels(grid.n_y)
+    eigs = [np.linalg.eigh(ch.b_mat) for ch in channels]
+    lam = np.concatenate([w for w, _ in eigs])
+    lam, inv = np.unique(lam, return_inverse=True)  # exact equality only
+    systems = lam[:, None, None] * s
+    systems += a0  # a0 + lam S, with no second (L, N, N) temporary
+    sigmas = np.linalg.svd(systems, compute_uv=False).min(axis=1)
+    offsets = np.cumsum([len(w) for w, _ in eigs])[:-1]
+    channel_systems = [
+        ChannelSystem(
+            channel=ch, eigvals=w, eigvecs=u, rows=rows, systems=systems,
+            sigma_min=float(sigmas[rows].min()),
+            kernel_dim=_exact_kernel_dim(ch.b_mat),
+            eig_residual=float(np.linalg.norm(ch.b_mat @ u - u * w, 2)),
+            unitarity_defect=float(
+                np.linalg.norm(u.conj().T @ u - np.eye(len(w)), 2)
+            ),
+        )
+        for ch, (w, u), rows in zip(channels, eigs, np.split(inv, offsets))
     ]
-    sigma_min = float(min(cs.sigma_min for cs in systems))
+    sigma_min = float(sigmas.min())
     if sigma_min < DOUBLE_CERT_TOL:
         raise CertificationError(
             "double not certifiably invertible (sigma_min %.3e)" % sigma_min
         )
     return DoubleSystem(
-        model=model,
-        grid=grid,
-        channels=systems,
-        sigma_min=sigma_min,
-        bound_constant=1.0 / sigma_min,
+        model=model, grid=grid, channels=channel_systems, eigvals=lam,
+        systems=systems, sigma_min=sigma_min, bound_constant=1.0 / sigma_min,
     )
 
 
@@ -809,10 +814,9 @@ def _solve_channel(cs, rhs):
     interleaved real columns, so the real A(lambda_k) factor in real
     arithmetic."""
     u = cs.eigvecs
-    n = cs.matrix.shape[1]
     coef = u.conj().T @ rhs.reshape(-1, u.shape[0], rhs[0].size)
     sol = np.linalg.solve(
-        cs.matrix.reshape(-1, n, n), coef.transpose(1, 0, 2).view(float)
+        cs.systems[cs.rows], coef.transpose(1, 0, 2).view(float)
     ).view(complex).transpose(1, 0, 2)
     return (u @ sol).reshape(rhs.shape)
 
@@ -872,20 +876,16 @@ def ghost_solution_check(sys):
     rows and reports the smallest singular value of the stacked operator
     per channel; a trivial kernel certifies the absence of discrete ghost
     solutions.  The stack decouples in the eigenbasis of b into the real
-    scalar stacks [D + lambda I; e_0^T; e_n^T], one per eigenvalue.
+    scalar stacks [D + lambda I; e_0^T; e_n^T], one SVD per distinct
+    eigenvalue of the double.
     """
     n = sys.grid.n_u
     eye_nodes = np.eye(n + 1)
     base = np.vstack([sys.grid.diff_matrix(), eye_nodes[[0, n]]])
     select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
-    per_channel = [
-        float(
-            np.linalg.svd(
-                base + cs.eigvals[:, None, None] * select, compute_uv=False
-            ).min()
-        )
-        for cs in sys.channels
-    ]
+    lam = sys.eigvals[:, None, None]
+    sigmas = np.linalg.svd(base + lam * select, compute_uv=False).min(axis=1)
+    per_channel = [float(sigmas[cs.rows].min()) for cs in sys.channels]
     sigma = min(per_channel)
     return {
         "sigma_min": sigma,

@@ -275,19 +275,20 @@ def exact_projector_block(b_mat):
     return np.vstack([top, t @ top])
 
 
-def _collocation_projector_block(cs, grid):
-    """Channel block of C, (I_2 x U) [p_ij(lambda_k)] (I_2 x U*): p(lambda_k)
-    maps the jumps at the gluing rows 2 n_u, 2 n_u + 1 of A(lambda_k) to
-    the traces phi(0), phi(1), by one real 2-column solve per eigenvalue."""
-    n = cs.matrix.shape[1]
+def _collocation_blocks(sys):
+    """Channel blocks (I_2 x U) [p_ij(lambda_k)] (I_2 x U*) of C: p(lambda)
+    maps the jumps at rows 2 n_u, 2 n_u + 1 of A(lambda) to phi(0), phi(1),
+    by one batched real 2-column solve of the double's store."""
+    n = sys.systems.shape[-1]
     e = np.zeros((1, n, 2))
     e[0, [n - 2, n - 1], [0, 1]] = 1.0
-    p = np.linalg.solve(cs.matrix.reshape(-1, n, n), e)[:, [0, grid.n_u]]
-    u = cs.eigvecs
-    u_star = u.conj().T
-    return np.block(
-        [[(u * p[:, i, j]) @ u_star for j in (0, 1)] for i in (0, 1)]
-    )
+    p_all = np.linalg.solve(sys.systems, e)[:, [0, sys.grid.n_u]]
+    blocks = []
+    for cs in sys.channels:
+        u, u_star, p = cs.eigvecs, cs.eigvecs.conj().T, p_all[cs.rows]
+        upu = [[(u * p[:, i, j]) @ u_star for j in (0, 1)] for i in (0, 1)]
+        blocks.append(np.block(upu))
+    return blocks
 
 
 def poisson(sys, g, with_side2=False):
@@ -312,21 +313,20 @@ def calderon_projector(sys, method="collocation"):
     """Assemble the Calderon projector of the double system.
 
     One block per channel of the double.  ``method='collocation'`` reads
-    the traces of the discrete transmission solve under jump data, as one
-    2x2 trace map per eigenvalue of the channel's tangential block rotated
-    back with its eigenvectors; ``method='exact'`` is the
+    the traces of the discrete transmission solve under jump data, from
+    the 2x2 trace maps of the double's distinct eigenvalues rotated back
+    with each channel's eigenvectors; ``method='exact'`` is the
     matrix-exponential graph projection of the channel's tangential block
     (exact in u; on the y-coupled path the y-discretization stays).
     """
-    channel_blocks = []
-    for cs in sys.channels:
-        if method == "exact":
-            block = exact_projector_block(cs.channel.b_mat)
-        elif method == "collocation":
-            block = _collocation_projector_block(cs, sys.grid)
-        else:
-            raise StructureError("unknown method %r" % (method,))
-        channel_blocks.append((cs.channel, block))
+    channels = sys.channels
+    if method == "exact":
+        blocks = [exact_projector_block(cs.channel.b_mat) for cs in channels]
+    elif method == "collocation":
+        blocks = _collocation_blocks(sys)
+    else:
+        raise StructureError("unknown method %r" % (method,))
+    channel_blocks = [(cs.channel, b) for cs, b in zip(channels, blocks)]
     return BoundaryProjector(
         model=sys.model, n_y=sys.grid.n_y, channel_blocks=channel_blocks
     )

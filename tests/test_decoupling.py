@@ -21,12 +21,13 @@ from calderon.dirac import (
 from calderon.hilbmod import membership_defect
 from calderon.projector import BoundaryData, calderon_projector, poisson
 
-from conftest import fixture_models, hermitian, y_coupled_model
+from conftest import fixture_models, hermitian, twisted_model, y_coupled_model
 
 
 def decoupling_models():
-    """fixture_models() plus a segment with a sigma_1 term w and a cylinder
-    with V(y), whose double is one y-coupled channel, on either u-grid."""
+    """fixture_models() plus a segment with a sigma_1 term w, a cylinder
+    with V(y), whose double is one y-coupled channel, on either u-grid, and
+    a twisted cylinder whose eigenvalues are all distinct."""
     rng = np.random.default_rng(7)
     m2 = CStarAlgebra.matrix(2)
     segment_w = (
@@ -46,7 +47,17 @@ def decoupling_models():
         y_coupled_model(),
         CollarGrid(n_u=16, n_y=8, kind="chebyshev"),
     )
-    return fixture_models() + [segment_w, cylinder_vy, cylinder_vy_cheb]
+    cylinder_twisted = (
+        "cylinder-M2-twisted",
+        twisted_model(),
+        CollarGrid(n_u=16, n_y=8, kind="chebyshev"),
+    )
+    return fixture_models() + [
+        segment_w,
+        cylinder_vy,
+        cylinder_vy_cheb,
+        cylinder_twisted,
+    ]
 
 
 CASES = decoupling_models()
@@ -140,6 +151,10 @@ def test_certificate_records_method_and_residuals(case):
     assert cert["svd_max_dim"] == 2 * grid.n_nodes
     assert 0.0 <= cert["eig_residual"] < 1e-12
     assert 0.0 <= cert["eig_unitarity_defect"] < 1e-12
+    lam = np.concatenate([cs.eigvals for cs in sysd.channels])
+    assert cert["distinct_eigenvalues"] == len(np.unique(lam))
+    assert cert["distinct_eigenvalues"] == len(sysd.systems)
+    assert cert["scalar_systems"] == len(lam)
 
 
 def test_ghost_sigma_matches_coupled_stack(case):
@@ -209,3 +224,112 @@ def test_blockwise_diagnostics_match_assembled_matrix(case):
     ref_sa = np.linalg.norm(mat - mat.conj().T, 2)
     assert abs(diag["idempotency_defect"] - ref_idem) <= 1e-14
     assert abs(diag["self_adjointness_defect"] - ref_sa) <= 1e-14
+
+
+# -- the per-eigenvalue store: exact, not approximate ---------------------
+
+
+def count_real_matrices(monkeypatch, name):
+    """Count the real matrices passed to ``np.linalg.<name>``: the scalar
+    systems and ghost stacks are real, the exact oracles complex."""
+    counts = []
+    func = getattr(np.linalg, name)
+
+    def counted(a, *args, **kwargs):
+        a = np.asarray(a)
+        if a.dtype.kind == "f":
+            counts.append(int(np.prod(a.shape[:-2])))
+        return func(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_store_is_exact_and_certified_once_per_eigenvalue(case, monkeypatch):
+    """The store holds A(lambda) of each distinct eigenvalue bit for bit,
+    and each channel's sigma_min equals the SVD of its own scalar
+    systems; build_double makes one SVD per distinct eigenvalue."""
+    model, grid, sysd = case
+    a0, s = _scalar_systems(grid)
+    lam = np.concatenate([cs.eigvals for cs in sysd.channels])
+    assert np.array_equal(sysd.eigvals, np.unique(lam))
+    assert np.array_equal(sysd.systems, a0 + sysd.eigvals[:, None, None] * s)
+    for cs in sysd.channels:
+        own = a0 + cs.eigvals[:, None, None] * s
+        assert cs.systems is sysd.systems
+        assert np.array_equal(sysd.eigvals[cs.rows], cs.eigvals)
+        assert np.array_equal(cs.matrix, own.reshape(-1, a0.shape[1]))
+        assert cs.sigma_min == np.linalg.svd(own, compute_uv=False).min()
+    svds = count_real_matrices(monkeypatch, "svd")
+    again = build_double(model, grid)
+    assert svds == [len(sysd.eigvals)]
+    assert again.sigma_min == sysd.sigma_min
+
+
+def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
+    model, grid, sysd = case
+    n = grid.n_u
+    eye_nodes = np.eye(n + 1)
+    base = np.vstack([grid.diff_matrix(), eye_nodes[[0, n]]])
+    select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
+    svds = count_real_matrices(monkeypatch, "svd")
+    ghost = ghost_solution_check(sysd)
+    assert svds == [len(sysd.eigvals)]
+    monkeypatch.undo()
+    for cs, sigma in zip(sysd.channels, ghost["per_channel"]):
+        stack = base + cs.eigvals[:, None, None] * select
+        assert sigma == np.linalg.svd(stack, compute_uv=False).min()
+
+
+def test_collocation_blocks_are_the_per_channel_trace_maps(case, monkeypatch):
+    """Each block equals the 2-column solve of the channel's own scalar
+    systems, rotated back; the projector solves each distinct eigenvalue
+    once."""
+    model, grid, sysd = case
+    a0, s = _scalar_systems(grid)
+    n = a0.shape[1]
+    e = np.zeros((1, n, 2))
+    e[0, [n - 2, n - 1], [0, 1]] = 1.0
+    solves = count_real_matrices(monkeypatch, "solve")
+    proj = calderon_projector(sysd)
+    assert solves == [len(sysd.eigvals)]
+    monkeypatch.undo()
+    for cs, (_, block) in zip(sysd.channels, proj.channel_blocks):
+        own = a0 + cs.eigvals[:, None, None] * s
+        p = np.linalg.solve(own, e)[:, [0, grid.n_u]]
+        u = cs.eigvecs
+        ref = np.block(
+            [[(u * p[:, i, j]) @ u.conj().T for j in (0, 1)] for i in (0, 1)]
+        )
+        assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize(
+    "name, distinct, total, pairs",
+    [
+        ("cylinder-M2", 20, 36, 4),
+        ("cylinder-M2-antiperiodic", 10, 36, 4),
+        ("cylinder-M2-twisted", 20, 20, 0),
+    ],
+)
+def test_opposite_frequencies_share_their_rows(name, distinct, total, pairs):
+    """B(-xi) = Sigma B(xi) Sigma with Sigma = sigma_3 x I: the channels of
+    opposite frequency xi = eta + shift have the same spectrum, bit for
+    bit, and so the same rows of the store.  With V = 0 the spectrum of
+    B(xi) is +-xi, each twice, which leaves 10 of 36."""
+    model, grid = next((m, g) for n, m, g in CASES if n == name)
+    sysd = build_double(model, grid)
+    assert len(sysd.systems) == distinct
+    assert sum(len(cs.rows) for cs in sysd.channels) == total
+    by_freq = {
+        (cs.channel.shift, cs.channel.eta + cs.channel.shift): cs.rows
+        for cs in sysd.channels
+    }
+    opposite = [
+        (rows, by_freq[shift, -freq])
+        for (shift, freq), rows in by_freq.items()
+        if freq > 0 and (shift, -freq) in by_freq
+    ]
+    assert len(opposite) == pairs
+    for rows, mirrored in opposite:
+        assert np.array_equal(rows, mirrored)
