@@ -39,25 +39,14 @@ from .dirac import (
     y_points,
 )
 from .projector import (
-    _principal_symbol_steps,
     calderon_projector,
     calderon_vs_aps_index,
+    principal_symbol,
     spectral_projection_positive,
     symbol_limit_check,
 )
 
 REPORT_SCHEMA_VERSION = 1
-
-TASKS = (
-    "module-check",
-    "sobolev-check",
-    "double",
-    "calderon",
-    "symbol",
-    "index",
-    "convergence",
-)
-
 
 class ConfigError(Exception):
     """Raised for any config that does not match the schema."""
@@ -257,9 +246,9 @@ def parse_config(raw):
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("tasks must be a non-empty list")
     for t in tasks:
-        if t not in TASKS:
+        if t not in _TASK_FUNCS:
             raise ConfigError(
-                "unknown task %r (choose from %s)" % (t, list(TASKS))
+                "unknown task %r (choose from %s)" % (t, list(_TASK_FUNCS))
             )
 
     tolerances = raw.get("tolerances", {})
@@ -392,9 +381,7 @@ def _task_sobolev_check(cfg, out_dir, run):
         sobolev.torus_inner(sobolev.lambda_pm(f, +1), g)
         - sobolev.torus_inner(f, sobolev.lambda_pm(g, -1))
     )
-    lap = sobolev.FourierMultiplier(
-        lambda xi, eta: 1.0 + xi**2 + eta**2, order_shift=-2.0
-    )
+    lap = sobolev.FourierMultiplier(lambda xi, eta: 1.0 + xi**2 + eta**2)
     prod_dev = (
         sobolev.lambda_pm(sobolev.lambda_pm(f, -1), +1) - lap.apply(f)
     ).l2_norm()
@@ -481,7 +468,7 @@ def _task_symbol(cfg, out_dir, run):
         if np.abs(eigs).min() <= 0.1:
             continue
         count += 1
-        symbol, iterations, last_step = _principal_symbol_steps(b)
+        symbol, iterations, last_step = principal_symbol(b)
         max_iterations = max(max_iterations, iterations)
         max_last_step = max(max_last_step, last_step)
         dev = np.linalg.norm(symbol - spectral_projection_positive(b), 2)

@@ -21,10 +21,11 @@ closures on a uniform grid.  The channels come from V
 (:meth:`ProductDiracModel.mode_channels`): a constant V gives one channel
 per dealiased y-mode and holonomy eigenphase; a V(y) gives a single
 channel whose tangential block is B over all (y-point, fiber)
-coordinates, pseudospectral in y and Hermitian as well.  The coordinates
-of that channel are the boundary samples themselves, so gathering data
-into it and scattering a solution back are reshapes; past that, every
-channel runs the same code on either u-grid.
+coordinates, pseudospectral in y and Hermitian as well.  The double's
+channel list is the one channel map: data is gathered into all mode
+channels by one y-FFT and scattered back by one inverse y-FFT; on the
+y-coupled channel, whose coordinates are the boundary samples, both are
+reshapes.  Past that, every channel runs the same code on either u-grid.
 
 A holonomy H, s(y + 2 pi) = H s(y), is taken in the periodic gauge
 s = e^{iy Theta} p, Theta = sum of shift * basis basis^* over the
@@ -238,18 +239,18 @@ class CollarFunction:
 @dataclass
 class ModeChannel:
     """One channel block: the integer frequency ``eta`` of the periodic
-    part, the eigenphase ``shift`` and the fiber basis.
+    part, the eigenphase ``shift`` and the channel's embedding.
 
-    ``basis`` embeds the channel's twist subspace into the full twist fiber
-    C^(r*m); ``b_mat`` is B(eta + shift) on spinor x subspace.  The
-    y-coupled channel has eta = 0, no basis, and ``b_mat`` is B over all
-    (y-point, fiber) coordinates: its coordinates are the boundary samples
-    themselves.
+    ``embedding`` = diag(basis, basis) embeds the channel's coordinates,
+    spinor x eigenphase subspace (orthonormal ``basis``, (rm, q)), into the
+    full fiber; ``b_mat`` is B(eta + shift) on them.  The y-coupled
+    channel has eta = 0, no embedding, and ``b_mat`` is B over all
+    (y-point, fiber) coordinates: the boundary samples themselves.
     """
 
     eta: float
     shift: float
-    basis: np.ndarray  # (r*m, q), or None on the y-coupled channel
+    embedding: np.ndarray  # (2rm, 2q), or None on the y-coupled channel
     b_mat: np.ndarray  # (2q, 2q)
 
     @property
@@ -423,7 +424,8 @@ class ProductDiracModel:
         """The channels of the double on n_y boundary points.
 
         Constant V: one tangential block per dealiased frequency and
-        holonomy eigenphase.  V(y): the one y-coupled channel, whose block
+        holonomy eigenphase (on the segment, n_y = 1: the one block
+        B(0)).  V(y): the one y-coupled channel, whose block
         is B over all (y-point, fiber) coordinates, i.e. the operator of
         :func:`_tangential_apply` applied to the identity.
         """
@@ -431,28 +433,19 @@ class ProductDiracModel:
             n = n_y * self.n_fiber
             eye = np.eye(n, dtype=complex).reshape(1, n_y, self.n_fiber, n)
             b = _tangential_apply(self, n_y, eye).reshape(n, n)
-            return [ModeChannel(eta=0.0, shift=0.0, basis=None, b_mat=b)]
+            return [ModeChannel(0.0, 0.0, None, b)]
         channels = []
-        if self.base == "segment":
-            channels.append(
-                ModeChannel(
-                    eta=0.0,
-                    shift=0.0,
-                    basis=np.eye(self.rm, dtype=complex),
-                    b_mat=self.tangential_matrix(0.0),
-                )
-            )
-            return channels
         cut = mode_radius(n_y)
         for shift, basis in self.holonomy_channels():
             v_sub = basis.conj().T @ self.v_rep @ basis
+            # diag(basis, basis) by slice assignment: np.kron would write
+            # 0 * (-x) = -0.0 into the off-blocks
+            q = basis.shape[1]
+            embedding = np.zeros((self.n_fiber, 2 * q), dtype=complex)
+            embedding[: self.rm, :q] = embedding[self.rm :, q:] = basis
             for eta in range(-cut, cut + 1):
                 b = self.tangential_matrix(eta + shift, v_sub)
-                channels.append(
-                    ModeChannel(
-                        eta=float(eta), shift=shift, basis=basis, b_mat=b
-                    )
-                )
+                channels.append(ModeChannel(float(eta), shift, embedding, b))
         return channels
 
 
@@ -596,8 +589,8 @@ class DoubleSystem:
     @property
     def per_mode(self):
         """False on the double of a V(y) model, whose one channel has no
-        basis."""
-        return all(cs.channel.basis is not None for cs in self.channels)
+        embedding."""
+        return all(cs.channel.embedding is not None for cs in self.channels)
 
     # dense_matrix and dense_lu are read-only aliases of channels[0].matrix
     # and channels[0].lu on the y-coupled channel (None per mode); they stay
@@ -634,23 +627,34 @@ class DoubleSystem:
         tau = f2, phi(0) - tau(0) = jump0 and phi(1) + tau(1) = jump1.
 
         ``f1``/``f2`` have shape (n_nodes, n_y, n_fiber, cols), the jumps
-        (n_y, n_fiber, cols); omitted data is zero.
+        (n_y, n_fiber, cols); omitted data is zero.  Each given array is
+        gathered into every channel by one y-FFT, and the channel solutions
+        are scattered back by one inverse y-FFT.
         """
         grid = self.grid
         data = (f1, f2, jump0, jump1)
-        given = next(a for a in data if a is not None)
-        out = np.zeros((2, grid.n_nodes) + given.shape[-3:], dtype=complex)
-        for cs in self.channels:
-            ch = cs.channel
-            gathered = (
-                None if a is None else _values_to_channel(a, ch, grid.n_y)
-                for a in data
-            )
-            rhs = _channel_rhs(grid, ch.dim, *gathered)
-            sol = _solve_channel(cs, rhs).reshape(
-                (2, grid.n_nodes, ch.dim) + rhs.shape[1:]
-            )
-            _channel_to_values(sol, ch, grid.n_y, out)
+        cols = np.shape(next(a for a in data if a is not None))[-1]
+        fiber = (grid.n_y, self.model.n_fiber, cols)
+        shapes = [(grid.n_nodes,) + fiber] * 2 + [fiber] * 2
+        for a, shape in zip(data, shapes):
+            if a is not None and np.shape(a) != shape:
+                raise StructureError(
+                    "data shape %r, grid shape %r" % (np.shape(a), shape)
+                )
+        channels = [cs.channel for cs in self.channels]
+        gathered = [
+            [None] * len(channels) if a is None
+            else _values_to_channels(a, channels, grid.n_y)
+            for a in data
+        ]
+        sols = [
+            _solve_channel(cs, _channel_rhs(grid, cs.channel.dim, *parts))
+            .reshape(2, grid.n_nodes, cs.channel.dim, cols)
+            for cs, *parts in zip(self.channels, *gathered)
+        ]
+        out = _channels_to_values(
+            sols, channels, grid.n_y, (2, grid.n_nodes) + fiber
+        )
         return out[0], out[1]
 
 
@@ -821,37 +825,32 @@ def _solve_channel(cs, rhs):
     return (u @ sol).reshape(rhs.shape)
 
 
-def _values_to_channel(values, ch, n_y):
-    """Coefficients of channel ``ch`` in values sampled on the boundary
-    circle, shape (..., n_y, n_fiber, cols): for a mode channel the
-    y-Fourier coefficient of frequency ``ch.eta`` in the channel's twist
-    subspace, (..., 2q, cols); for the y-coupled channel (no basis) the
-    samples themselves, (..., n_y * n_fiber, cols)."""
-    if ch.basis is None:
-        return values.reshape(values.shape[:-3] + (-1, values.shape[-1]))
+def _values_to_channels(values, channels, n_y):
+    """The coefficients of each channel in values sampled on the boundary
+    circle, shape (..., n_y, n_fiber, cols), from one y-FFT: per mode
+    channel embedding^* c_eta, (..., 2q, cols), with c_eta the y-Fourier
+    coefficient of its frequency; on the y-coupled channel (no embedding)
+    the samples themselves, (..., n_y * n_fiber, cols)."""
+    if channels[0].embedding is None:
+        return [values.reshape(values.shape[:-3] + (-1, values.shape[-1]))]
     coeffs = np.fft.fft(values, axis=-3) / n_y
-    slab = coeffs[..., int(ch.eta) % n_y, :, :]
-    rm = ch.basis.shape[0]
-    top = np.einsum("fq,...fm->...qm", ch.basis.conj(), slab[..., :rm, :])
-    bot = np.einsum("fq,...fm->...qm", ch.basis.conj(), slab[..., rm:, :])
-    return np.concatenate([top, bot], axis=-2)
+    return [
+        ch.embedding.conj().T @ coeffs[..., int(ch.eta) % n_y, :, :]
+        for ch in channels
+    ]
 
 
-def _channel_to_values(channel_vals, ch, n_y, out):
-    """Add the samples of channel coefficients (..., 2q, cols) to ``out``,
-    shape (..., n_y, n_fiber, cols): the inverse of
-    :func:`_values_to_channel` on the channel."""
-    if ch.basis is None:
-        out += channel_vals.reshape(out.shape)
-        return out
-    rm, q = ch.basis.shape
-    top, bot = channel_vals[..., :q, :], channel_vals[..., q:, :]
-    slab = np.zeros(top.shape[:-2] + (2 * rm, top.shape[-1]), dtype=complex)
-    slab[..., :rm, :] = np.einsum("fq,...qm->...fm", ch.basis, top)
-    slab[..., rm:, :] = np.einsum("fq,...qm->...fm", ch.basis, bot)
-    phase = np.exp(1j * ch.eta * y_points(n_y))
-    out += phase[:, None, None] * slab[..., None, :, :]
-    return out
+def _channels_to_values(channel_vals, channels, n_y, shape):
+    """The samples, of the given shape (..., n_y, n_fiber, cols), of one
+    coefficient array per channel: the inverse of :func:`_values_to_channels`
+    by one inverse y-FFT of the frequency slabs embedding @ c."""
+    if channels[0].embedding is None:
+        (vals,) = channel_vals
+        return vals.reshape(shape)
+    coeffs = np.zeros(shape, dtype=complex)
+    for ch, c in zip(channels, channel_vals):
+        coeffs[..., int(ch.eta) % n_y, :, :] += ch.embedding @ c
+    return np.fft.ifft(coeffs, axis=-3) * n_y
 
 
 def invert_double(sys, f1, f2=None):
@@ -859,8 +858,11 @@ def invert_double(sys, f1, f2=None):
 
     ``f1`` is the side-1 right-hand side for D+ phi = f1 (E^- valued);
     ``f2`` the pulled-back side-2 rhs for (-d/du + B) tau = f2 (defaults to
-    zero).  Returns the pair (phi, tau) of CollarFunctions.
+    zero).  Both must live on the double's grid.  Returns the pair (phi,
+    tau) of CollarFunctions.
     """
+    if any(f is not None and f.grid != sys.grid for f in (f1, f2)):
+        raise StructureError("right-hand side is not on the double's grid")
     g_star = sys.model.g_rep.conj().T
     phi, tau = sys.solve(
         f1=np.einsum("ij,uyjm->uyim", g_star, f1.values),

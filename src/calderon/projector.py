@@ -17,6 +17,9 @@ p(lambda) from jump data to traces of the real scalar systems A(lambda) of
 the double, the discrete P(e^{-lambda}).  Its principal symbol (the large
 |eta| limit of the u=0 block) is the positive spectral projection of b,
 computed independently by the scaled Newton iteration for the matrix sign.
+The spectral (APS) projection is stored the same way, its blocks read from
+the eigenpairs of b that the double already holds, and the relative index
+of the two is taken channel block by channel block.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 
 from .dirac import (
     CollarFunction,
-    _channel_to_values,
-    _values_to_channel,
+    _channels_to_values,
+    _values_to_channels,
     expm,
     mode_radius,
     y_points,
@@ -113,21 +116,14 @@ class BoundaryData:
             self.model, self.n_y, self.g0 - other.g0, self.g1 - other.g1
         )
 
-    # -- mode transforms ----------------------------------------------
-    # the two traces are gathered and scattered as a 2-node axis
-
-    def channel_coeff(self, ch):
-        """Stacked (2 * ch.dim, m) coefficient of one channel."""
-        traces = np.stack([self.g0, self.g1])
-        coeff = _values_to_channel(traces, ch, self.n_y)
-        return coeff.reshape(-1, self.model.m)
-
     @classmethod
     def from_channel_coeffs(cls, model, n_y, coeffs):
-        """Inverse of channel_coeff: coeffs is a list of (channel, (2d, m))."""
-        traces = np.zeros((2, n_y, model.n_fiber, model.m), dtype=complex)
-        for ch, c in coeffs:
-            _channel_to_values(c.reshape(2, ch.dim, -1), ch, n_y, traces)
+        """Traces from channel coefficients: ``coeffs`` is a list of
+        (channel, (2 * channel.dim, m)) pairs, the two traces stacked."""
+        channels = [ch for ch, _ in coeffs]
+        vals = [c.reshape(2, ch.dim, -1) for ch, c in coeffs]
+        shape = (2, n_y, model.n_fiber, model.m)
+        traces = _channels_to_values(vals, channels, n_y, shape)
         return cls(model, n_y, traces[0], traces[1])
 
 
@@ -145,7 +141,7 @@ class BoundaryProjector:
     frequency: per mode, a block acts on the full-fiber double trace
     (2 * n_fiber complex dimensions) of one frequency, and with holonomy it
     is the sum of the embedded eigenphase-channel blocks.  The y-coupled
-    projector has one channel, with no basis: its block acts on all
+    projector has one channel, with no embedding: its block acts on all
     (component, y, fiber) coordinates and is its one full block.
     """
 
@@ -155,13 +151,13 @@ class BoundaryProjector:
 
     @property
     def per_mode(self):
-        """False on the y-coupled projector, whose channel has no basis."""
-        return all(ch.basis is not None for ch, _ in self.channel_blocks)
+        """False on the y-coupled projector (no channel embedding)."""
+        return all(ch.embedding is not None for ch, _ in self.channel_blocks)
 
     @cached_property
     def blocks(self):
         """Full-fiber blocks, one per integer frequency."""
-        return _group_by_eta(self.model, self.channel_blocks)
+        return _group_by_eta(self.channel_blocks)
 
     def matrix(self):
         """Assembled complex matrix (deterministic mode ordering)."""
@@ -176,13 +172,20 @@ class BoundaryProjector:
         return ModuleOperator(self.model.algebra, rank, rank, mat)
 
     def apply(self, g):
-        """Apply to boundary data."""
+        """Apply to boundary data on the projector's grid: the two traces
+        are gathered into every channel by one y-FFT, and scattered back
+        by one inverse y-FFT."""
         if g.model is not self.model and g.model.n_fiber != self.model.n_fiber:
             raise StructureError("boundary data model mismatch")
-        coeffs = []
-        for ch, block in self.channel_blocks:
-            coeffs.append((ch, block @ g.channel_coeff(ch)))
-        return BoundaryData.from_channel_coeffs(self.model, self.n_y, coeffs)
+        if g.n_y != self.n_y:
+            raise StructureError("data on n_y %d, not %d" % (g.n_y, self.n_y))
+        channels = [ch for ch, _ in self.channel_blocks]
+        coeffs = _values_to_channels(np.stack([g.g0, g.g1]), channels, g.n_y)
+        out = [
+            (ch, block @ c.reshape(-1, self.model.m))
+            for (ch, block), c in zip(self.channel_blocks, coeffs)
+        ]
+        return BoundaryData.from_channel_coeffs(self.model, self.n_y, out)
 
     def diagnostics(self):
         """Idempotency and self-adjointness defects (2-norm), dimension and
@@ -235,26 +238,20 @@ def _block_diag(blocks):
     return out
 
 
-def _embed_channel_block(model, ch, block):
+def _embed_channel_block(ch, block):
     """Embed a (2d x 2d) channel block into the full-fiber double trace."""
-    if ch.basis is None:  # the y-coupled channel acts on it already
+    if ch.embedding is None:  # the y-coupled channel acts on it already
         return block
-    rm = model.rm
-    n_f = model.n_fiber
-    q = ch.basis.shape[1]
-    e_f = np.zeros((n_f, 2 * q), dtype=complex)
-    e_f[:rm, :q] = ch.basis
-    e_f[rm:, q:] = ch.basis
-    e_b = _block_diag([e_f, e_f])
+    e_b = _block_diag([ch.embedding, ch.embedding])
     return e_b @ block @ e_b.conj().T
 
 
-def _group_by_eta(model, channel_blocks):
+def _group_by_eta(channel_blocks):
     """Sum embedded channel blocks sharing an integer frequency, ascending."""
     by_eta = {}
     for ch, block in channel_blocks:
         key = int(round(ch.eta))
-        emb = _embed_channel_block(model, ch, block)
+        emb = _embed_channel_block(ch, block)
         if key in by_eta:
             by_eta[key] = by_eta[key] + emb
         else:
@@ -339,29 +336,20 @@ PINCH_TOL = 1e-6
 SIGN_MAX_STEPS = 16
 
 
-def principal_symbol(model_or_matrix, eta=None, tol=1e-12):
-    """Positive spectral projection P+ = (I + sign b)/2 of the tangential
-    symbol, by the scaled Newton iteration for the matrix sign.
+def principal_symbol(b, tol=1e-12):
+    """Positive spectral projection P+ = (I + sign b)/2 of a Hermitian
+    fiber matrix ``b`` by the scaled Newton iteration for the matrix sign,
+    with its number of steps (one inverse each) and the Frobenius norm of
+    its last step.
 
-    Accepts either a model plus frequency (the fiber matrix is B(eta)) or a
-    Hermitian matrix directly.  From X = b, each step X <- herm((mu X +
-    X^{-1}/mu)/2) takes one inverse.  The Byers-Xu scaling mu_0 = 1/sqrt(ac),
-    mu_1 = sqrt(2 sqrt(ac)/(a + c)), mu <- 1/sqrt((mu + 1/mu)/2), with a and
-    c the largest and smallest |eigenvalue| (they only set the schedule),
-    reaches double precision in at most 9 steps.  It stops when a step
-    moves X by less than ``tol`` in the Frobenius norm, a bound on the
-    2-norm.
+    From X = b, each step X <- herm((mu X + X^{-1}/mu)/2) takes one
+    inverse.  The Byers-Xu scaling mu_0 = 1/sqrt(ac), mu_1 = sqrt(2
+    sqrt(ac)/(a + c)), mu <- 1/sqrt((mu + 1/mu)/2), with a and c the
+    largest and smallest |eigenvalue| (they only set the schedule), reaches
+    double precision in at most 9 steps.  It stops when a step moves X by
+    less than ``tol`` in the Frobenius norm, a bound on the 2-norm.
     """
-    return _principal_symbol_steps(model_or_matrix, eta, tol)[0]
-
-
-def _principal_symbol_steps(model_or_matrix, eta=None, tol=1e-12):
-    """:func:`principal_symbol`, its number of steps (one inverse each) and
-    the Frobenius norm of its last step."""
-    if eta is not None or hasattr(model_or_matrix, "tangential_matrix"):
-        b = model_or_matrix.tangential_matrix(eta)
-    else:
-        b = np.asarray(model_or_matrix, dtype=complex)
+    b = np.asarray(b, dtype=complex)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise StructureError("fiber matrix must be square")
     scale = max(1.0, np.linalg.norm(b, 2))
@@ -392,13 +380,21 @@ def _principal_symbol_steps(model_or_matrix, eta=None, tol=1e-12):
     )
 
 
-def spectral_projection_positive(b_mat, zero_tol=1e-10):
+#: eigenvalues of magnitude up to this are kernel; the spectral
+#: projections below put the kernel on the positive side
+ZERO_EIG_TOL = 1e-10
+
+
+def _positive_part(eigvals, eigvecs):
+    """Projection onto the eigenvectors with eigenvalue >= -ZERO_EIG_TOL."""
+    v = eigvecs[:, eigvals >= -ZERO_EIG_TOL]
+    return v @ v.conj().T
+
+
+def spectral_projection_positive(b_mat):
     """Eigendecomposition projection onto eigenvalues > 0 (kernel included)."""
     b_mat = np.asarray(b_mat, dtype=complex)
-    eigs, vecs = np.linalg.eigh(0.5 * (b_mat + b_mat.conj().T))
-    mask = eigs >= -zero_tol
-    v = vecs[:, mask]
-    return v @ v.conj().T
+    return _positive_part(*np.linalg.eigh(0.5 * (b_mat + b_mat.conj().T)))
 
 
 def symbol_limit_check(model, etas=(2, 4, 8, 16)):
@@ -445,26 +441,23 @@ def symbol_limit_check(model, etas=(2, 4, 8, 16)):
 # -- APS projection and the index comparison ---------------------------
 
 
-def aps_projection(model, n_y=None, eta=None):
-    """Spectral boundary projection, per mode or assembled.
+def aps_projection(sys):
+    """Spectral boundary projection over the channels of the double.
 
-    On the double trace of mode eta the block is diag(P+(B), P+(-B)): the
+    On the double trace of a channel the block is diag(P+(b), P+(-b)): the
     inward normal at the second boundary circle reverses the tangential
-    operator.  Kernel eigenvalues are assigned to the positive side.
+    operator.  Both come from the eigenpairs b = U diag(lambda) U* that
+    the double already holds (``eigvecs``, ``eigvals``), so no further
+    eigendecomposition is taken.  Kernel eigenvalues (|lambda| <=
+    ``ZERO_EIG_TOL``) are assigned to the positive side of both.
     """
-
-    def block(b):
-        return _block_diag(
-            [spectral_projection_positive(b), spectral_projection_positive(-b)]
-        )
-
-    if eta is not None:
-        return block(model.tangential_matrix(eta))
-    if n_y is None:
-        raise StructureError("need n_y for the assembled projection")
-    channel_blocks = [(ch, block(ch.b_mat)) for ch in model.mode_channels(n_y)]
+    channel_blocks = []
+    for cs in sys.channels:
+        w, u = cs.eigvals, cs.eigvecs
+        halves = [_positive_part(w, u), _positive_part(-w, u)]
+        channel_blocks.append((cs.channel, _block_diag(halves)))
     return BoundaryProjector(
-        model=model, n_y=n_y, channel_blocks=channel_blocks
+        model=sys.model, n_y=sys.grid.n_y, channel_blocks=channel_blocks
     )
 
 
@@ -487,21 +480,21 @@ def calderon_vs_aps_index(sys, exact=None):
     ``exact``, if the caller has built ``calderon_projector(sys,
     method='exact')`` already.
 
-    Both projectors are built over the same channels (the model's
-    :meth:`~calderon.dirac.ProductDiracModel.mode_channels`, per mode or the
-    one y-coupled channel) and compared with hilbmod.relative_index, block
-    by block per integer frequency; the result is an integer
-    (complex-dimension counting) reported with the frequency set it counts:
-    ``mode_radius`` (|eta| <= n_y // 3) per mode, ``y_frequencies`` = n_y
-    on the y-coupled channel, which counts every y-frequency.
+    Both projectors are built over the channels of the double (per mode
+    and eigenphase, or the one y-coupled channel), the APS blocks from its
+    eigenpairs, and compared with hilbmod.relative_index channel block by
+    channel block; ranks add over a direct sum, so the result is the
+    integer (complex-dimension counting) of the assembled matrices.  It is
+    reported with the frequency set it counts: ``mode_radius`` (|eta| <=
+    n_y // 3) per mode, ``y_frequencies`` = n_y on the y-coupled channel,
+    which counts every y-frequency.
     """
-    model = sys.model
     n_y = sys.grid.n_y
     c_proj = calderon_projector(sys, method="exact") if exact is None else exact
-    c_orth = orthogonalized_calderon(c_proj)
-    pi_proj = aps_projection(model, n_y=n_y)
-    index = relative_index(pi_proj.blocks, c_orth.blocks)
-    out = {"index": int(index), "dimension": sum(map(len, c_orth.blocks))}
+    c_blocks = [b for _, b in orthogonalized_calderon(c_proj).channel_blocks]
+    aps_blocks = [b for _, b in aps_projection(sys).channel_blocks]
+    index = relative_index(aps_blocks, c_blocks)
+    out = {"index": int(index), "dimension": sum(map(len, c_blocks))}
     if sys.per_mode:
         out["mode_radius"] = mode_radius(n_y)
     else:

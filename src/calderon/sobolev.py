@@ -81,9 +81,9 @@ class GridSpec:
 class GridFunction:
     """Sampled section: values of shape (n_u_points, n_y, rows, cols)."""
 
-    __slots__ = ("spec", "values", "algebra")
+    __slots__ = ("spec", "values")
 
-    def __init__(self, spec, values, algebra=None):
+    def __init__(self, spec, values):
         values = np.asarray(values, dtype=complex)
         if values.ndim == 2:
             values = values[:, :, None, None]
@@ -96,7 +96,6 @@ class GridFunction:
             )
         self.spec = spec
         self.values = values
-        self.algebra = algebra
 
     @property
     def fiber_shape(self):
@@ -104,18 +103,17 @@ class GridFunction:
 
     def copy(self, values=None):
         return GridFunction(
-            self.spec, self.values.copy() if values is None else values,
-            self.algebra,
+            self.spec, self.values.copy() if values is None else values
         )
 
     def __add__(self, other):
-        return GridFunction(self.spec, self.values + other.values, self.algebra)
+        return GridFunction(self.spec, self.values + other.values)
 
     def __sub__(self, other):
-        return GridFunction(self.spec, self.values - other.values, self.algebra)
+        return GridFunction(self.spec, self.values - other.values)
 
     def __rmul__(self, scalar):
-        return GridFunction(self.spec, complex(scalar) * self.values, self.algebra)
+        return GridFunction(self.spec, complex(scalar) * self.values)
 
     def l2_norm(self):
         """Mean-square norm over grid points, Frobenius in the fiber."""
@@ -124,7 +122,7 @@ class GridFunction:
         )
 
     @classmethod
-    def single_mode(cls, spec, k_u, k_y=0, fiber=None, algebra=None):
+    def single_mode(cls, spec, k_u, k_y=0, fiber=None):
         """Unit-amplitude Fourier mode exp(i(pi k_u u + k_y y)) * fiber."""
         if spec.half:
             raise StructureError("single modes are torus functions")
@@ -134,12 +132,11 @@ class GridFunction:
         if fiber is None:
             fiber = np.ones((1, 1), dtype=complex)
         fiber = np.asarray(fiber, dtype=complex)
-        return cls(spec, phase[:, :, None, None] * fiber, algebra)
+        return cls(spec, phase[:, :, None, None] * fiber)
 
     @classmethod
     def random_band_limited(
-        cls, spec, rng, band_u=None, band_y=None, fiber_shape=(1, 1),
-        algebra=None,
+        cls, spec, rng, band_u=None, band_y=None, fiber_shape=(1, 1)
     ):
         """Random function with modes restricted to |k_u|<=band_u, |k_y|<=band_y."""
         if spec.half:
@@ -160,7 +157,7 @@ class GridFunction:
         values = np.fft.ifft2(coeffs, axes=(0, 1)) * np.sqrt(
             spec.n_u * spec.n_y
         )
-        return cls(spec, values, algebra)
+        return cls(spec, values)
 
 
 def fft(f):
@@ -170,10 +167,8 @@ def fft(f):
     return np.fft.fft2(f.values, axes=(0, 1))
 
 
-def ifft(f_spec, coeffs, algebra=None):
-    return GridFunction(
-        f_spec, np.fft.ifft2(coeffs, axes=(0, 1)), algebra
-    )
+def ifft(f_spec, coeffs):
+    return GridFunction(f_spec, np.fft.ifft2(coeffs, axes=(0, 1)))
 
 
 class FourierMultiplier:
@@ -184,9 +179,8 @@ class FourierMultiplier:
     two trailing fiber-matrix axes.
     """
 
-    def __init__(self, symbol, order_shift=0.0):
+    def __init__(self, symbol):
         self.symbol = symbol
-        self.order_shift = float(order_shift)
 
     def apply(self, f):
         coeffs = fft(f)
@@ -198,7 +192,7 @@ class FourierMultiplier:
             coeffs = coeffs * sym[:, :, None, None]
         else:
             coeffs = np.einsum("uyij,uyjk->uyik", sym, coeffs)
-        return ifft(f.spec, coeffs, f.algebra)
+        return ifft(f.spec, coeffs)
 
 
 def sobolev_norm(f, s):
@@ -241,7 +235,7 @@ def lambda_pm(f, sign):
     def symbol(xi_u, eta):
         return -sign * 1j * xi_u + np.sqrt(1.0 + eta**2)
 
-    return FourierMultiplier(symbol, order_shift=-1.0).apply(f)
+    return FourierMultiplier(symbol).apply(f)
 
 
 def embed_adjoint(h):
@@ -250,7 +244,7 @@ def embed_adjoint(h):
     def symbol(xi_u, eta):
         return 1.0 / (1.0 + xi_u**2 + eta**2)
 
-    return FourierMultiplier(symbol, order_shift=2.0).apply(h)
+    return FourierMultiplier(symbol).apply(h)
 
 
 def extend_reflect(f):
@@ -264,7 +258,7 @@ def extend_reflect(f):
     values[: half + 1] = f.values
     for j in range(half + 1, n_u):
         values[j] = -f.values[n_u - j]
-    return GridFunction(spec, values, f.algebra)
+    return GridFunction(spec, values)
 
 
 def restrict(g):
@@ -272,7 +266,7 @@ def restrict(g):
     if g.spec.half:
         raise StructureError("already a half-domain function")
     half = g.spec.n_u // 2
-    return GridFunction(g.spec.as_half(), g.values[: half + 1].copy(), g.algebra)
+    return GridFunction(g.spec.as_half(), g.values[: half + 1].copy())
 
 
 def extend_adjoint(g):
@@ -291,19 +285,13 @@ def extend_adjoint(g):
     values[half] = g.values[half]
     for j in range(1, half):
         values[j] = g.values[j] - g.values[n_u - j]
-    return GridFunction(g.spec.as_half(), values, g.algebra)
-
-
-def half_inner(f, g):
-    """Plain discrete pairing on the half-domain (unit node weights).
-
-    Companion of :func:`extend_adjoint`; pair it with ``torus_inner`` for
-    the exact adjoint identity.
-    """
-    return complex(np.sum(f.values.conj() * g.values))
+    return GridFunction(g.spec.as_half(), values)
 
 
 def torus_inner(f, g):
+    """Plain discrete pairing (unit node weights), on the torus or the
+    half-domain: with :func:`extend_adjoint` it gives the exact adjoint
+    identity."""
     return complex(np.sum(f.values.conj() * g.values))
 
 

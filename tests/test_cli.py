@@ -8,6 +8,7 @@ import pytest
 
 from calderon import cli, projector
 from calderon.cli import ConfigError, main, parse_config
+from calderon.dirac import ProductDiracModel
 from calderon.errors import CertificationError
 
 
@@ -321,6 +322,24 @@ def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
     report = cli.run_scenario(cfg)
     assert report["status"] == "pass"
     assert len(calls) == len(cfg["model"].mode_channels(cfg["grid"].n_y))
+
+
+def test_one_channel_map_per_scenario(tmp_path, monkeypatch):
+    # the double, the projector and the index all read the double's channels
+    calls = []
+    mode_channels = ProductDiracModel.mode_channels
+
+    def counting_mode_channels(self, n_y):
+        calls.append(n_y)
+        return mode_channels(self, n_y)
+
+    monkeypatch.setattr(
+        ProductDiracModel, "mode_channels", counting_mode_channels
+    )
+    cfg = parse_config(cylinder_config(tmp_path / "out"))
+    assert cfg["tasks"] == ["double", "calderon", "index"]
+    assert cli.run_scenario(cfg)["status"] == "pass"
+    assert calls == [cfg["grid"].n_y]
 
 
 def test_failed_build_fails_every_task_that_needs_it(tmp_path, monkeypatch):

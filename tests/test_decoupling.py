@@ -19,7 +19,14 @@ from calderon.dirac import (
     invert_double,
 )
 from calderon.hilbmod import membership_defect
-from calderon.projector import BoundaryData, calderon_projector, poisson
+from calderon.projector import (
+    BoundaryData,
+    _block_diag,
+    aps_projection,
+    calderon_projector,
+    poisson,
+    spectral_projection_positive,
+)
 
 from conftest import fixture_models, hermitian, twisted_model, y_coupled_model
 
@@ -207,6 +214,18 @@ def test_invert_double_and_poisson_match_coupled_solve(case, monkeypatch):
     ref = invert_double(sysd, f1, f2) + poisson(sysd, g, with_side2=True)
     for a, b in zip(fast, ref):
         assert rel_diff(a.values, b.values) < 1e-12
+
+
+def test_aps_blocks_from_the_double_match_eigh_of_b(case):
+    """diag(P+(b), P+(-b)) from the double's eigenpairs is the projection
+    from a fresh eigendecomposition of each channel's b."""
+    _, _, sysd = case
+    for ch, block in aps_projection(sysd).channel_blocks:
+        b = ch.b_mat
+        ref = _block_diag(
+            [spectral_projection_positive(b), spectral_projection_positive(-b)]
+        )
+        assert np.linalg.norm(block - ref, 2) < 1e-12
 
 
 def test_blockwise_diagnostics_match_assembled_matrix(case):

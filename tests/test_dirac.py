@@ -333,6 +333,20 @@ def test_invert_double_analytic_exact(rng):
     assert np.abs(tau.values - phi_ex).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "other",
+    [CollarGrid(20, 12, "chebyshev"), CollarGrid(16, 12, "uniform")],
+    ids=["20x12-chebyshev", "16x12-uniform"],
+)
+def test_invert_double_rejects_rhs_on_another_grid(other, rng):
+    model, _ = cylinder_fixture()
+    sysd = build_double(model, CollarGrid(16, 12, "chebyshev"))
+    shape = (other.n_nodes, other.n_y, model.n_fiber, model.m)
+    f = CollarFunction(other, rng.standard_normal(shape) + 0j)
+    with pytest.raises(StructureError):
+        invert_double(sysd, f)
+
+
 def test_invert_double_dense_y_dependent_order():
     alg = CStarAlgebra.matrix(2)
     base = np.diag([0.9, -0.4]).astype(complex)

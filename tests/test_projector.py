@@ -7,6 +7,7 @@ from calderon.csalg import CStarAlgebra
 from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
+    _values_to_channels,
     apply_dirac,
     build_double,
 )
@@ -56,12 +57,58 @@ def built_vy():
 def test_boundary_data_mode_roundtrip(built, built_vy, rng):
     for model, grid, sysd in (built, built_vy):
         g = BoundaryData.random_band_limited(model, grid.n_y, rng)
+        channels = [cs.channel for cs in sysd.channels]
+        traces = np.stack([g.g0, g.g1])
         coeffs = [
-            (cs.channel, g.channel_coeff(cs.channel)) for cs in sysd.channels
+            (ch, c.reshape(-1, model.m))
+            for ch, c in zip(
+                channels, _values_to_channels(traces, channels, grid.n_y)
+            )
         ]
         back = BoundaryData.from_channel_coeffs(model, grid.n_y, coeffs)
         assert np.abs(back.g0 - g.g0).max() < 1e-12
         assert np.abs(back.g1 - g.g1).max() < 1e-12
+
+
+def _counting(monkeypatch, namespace, name):
+    """Patch ``namespace.name`` to record each call; returns the record."""
+    calls = []
+    func = getattr(namespace, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(namespace, name, counting)
+    return calls
+
+
+def test_per_mode_apply_takes_one_y_fft(built, rng, monkeypatch):
+    """Both traces are gathered into every channel by one y-FFT."""
+    model, grid, sysd = built
+    proj = calderon_projector(sysd)
+    g = BoundaryData.random_band_limited(model, grid.n_y, rng)
+    calls = _counting(monkeypatch, np.fft, "fft")
+    proj.apply(g)
+    assert len(sysd.channels) > 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", ["per-mode", "y-coupled"])
+def test_apply_rejects_data_on_another_grid(path, built, built_vy, rng):
+    model, grid, sysd = built if path == "per-mode" else built_vy
+    g = BoundaryData.random_band_limited(model, 16, rng)
+    assert grid.n_y != 16
+    with pytest.raises(StructureError):
+        calderon_projector(sysd).apply(g)
+
+
+def test_poisson_rejects_data_on_another_grid(built, rng):
+    model, grid, sysd = built
+    g = BoundaryData.random_band_limited(model, 16, rng)
+    assert grid.n_y != 16
+    with pytest.raises(StructureError):
+        poisson(sysd, g)
 
 
 # -- Cauchy space oracle ------------------------------------------------
@@ -260,14 +307,15 @@ def test_poisson_reproduces_cauchy_data(built, rng):
 
 
 def test_symbol_scalar_cases():
-    assert np.abs(principal_symbol(np.array([[1.0 + 0j]])) - 1.0).max() < 1e-12
-    q = principal_symbol(np.diag([1.0, -1.0]).astype(complex))
+    q = principal_symbol(np.array([[1.0 + 0j]]))[0]
+    assert np.abs(q - 1.0).max() < 1e-12
+    q = principal_symbol(np.diag([1.0, -1.0]).astype(complex))[0]
     assert np.abs(q - np.diag([1.0, 0.0])).max() < 1e-12
 
 
 def test_symbol_model_interface(built):
     model, _, _ = built
-    q = principal_symbol(model, eta=3.0)
+    q = principal_symbol(model.tangential_matrix(3.0))[0]
     b = model.tangential_matrix(3.0)
     assert np.linalg.norm(q - spectral_projection_positive(b), 2) < 1e-10
 
@@ -281,7 +329,7 @@ def test_symbol_random_hermitian(rng):
             continue
         done += 1
         dev = np.linalg.norm(
-            principal_symbol(b) - spectral_projection_positive(b), 2
+            principal_symbol(b)[0] - spectral_projection_positive(b), 2
         )
         assert dev < 1e-10
 
@@ -296,7 +344,7 @@ def test_symbol_wide_spectra(eigs, rng):
     for b in (diag, u @ diag @ u.conj().T):
         b = 0.5 * (b + b.conj().T)
         dev = np.linalg.norm(
-            principal_symbol(b) - spectral_projection_positive(b), 2
+            principal_symbol(b)[0] - spectral_projection_positive(b), 2
         )
         assert dev < 1e-10
 
@@ -322,7 +370,7 @@ def _counting_inv(monkeypatch):
 def test_symbol_one_inverse_per_iteration(monkeypatch):
     inverted = _counting_inv(monkeypatch)
     b = np.diag([2.0, -0.5]).astype(complex)
-    _, iterations, last_step = projector._principal_symbol_steps(b)
+    _, iterations, last_step = principal_symbol(b)
     assert iterations >= 2
     assert sum(inverted) == len(inverted) == iterations
     assert last_step < 1e-12
@@ -346,7 +394,7 @@ def test_symbol_inverse_budget(eigs, rng, monkeypatch):
     inverted = _counting_inv(monkeypatch)
     for b in fibers:
         inverted.clear()
-        q = principal_symbol(b)
+        q = principal_symbol(b)[0]
         assert sum(inverted) <= 10
         assert np.linalg.norm(q - spectral_projection_positive(b), 2) < 1e-10
 
@@ -364,7 +412,7 @@ def test_symbol_scaled_hermitian_property(mags, signs, c, seed):
     h = u @ np.diag(eigs) @ u.conj().T
     h = 0.5 * (h + h.conj().T)
     dev = np.linalg.norm(
-        principal_symbol(c * h) - spectral_projection_positive(c * h), 2
+        principal_symbol(c * h)[0] - spectral_projection_positive(c * h), 2
     )
     assert dev < 1e-10
 
@@ -415,16 +463,20 @@ def test_aps_conventions():
 def test_aps_matches_symbol_large_eta():
     alg = CStarAlgebra.matrix(2)
     model = ProductDiracModel("cylinder", alg, v=np.zeros((2, 2)))
-    per_mode = aps_projection(model, eta=8.0)
+    sysd = build_double(model, CollarGrid(n_u=8, n_y=24, kind="chebyshev"))
+    (per_mode,) = [
+        block for ch, block in aps_projection(sysd).channel_blocks
+        if ch.eta == 8.0
+    ]
     b = model.tangential_matrix(8.0)
-    q = principal_symbol(b)
+    q = principal_symbol(b)[0]
     n = b.shape[0]
     assert np.linalg.norm(per_mode[:n, :n] - q, 2) < 1e-10
 
 
 def test_aps_assembled_projector(built, rng):
-    model, grid, _ = built
-    proj = aps_projection(model, n_y=grid.n_y)
+    model, grid, sysd = built
+    proj = aps_projection(sysd)
     diag = proj.diagnostics()
     assert diag["idempotency_defect"] < 1e-12
     assert diag["self_adjointness_defect"] < 1e-12
@@ -619,21 +671,36 @@ def test_index_reports_the_frequency_set_it_counts():
 
 
 def test_index_blocks_match_assembled():
+    """The index of the channel blocks, of the per-frequency blocks and of
+    the assembled matrices agree, also with two holonomy eigenphases, where
+    a frequency block sums two embedded channel blocks."""
     from calderon.hilbmod import relative_index
 
     alg = CStarAlgebra.matrix(2)
     grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
-    model = ProductDiracModel(
+    kernel = ProductDiracModel(
         "cylinder", alg, v=np.diag([1.0, 0.0]).astype(complex)
     )
-    orth = orthogonalized_calderon(
-        calderon_projector(build_double(model, grid), method="exact")
-    )
-    aps = aps_projection(model, n_y=grid.n_y)
-    assembled = relative_index(
-        aps.as_module_operator(), orth.as_module_operator()
-    )
-    assert relative_index(aps.blocks, orth.blocks) == assembled == 2
+    for model, expected in ((kernel, 2), (twisted_model(), 0)):
+        sysd = build_double(model, grid)
+        orth = orthogonalized_calderon(
+            calderon_projector(sysd, method="exact")
+        )
+        aps = aps_projection(sysd)
+        assembled = relative_index(
+            aps.as_module_operator(), orth.as_module_operator()
+        )
+        assert relative_index(aps.blocks, orth.blocks) == assembled
+        assert assembled == expected
+        assert calderon_vs_aps_index(sysd)["index"] == assembled
+
+
+def test_index_takes_no_eigh(built, monkeypatch):
+    """The APS blocks come from the eigenpairs the double already holds."""
+    _, _, sysd = built
+    calls = _counting(monkeypatch, np.linalg, "eigh")
+    calderon_vs_aps_index(sysd)
+    assert calls == []
 
 
 def test_index_self_comparison(built):
