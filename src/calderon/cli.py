@@ -424,14 +424,12 @@ def _task_double(cfg, out_dir, run):
     return ("pass" if ok else "fail"), metrics
 
 
-def _oracle_defect(proj, exact):
+def _oracle_defect(proj, sysd):
     """Largest 2-norm distance of a channel block from its exact graph
-    projection, the same channel's block of ``exact``."""
+    projection, which the double ``sysd`` stores for the same channel."""
     return max(
-        float(np.linalg.norm(block - oracle, 2))
-        for (_, block), (_, oracle) in zip(
-            proj.channel_blocks, exact.channel_blocks
-        )
+        float(np.linalg.norm(block - cs.exact_block, 2))
+        for (_, block), cs in zip(proj.channel_blocks, sysd.channels)
     )
 
 
@@ -444,7 +442,7 @@ def _task_calderon(cfg, out_dir, run):
     ok = diag["idempotency_defect"] < cfg["tolerances"]["idempotency"]
     # the y-coupled FD4 projector is O(h^4) off the exact one: ungated there
     if sysd.per_mode or sysd.grid.kind == "chebyshev":
-        metrics["oracle_defect"] = _oracle_defect(proj, run.exact_projector())
+        metrics["oracle_defect"] = _oracle_defect(proj, sysd)
         ok = ok and metrics["oracle_defect"] < cfg["tolerances"]["oracle"]
     metrics["a_linearity_defect"] = proj.a_linearity_defect(rng, trials=5)
     ok = ok and metrics["a_linearity_defect"] < 1e-10
@@ -496,7 +494,7 @@ def _task_symbol(cfg, out_dir, run):
 
 
 def _task_index(cfg, out_dir, run):
-    result = calderon_vs_aps_index(run.double(), run.exact_projector())
+    result = calderon_vs_aps_index(run.double())
     return "pass", result
 
 
@@ -545,8 +543,7 @@ def _task_convergence(cfg, out_dir, run):
         idem = proj.diagnostics()["idempotency_defect"]
         row = [n_u, green, idem]
         if sysd.per_mode:
-            exact = calderon_projector(sysd, method="exact")
-            oracles.append(_oracle_defect(proj, exact))
+            oracles.append(_oracle_defect(proj, sysd))
             row.append(oracles[-1])
         greens.append(green)
         idems.append(idem)
@@ -613,10 +610,9 @@ class _ScenarioRun:
 
     ``double()`` builds the double of the configured model and grid on
     first use and hands the same system to every later task; a build that
-    raised re-raises the same error to every task that asks for it.
-    ``exact_projector()`` builds the exact (matrix-exponential) Calderon
-    projector of that double once, for the ``calderon`` oracle gate and
-    the ``index`` task.
+    raised re-raises the same error to every task that asks for it.  The
+    double carries its exact oracle, so the ``calderon`` oracle gate and
+    the ``index`` task read the exact Calderon blocks from it.
     """
 
     def __init__(self, cfg, levels):
@@ -624,7 +620,6 @@ class _ScenarioRun:
         self.levels = levels
         self._double = None
         self._error = None
-        self._exact = None
 
     def double(self):
         if self._error is not None:
@@ -638,11 +633,6 @@ class _ScenarioRun:
                 self._error = exc
                 raise
         return self._double
-
-    def exact_projector(self):
-        if self._exact is None:
-            self._exact = calderon_projector(self.double(), method="exact")
-        return self._exact
 
 
 def _nan_keys(obj, prefix=""):

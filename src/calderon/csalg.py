@@ -18,6 +18,11 @@ from .errors import SpectrumError, StructureError
 _MAX_MATRIX_N = 8
 _MAX_GROUP_ORDER = 24
 
+#: relative distance from the group-algebra span accepted by ``element``
+SPAN_TOL = 1e-10
+#: relative Hermitian defect and negative spectrum accepted by is_positive
+POSITIVITY_TOL = 1e-10
+
 
 def cyclic_table(n):
     """Cayley table of Z/n (entry [i][j] = i+j mod n, identity = 0)."""
@@ -165,16 +170,16 @@ class CStarAlgebra:
         )
         return float(defect) if defect.ndim == 0 else defect
 
-    def element(self, mat, check=True, tol=1e-10):
+    def element(self, mat):
         """Wrap a representing matrix as an algebra element.
 
         For group algebras the matrix must lie in the span of the regular
-        representation (within ``tol``); it is re-projected to kill rounding.
+        representation (within SPAN_TOL); it is re-projected to kill rounding.
         """
         mat = np.asarray(mat, dtype=complex)
         if self.kind == "group":
             proj = self.project_matrix(mat)
-            if check and np.linalg.norm(mat - proj, 2) > tol * max(
+            if np.linalg.norm(mat - proj, 2) > SPAN_TOL * max(
                 1.0, np.linalg.norm(mat, 2)
             ):
                 raise StructureError(
@@ -307,13 +312,11 @@ def spectrum(a):
         ) from exc
 
 
-def is_positive(a, tol=1e-10):
-    """True iff ``a`` is Hermitian within ``tol`` with spectrum >= -tol."""
-    if tol < 0:
-        raise StructureError("tol must be >= 0")
+def is_positive(a):
+    """True iff ``a`` is Hermitian with spectrum >= 0, to POSITIVITY_TOL."""
     herm_defect = np.linalg.norm(a.mat - a.mat.conj().T, 2)
-    if herm_defect > tol * max(1.0, np.linalg.norm(a.mat, 2)):
+    if herm_defect > POSITIVITY_TOL * max(1.0, np.linalg.norm(a.mat, 2)):
         return False
     h = 0.5 * (a.mat + a.mat.conj().T)
     eigs = np.linalg.eigvalsh(h)
-    return bool(eigs.min() >= -tol)
+    return bool(eigs.min() >= -POSITIVITY_TOL)

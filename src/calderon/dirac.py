@@ -236,6 +236,19 @@ class CollarFunction:
 # -- the model ----------------------------------------------------------
 
 
+def _norms(a):
+    """2-norm of a matrix, or of each matrix of a stack."""
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
+def _check_self_adjoint(a, name):
+    """Refuse a matrix, or a stack of them, that is not self-adjoint to
+    1e-12 relative to its 2-norm."""
+    asym = _norms(a - np.swapaxes(a.conj(), -1, -2))
+    if np.any(asym > 1e-12 * np.maximum(1.0, _norms(a))):
+        raise StructureError("%s must be self-adjoint" % name)
+
+
 @dataclass
 class ModeChannel:
     """One channel block: the integer frequency ``eta`` of the periodic
@@ -295,10 +308,7 @@ class ProductDiracModel:
             self.v_rep = np.zeros((self.rm, self.rm), dtype=complex)
         else:
             self.v_rep = self._coerce_operator(v, "v")
-            if np.linalg.norm(self.v_rep - self.v_rep.conj().T, 2) > 1e-12 * max(
-                1.0, np.linalg.norm(self.v_rep, 2)
-            ):
-                raise StructureError("v must be self-adjoint")
+            _check_self_adjoint(self.v_rep, "v")
 
         if w is not None and base != "segment":
             raise StructureError("the sigma_1 term is for the segment model")
@@ -306,10 +316,7 @@ class ProductDiracModel:
             self.w_rep = np.zeros((self.rm, self.rm), dtype=complex)
         else:
             self.w_rep = self._coerce_operator(w, "w")
-            if np.linalg.norm(self.w_rep - self.w_rep.conj().T, 2) > 1e-12 * max(
-                1.0, np.linalg.norm(self.w_rep, 2)
-            ):
-                raise StructureError("w must be self-adjoint")
+            _check_self_adjoint(self.w_rep, "w")
 
         if holonomy is None:
             self.h_rep = None
@@ -322,12 +329,13 @@ class ProductDiracModel:
             )
             if defect > 1e-10:
                 raise StructureError("holonomy must be unitary")
-            self._check_commutes(self.v_samples(1)[0])
-        self._check_clifford()
+        if self.v_rep is not None:
+            self._check_commutes(self.v_rep)
+        self._check_clifford()  # evaluates a V(y) at y = 0 by v_samples
 
     def _check_commutes(self, v):
         h = self.h_rep
-        if h is not None and np.linalg.norm(h @ v - v @ h, 2) > 1e-10:
+        if h is not None and np.any(_norms(h @ v - v @ h) > 1e-10):
             raise StructureError("holonomy must commute with v")
 
     def _coerce_operator(self, op, name):
@@ -383,14 +391,14 @@ class ProductDiracModel:
         return self.v_callable is not None
 
     def v_samples(self, n_y):
-        """Samples of V(y) on the y-grid, shape (n_y, rm, rm)."""
-        y = y_points(n_y)
-        if self.v_callable is not None:
-            out = np.stack(
-                [np.asarray(self.v_callable(yj), dtype=complex) for yj in y]
-            )
-        else:
-            out = np.broadcast_to(self.v_rep, (n_y,) + self.v_rep.shape).copy()
+        """Samples of V(y) on the y-grid, shape (n_y, rm, rm).  A V(y) is
+        sampled only here, so each sample is checked here, as a constant V
+        is when the model is built: self-adjoint, commuting with H."""
+        if self.v_callable is None:
+            return np.broadcast_to(self.v_rep, (n_y,) + self.v_rep.shape).copy()
+        out = np.array([self.v_callable(y) for y in y_points(n_y)], complex)
+        _check_self_adjoint(out, "v")
+        self._check_commutes(out)
         return out
 
     def holonomy_channels(self):
@@ -462,8 +470,6 @@ def _tangential_apply(model, n_y, values):
     b0 = np.stack([model.tangential_matrix(0.0, v) for v in v_samples])
     out = np.einsum("yij,uyjm->uyim", b0, values)
     if n_y > 1:
-        for v in v_samples:
-            model._check_commutes(v)
         theta = sum(s * e @ e.conj().T for s, e in model.holonomy_channels())
         rm = model.rm
         eta = np.fft.fftfreq(n_y, d=1.0 / n_y)
@@ -561,7 +567,8 @@ class ChannelSystem:
     rows: np.ndarray  # (2q,) indices into systems
     systems: np.ndarray  # the double's store (L, N, N), shared
     sigma_min: float
-    kernel_dim: int
+    kernel_dim: int  # of the continuum matching problem (exact_channel)
+    exact_block: np.ndarray  # (4q, 4q) P(e^{-b}), exact (exact_channel)
     eig_residual: float  # ||b U - U Lambda||_2
     unitarity_defect: float  # ||U* U - I||_2
 
@@ -755,17 +762,20 @@ def expm(a):
     return r
 
 
-def _exact_kernel_dim(b_mat):
-    """Kernel dimension of the continuum matching problem of one channel.
-
-    Side-1 solutions exp(-uB) a and side-2 solutions exp(uB) c match iff
-    a = c and (exp(B) + exp(-B)) a = 0.  For self-adjoint B that matrix is
-    2 cosh B >= 2, so a singular value below 1 marks a kernel direction.
-    (A threshold relative to the largest singular value, about
-    exp(||B||), would count rounding as kernel once ||B|| is large.)
-    """
-    s = np.linalg.svd(expm(b_mat) + expm(-b_mat), compute_uv=False)
-    return int(np.sum(s < 1.0))
+def exact_channel(b_mat):
+    """Exact oracle of one channel from M = exp(B) + exp(-B): the graph
+    projection P(T), T = exp(-B), with first block row (1 + T^2)^-1 [1, T]
+    = M^-1 [exp(B), 1], and the kernel dimension of the matching problem.
+    Side-1 and side-2 solutions exp(-uB) a and exp(uB) c match iff a = c
+    and M a = 0.  For self-adjoint B, M = 2 cosh B >= 2, so a singular
+    value of M below 1 marks a kernel direction (a threshold relative to
+    the largest, about exp(||B||), would count rounding)."""
+    b = np.asarray(b_mat, dtype=complex)
+    t, e_plus = expm(-b), expm(b)
+    m_mat = e_plus + t
+    kernel_dim = int(np.sum(np.linalg.svd(m_mat, compute_uv=False) < 1.0))
+    top = np.linalg.solve(m_mat, np.hstack([e_plus, np.eye(len(t))]))
+    return np.vstack([top, t @ top]), kernel_dim
 
 
 def build_double(model, grid):
@@ -776,7 +786,7 @@ def build_double(model, grid):
     path.  The certificate is sigma_min of the channel systems, each from
     its decoupled scalar systems (see the module docstring); the discrete
     analogue of the lower bound ||sigma|| <= C ||D sigma|| is reported as
-    bound_constant = 1 / sigma_min.
+    bound_constant = 1 / sigma_min.  Each channel keeps its exact oracle.
     """
     a0, s = _scalar_systems(grid)
     channels = model.mode_channels(grid.n_y)
@@ -787,18 +797,18 @@ def build_double(model, grid):
     systems += a0  # a0 + lam S, with no second (L, N, N) temporary
     sigmas = np.linalg.svd(systems, compute_uv=False).min(axis=1)
     offsets = np.cumsum([len(w) for w, _ in eigs])[:-1]
-    channel_systems = [
-        ChannelSystem(
+    channel_systems = []
+    for ch, (w, u), rows in zip(channels, eigs, np.split(inv, offsets)):
+        block, kernel_dim = exact_channel(ch.b_mat)
+        channel_systems.append(ChannelSystem(
             channel=ch, eigvals=w, eigvecs=u, rows=rows, systems=systems,
             sigma_min=float(sigmas[rows].min()),
-            kernel_dim=_exact_kernel_dim(ch.b_mat),
+            kernel_dim=kernel_dim, exact_block=block,
             eig_residual=float(np.linalg.norm(ch.b_mat @ u - u * w, 2)),
             unitarity_defect=float(
                 np.linalg.norm(u.conj().T @ u - np.eye(len(w)), 2)
             ),
-        )
-        for ch, (w, u), rows in zip(channels, eigs, np.split(inv, offsets))
-    ]
+        ))
     sigma_min = float(sigmas.min())
     if sigma_min < DOUBLE_CERT_TOL:
         raise CertificationError(

@@ -20,6 +20,12 @@ from .errors import CertificationError, StructureError
 
 #: relative singular-value threshold for numerical rank decisions
 RANK_RTOL = 1e-9
+#: smallest eigenvalue of T*T that certifies a closed range
+GAP_TOL = 1e-9
+#: relative idempotency defect accepted by the orthogonalization
+IDEM_TOL = 1e-8
+#: relative projection defects accepted by the relative index
+PROJECTION_TOL = 1e-10
 
 
 class ModuleVector:
@@ -261,16 +267,15 @@ class ClosedRangeReport:
     gap_adjoint: float
 
 
-def closed_range_gap(T, gap_tol=1e-9):
+def closed_range_gap(T):
     """Spectral gap of T*T above zero, certifying closed range.
 
     ``gap`` is the smallest nonzero eigenvalue of T*T in the representation
     (0 for the zero operator); zero eigenvalues are identified with the
     relative threshold RANK_RTOL.  The same gap computed from TT* is
-    reported as a finite-dimensional check of the closed-range lemma.
+    reported as a finite-dimensional check of the closed-range lemma; the
+    range is certified closed when ``gap`` >= GAP_TOL.
     """
-    if gap_tol <= 0:
-        raise StructureError("gap_tol must be > 0")
     s = np.linalg.svd(T.rep, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return ClosedRangeReport(gap=0.0, closed=True, gap_adjoint=0.0)
@@ -283,7 +288,7 @@ def closed_range_gap(T, gap_tol=1e-9):
     s_adj = np.linalg.svd(T.rep.conj().T, compute_uv=False)
     gap_adj = float(s_adj[s_adj > RANK_RTOL * s_adj[0]][-1] ** 2)
     return ClosedRangeReport(
-        gap=gap, closed=bool(gap >= gap_tol), gap_adjoint=gap_adj
+        gap=gap, closed=bool(gap >= GAP_TOL), gap_adjoint=gap_adj
     )
 
 
@@ -332,7 +337,7 @@ def _complex_to_generators(algebra, rank, vectors):
     ]
 
 
-def mishchenko_decompose(T, gap_tol=1e-9):
+def mishchenko_decompose(T):
     """Orthogonal decomposition for an operator with certified closed range.
 
     The kernel and range of T as a module map are the column spaces of the
@@ -341,11 +346,11 @@ def mishchenko_decompose(T, gap_tol=1e-9):
     cross-orthogonality of the summands and reconstruction of every ambient
     basis vector, both below 1e-10.
     """
-    report = closed_range_gap(T, gap_tol)
+    report = closed_range_gap(T)
     if not report.closed:
         raise CertificationError(
             "range not certifiably closed (gap %.3e < %.3e)"
-            % (report.gap, gap_tol)
+            % (report.gap, GAP_TOL)
         )
     u, s, vh = np.linalg.svd(T.rep)
     rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
@@ -393,21 +398,21 @@ def mishchenko_decompose(T, gap_tol=1e-9):
 # -- idempotent orthogonalization and relative index --------------------
 
 
-def orthogonalize_idempotent(C, idem_tol=1e-8, with_report=False):
+def orthogonalize_idempotent(C, with_report=False):
     """Orthogonal projection with the same range as the idempotent C.
 
     Computes F = C C* + (1 - C*)(1 - C) and returns C C* F^{-1}.  F is
     certified invertible (its smallest eigenvalue is returned in the
     optional report); singular F signals that C was not an idempotent.
     """
-    orth, f_min = orthogonalize_idempotent_matrix(C.rep, idem_tol)
+    orth, f_min = orthogonalize_idempotent_matrix(C.rep)
     out = ModuleOperator(C.algebra, C.source_rank, C.target_rank, orth)
     if with_report:
         return out, {"f_min_eigenvalue": f_min}
     return out
 
 
-def orthogonalize_idempotent_matrix(rep, idem_tol=1e-8):
+def orthogonalize_idempotent_matrix(rep):
     """Matrix-level core of :func:`orthogonalize_idempotent`, also for
     idempotents that are not module-shaped: the orthogonal projection onto
     the range of ``rep`` and the certified smallest eigenvalue of F."""
@@ -416,7 +421,7 @@ def orthogonalize_idempotent_matrix(rep, idem_tol=1e-8):
     dim = rep.shape[0]
     eye = np.eye(dim)
     idem_defect = np.linalg.norm(rep @ rep - rep, 2)
-    if idem_defect > idem_tol * max(1.0, np.linalg.norm(rep, 2) ** 2):
+    if idem_defect > IDEM_TOL * max(1.0, np.linalg.norm(rep, 2) ** 2):
         raise StructureError(
             "operator is not idempotent within tolerance (defect %.3e)"
             % idem_defect
@@ -445,29 +450,29 @@ def _diagonal_blocks(P):
     return blocks
 
 
-def _check_projection(blocks, tol):
-    """Idempotency and self-adjointness of a block diagonal, in the 2-norm
-    (the largest block norm) and relative to its norm."""
-    scale = max([1.0] + [np.linalg.norm(b, 2) for b in blocks])
-    idem = max((np.linalg.norm(b @ b - b, 2) for b in blocks), default=0.0)
-    if idem > tol * scale**2:
-        raise StructureError("operator is not idempotent within tolerance")
-    asym = max((np.linalg.norm(b - b.conj().T, 2) for b in blocks), default=0.0)
-    if asym > tol * scale:
-        raise StructureError("operator is not self-adjoint within tolerance")
+def projection_defects(blocks):
+    """Idempotency and self-adjointness defects of a block diagonal in the
+    2-norm: the largest over its blocks."""
+    idem = (float(np.linalg.norm(b @ b - b, 2)) for b in blocks)
+    asym = (float(np.linalg.norm(b - b.conj().T, 2)) for b in blocks)
+    return max(idem, default=0.0), max(asym, default=0.0)
 
 
-def _rank(blocks):
-    """Rank of a block diagonal: its singular values are those of its
-    blocks, counted above RANK_RTOL times the largest of them all."""
+def _projection_rank(blocks):
+    """Rank of a block-diagonal orthogonal projection from one SVD per
+    block, which also gives the scale (its largest singular value) of the
+    projection checks and of the RANK_RTOL threshold."""
     s = [np.linalg.svd(b, compute_uv=False) for b in blocks]
     top = max([0.0] + [v[0] for v in s if v.size])
-    if top == 0.0:
-        return 0
+    idem, asym = projection_defects(blocks)
+    if idem > PROJECTION_TOL * max(1.0, top) ** 2:
+        raise StructureError("operator is not idempotent within tolerance")
+    if asym > PROJECTION_TOL * max(1.0, top):
+        raise StructureError("operator is not self-adjoint within tolerance")
     return sum(int(np.sum(v > RANK_RTOL * top)) for v in s)
 
 
-def relative_index(P, Q, tol=1e-10):
+def relative_index(P, Q):
     """Relative index of two orthogonal projections (experimental).
 
     Returns dim ker(QP: ran P -> ran Q) - dim ker(PQ: ran Q -> ran P) with
@@ -483,8 +488,6 @@ def relative_index(P, Q, tol=1e-10):
     """
     p_blocks = _diagonal_blocks(P)
     q_blocks = _diagonal_blocks(Q)
-    _check_projection(p_blocks, tol)
-    _check_projection(q_blocks, tol)
     if [b.shape for b in p_blocks] != [b.shape for b in q_blocks]:
         raise StructureError("projections act on different modules")
-    return _rank(p_blocks) - _rank(q_blocks)
+    return _projection_rank(p_blocks) - _projection_rank(q_blocks)

@@ -33,7 +33,7 @@ from .dirac import (
     CollarFunction,
     _channels_to_values,
     _values_to_channels,
-    expm,
+    exact_channel,
     mode_radius,
     y_points,
     y_weight,
@@ -43,6 +43,7 @@ from .hilbmod import (
     ModuleOperator,
     membership_defect,
     orthogonalize_idempotent_matrix,
+    projection_defects,
     relative_index,
 )
 
@@ -194,13 +195,10 @@ class BoundaryProjector:
         its off-diagonal m-blocks are exactly zero.
         """
         alg = self.model.algebra
+        idem, asym = projection_defects(self.blocks)
         out = {
-            "idempotency_defect": max(
-                float(np.linalg.norm(b @ b - b, 2)) for b in self.blocks
-            ),
-            "self_adjointness_defect": max(
-                float(np.linalg.norm(b - b.conj().T, 2)) for b in self.blocks
-            ),
+            "idempotency_defect": idem,
+            "self_adjointness_defect": asym,
             "dimension": sum(b.shape[0] for b in self.blocks),
             "a_membership_defect": max(
                 float(membership_defect(alg, b)) for b in self.blocks
@@ -263,13 +261,9 @@ def _group_by_eta(channel_blocks):
 
 
 def exact_projector_block(b_mat):
-    """The graph projection P(e^{-b}) on the double trace of one mode."""
-    t = expm(-np.asarray(b_mat, dtype=complex))
-    e_plus = expm(np.asarray(b_mat, dtype=complex))
-    q2 = t.shape[0]
-    m_mat = e_plus + t
-    top = np.linalg.solve(m_mat, np.hstack([e_plus, np.eye(q2)]))
-    return np.vstack([top, t @ top])
+    """The graph projection P(e^{-b}) on the double trace of one mode, by
+    the double's exact oracle :func:`calderon.dirac.exact_channel`."""
+    return exact_channel(b_mat)[0]
 
 
 def _collocation_blocks(sys):
@@ -312,13 +306,13 @@ def calderon_projector(sys, method="collocation"):
     One block per channel of the double.  ``method='collocation'`` reads
     the traces of the discrete transmission solve under jump data, from
     the 2x2 trace maps of the double's distinct eigenvalues rotated back
-    with each channel's eigenvectors; ``method='exact'`` is the
-    matrix-exponential graph projection of the channel's tangential block
-    (exact in u; on the y-coupled path the y-discretization stays).
+    with each channel's eigenvectors; ``method='exact'`` reads the
+    matrix-exponential graph projection that the double stores for each
+    channel (exact in u; on the y-coupled path the y-discretization stays).
     """
     channels = sys.channels
     if method == "exact":
-        blocks = [exact_projector_block(cs.channel.b_mat) for cs in channels]
+        blocks = [cs.exact_block for cs in channels]
     elif method == "collocation":
         blocks = _collocation_blocks(sys)
     else:
@@ -474,11 +468,10 @@ def orthogonalized_calderon(projector):
     )
 
 
-def calderon_vs_aps_index(sys, exact=None):
+def calderon_vs_aps_index(sys):
     """Relative index of the APS projection against the Calderon range,
-    the latter from the exact graph projection of each channel:
-    ``exact``, if the caller has built ``calderon_projector(sys,
-    method='exact')`` already.
+    the latter from the exact graph projection that the double stores for
+    each channel.
 
     Both projectors are built over the channels of the double (per mode
     and eigenphase, or the one y-coupled channel), the APS blocks from its
@@ -490,7 +483,7 @@ def calderon_vs_aps_index(sys, exact=None):
     which counts every y-frequency.
     """
     n_y = sys.grid.n_y
-    c_proj = calderon_projector(sys, method="exact") if exact is None else exact
+    c_proj = calderon_projector(sys, method="exact")
     c_blocks = [b for _, b in orthogonalized_calderon(c_proj).channel_blocks]
     aps_blocks = [b for _, b in aps_projection(sys).channel_blocks]
     index = relative_index(aps_blocks, c_blocks)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from calderon import cli, projector
+from calderon import cli, dirac, projector
 from calderon.cli import ConfigError, main, parse_config
 from calderon.dirac import ProductDiracModel
 from calderon.errors import CertificationError
@@ -305,23 +305,24 @@ def test_double_is_built_once_per_scenario(tmp_path, monkeypatch):
 
 
 def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
-    # the calderon oracle gate and the index share the exact projector
+    # the double forms e^{b} and e^{-b} once per channel, for its kernel
+    # check and its exact blocks; the calderon oracle gate and the index
+    # read those blocks
     calls = []
-    exact = projector.exact_projector_block
+    expm = dirac.expm
 
-    def counting_exact(b_mat):
+    def counting_expm(a):
         calls.append(1)
-        return exact(b_mat)
+        return expm(a)
 
-    monkeypatch.setattr(projector, "exact_projector_block", counting_exact)
-    # in case the cli holds its own reference to the oracle
-    monkeypatch.setattr(
-        cli, "exact_projector_block", counting_exact, raising=False
-    )
+    monkeypatch.setattr(dirac, "expm", counting_expm)
+    # in case the projector holds its own reference to expm
+    monkeypatch.setattr(projector, "expm", counting_expm, raising=False)
     cfg = parse_config(cylinder_config(tmp_path / "out"))
+    assert cfg["tasks"] == ["double", "calderon", "index"]
     report = cli.run_scenario(cfg)
     assert report["status"] == "pass"
-    assert len(calls) == len(cfg["model"].mode_channels(cfg["grid"].n_y))
+    assert len(calls) == 2 * len(cfg["model"].mode_channels(cfg["grid"].n_y))
 
 
 def test_one_channel_map_per_scenario(tmp_path, monkeypatch):

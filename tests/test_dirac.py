@@ -11,9 +11,9 @@ from calderon.dirac import (
     ProductDiracModel,
     apply_dirac,
     build_double,
-    _exact_kernel_dim,
     chebyshev_nodes_diff,
     clenshaw_curtis_weights,
+    exact_channel,
     expm,
     fd4_diff,
     ghost_solution_check,
@@ -267,12 +267,16 @@ def test_double_certificates():
 def test_exact_kernel_dim_holds_for_large_tangential_blocks(rng):
     """The matching matrix 2 cosh B >= 2 has no kernel for Hermitian B,
     however large ||B||: the count must not grow with exp(||B||)."""
+
+    def kernel_dim(b):
+        return exact_channel(b)[1]
+
     for lam in (5.0, 25.0, 45.0):
-        assert _exact_kernel_dim(np.diag([lam, -lam, 0.3]).astype(complex)) == 0
+        assert kernel_dim(np.diag([lam, -lam, 0.3]).astype(complex)) == 0
     b = hermitian(rng, 12)
-    assert _exact_kernel_dim(35.0 * b / np.linalg.norm(b, 2)) == 0
+    assert kernel_dim(35.0 * b / np.linalg.norm(b, 2)) == 0
     # a genuine kernel is still found: cosh(i pi / 2) = 0
-    assert _exact_kernel_dim(0.5j * np.pi * np.eye(2)) == 2
+    assert kernel_dim(0.5j * np.pi * np.eye(2)) == 2
     # per-mode blocks with |eta| up to 32, and the y-coupled B on 64 points
     per_mode = ProductDiracModel(
         "cylinder", CStarAlgebra.matrix(2), v=np.diag([1.0, 0.5])
@@ -434,10 +438,33 @@ def test_per_mode_and_dense_solves_agree(name):
         assert np.abs(a.values - b.values).max() <= 1e-11 * scale
 
 
+def test_v_of_y_must_be_self_adjoint_at_every_sample():
+    """A V(y) that is Hermitian at y = 0 only is refused where its samples
+    are made, before the double is assembled from a non-Hermitian b."""
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    model = ProductDiracModel(
+        "cylinder",
+        CStarAlgebra.matrix(2),
+        v=lambda y: np.diag([1.0, -0.5]) + np.sin(y) * lower,
+    )
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    with pytest.raises(StructureError, match="v must be self-adjoint"):
+        build_double(model, grid)
+    with pytest.raises(StructureError, match="v must be self-adjoint"):
+        model.v_samples(grid.n_y)
+    # refused at y = 0 when the model is built
+    with pytest.raises(StructureError, match="v must be self-adjoint"):
+        ProductDiracModel(
+            "cylinder",
+            CStarAlgebra.matrix(2),
+            v=lambda y: np.diag([1.0, -0.5]) + lower,
+        )
+
+
 def test_holonomy_must_commute_with_v_of_y():
     """The one holonomy refusal: a V(y) that does not commute with the
     holonomy, caught at V(0) when the model is built and at the other
-    y-samples when the tangential operator is applied."""
+    y-samples when the double's samples are made."""
     off = np.array([[0.0, 0.3], [0.3, 0.0]])
     with pytest.raises(StructureError, match="holonomy must commute with v"):
         twisted_model(lambda y: np.diag([1.0, 0.5]) + off)
