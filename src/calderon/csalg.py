@@ -191,16 +191,23 @@ class CStarAlgebra:
     def scalar(self, z):
         return AlgebraElement(self, complex(z) * np.eye(self.rep_dim))
 
-    def random_element(self, rng, scale=1.0):
-        """Random element with independent complex Gaussian coordinates."""
+    def random_element(self, rng, scale=1.0, size=()):
+        """Random element with independent complex Gaussian coordinates.
+
+        ``size`` (a shape) draws a stack: ``mat`` has shape size + (m, m),
+        and the draw consumes the stream exactly as that many one-element
+        calls in C order, each taking the real then the imaginary parts of
+        its coordinates.
+        """
+        size = tuple(size)
         if self.kind == "matrix":
             m = self.rep_dim
-            mat = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            g = rng.standard_normal(size + (2, m, m))
+            mat = g[..., 0, :, :] + 1j * g[..., 1, :, :]
             return AlgebraElement(self, scale * mat)
-        coeff = rng.standard_normal(self.order) + 1j * rng.standard_normal(
-            self.order
-        )
-        mat = np.einsum("g,gij->ij", coeff, self._group_basis)
+        g = rng.standard_normal(size + (2, self.order))
+        coeff = g[..., 0, :] + 1j * g[..., 1, :]
+        mat = np.einsum("...g,gij->...ij", coeff, self._group_basis)
         return AlgebraElement(self, scale * mat)
 
     def random_hermitian(self, rng, scale=1.0):
@@ -248,7 +255,11 @@ def _check_cayley_table(table):
 
 
 class AlgebraElement:
-    """An algebra element stored as its representing matrix."""
+    """An algebra element stored as its representing matrix.
+
+    ``mat`` may carry leading axes: a stack (..., m, m) of elements, on
+    which the arithmetic and :func:`star` act matrix by matrix.
+    """
 
     __slots__ = ("algebra", "mat")
 
@@ -284,9 +295,14 @@ class AlgebraElement:
         return "AlgebraElement(%r,\n%r)" % (self.algebra, self.mat)
 
 
+def dagger(mat):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(mat, -1, -2).conj()
+
+
 def star(a):
     """Involution: conjugate transpose in the representation."""
-    return AlgebraElement(a.algebra, a.mat.conj().T)
+    return AlgebraElement(a.algebra, dagger(a.mat))
 
 
 def norm(a):

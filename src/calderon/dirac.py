@@ -762,20 +762,26 @@ def expm(a):
     return r
 
 
-def exact_channel(b_mat):
-    """Exact oracle of one channel from M = exp(B) + exp(-B): the graph
-    projection P(T), T = exp(-B), with first block row (1 + T^2)^-1 [1, T]
-    = M^-1 [exp(B), 1], and the kernel dimension of the matching problem.
-    Side-1 and side-2 solutions exp(-uB) a and exp(uB) c match iff a = c
-    and M a = 0.  For self-adjoint B, M = 2 cosh B >= 2, so a singular
-    value of M below 1 marks a kernel direction (a threshold relative to
-    the largest, about exp(||B||), would count rounding)."""
+def graph_projection(b_mat):
+    """The graph projection P(T), T = exp(-B), with first block row
+    (1 + T^2)^-1 [1, T] = M^-1 [exp(B), 1], and M = exp(B) + exp(-B)."""
     b = np.asarray(b_mat, dtype=complex)
     t, e_plus = expm(-b), expm(b)
     m_mat = e_plus + t
-    kernel_dim = int(np.sum(np.linalg.svd(m_mat, compute_uv=False) < 1.0))
     top = np.linalg.solve(m_mat, np.hstack([e_plus, np.eye(len(t))]))
-    return np.vstack([top, t @ top]), kernel_dim
+    return np.vstack([top, t @ top]), m_mat
+
+
+def exact_channel(b_mat):
+    """Exact oracle of one channel: its :func:`graph_projection` and the
+    kernel dimension of the matching problem.  Side-1 and side-2 solutions
+    exp(-uB) a and exp(uB) c match iff a = c and M a = 0.  For self-adjoint
+    B, M = 2 cosh B >= 2, so a singular value of M below 1 marks a kernel
+    direction (a threshold relative to the largest, about exp(||B||), would
+    count rounding)."""
+    block, m_mat = graph_projection(b_mat)
+    kernel_dim = int(np.sum(np.linalg.svd(m_mat, compute_uv=False) < 1.0))
+    return block, kernel_dim
 
 
 def build_double(model, grid):

@@ -7,6 +7,14 @@ l x k array of algebra elements acting by block matrix multiplication.
 Right A-action is multiplication on the representation columns, so module
 kernels and ranges reduce to column-space computations on the representing
 complex matrices.
+
+Vectors and operators may carry leading axes: a stack (..., k*m, m) of
+vectors or (..., l*m, k*m) of operators, built from stacked algebra
+elements.  The module operations (``times``, ``apply``, ``compose``, sums,
+:func:`inner_product`, :func:`rank_one`, :func:`adjoint`) then act member
+by member in one pass, each member bit-identical to the one-object call.
+The norms, the closed-range and decomposition routines and the index take
+single objects.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csalg import AlgebraElement
+from .csalg import AlgebraElement, dagger
 from .errors import CertificationError, StructureError
 
 #: relative singular-value threshold for numerical rank decisions
@@ -32,7 +40,7 @@ class ModuleVector:
     """Element of the free Hilbert module A^k.
 
     ``stack`` has shape (k*m, m): the representing matrices of the k
-    coordinates, stacked vertically.
+    coordinates, stacked vertically (with any leading axes of a stack).
     """
 
     __slots__ = ("algebra", "rank", "stack")
@@ -42,7 +50,7 @@ class ModuleVector:
         self.rank = int(rank)
         stack = np.asarray(stack, dtype=complex)
         m = algebra.rep_dim
-        if stack.shape != (self.rank * m, m):
+        if stack.shape[-2:] != (self.rank * m, m):
             raise StructureError("stack shape does not match rank/algebra")
         self.stack = stack
 
@@ -55,7 +63,8 @@ class ModuleVector:
         for e in entries:
             if e.algebra != alg:
                 raise StructureError("algebra mismatch among entries")
-        return cls(alg, len(entries), np.vstack([e.mat for e in entries]))
+        mats = [e.mat for e in entries]
+        return cls(alg, len(entries), np.concatenate(mats, axis=-2))
 
     @classmethod
     def from_complex(cls, algebra, vec):
@@ -72,7 +81,8 @@ class ModuleVector:
 
     def entry(self, i):
         m = self.algebra.rep_dim
-        return AlgebraElement(self.algebra, self.stack[i * m : (i + 1) * m])
+        rows = self.stack[..., i * m : (i + 1) * m, :]
+        return AlgebraElement(self.algebra, rows)
 
     def entries(self):
         return [self.entry(i) for i in range(self.rank)]
@@ -125,7 +135,7 @@ class ModuleOperator:
         self.target_rank = int(target_rank)
         rep = np.asarray(rep, dtype=complex)
         m = algebra.rep_dim
-        if rep.shape != (self.target_rank * m, self.source_rank * m):
+        if rep.shape[-2:] != (self.target_rank * m, self.source_rank * m):
             raise StructureError("rep shape does not match ranks/algebra")
         self.rep = rep
 
@@ -160,7 +170,7 @@ class ModuleOperator:
 
     def entry(self, i, j):
         m = self.algebra.rep_dim
-        block = self.rep[i * m : (i + 1) * m, j * m : (j + 1) * m]
+        block = self.rep[..., i * m : (i + 1) * m, j * m : (j + 1) * m]
         if self.algebra.kind == "group":
             block = self.algebra.project_matrix(block)
         return AlgebraElement(self.algebra, block)
@@ -238,7 +248,7 @@ def membership_defect(algebra, rep):
 def inner_product(x, y):
     """A-valued inner product <x, y> = sum_i x_i^* y_i."""
     x._compat(y)
-    return AlgebraElement(x.algebra, x.stack.conj().T @ y.stack)
+    return AlgebraElement(x.algebra, dagger(x.stack) @ y.stack)
 
 
 def rank_one(x, y):
@@ -246,14 +256,14 @@ def rank_one(x, y):
     if x.algebra != y.algebra:
         raise StructureError("algebra mismatch")
     return ModuleOperator(
-        x.algebra, y.rank, x.rank, x.stack @ y.stack.conj().T
+        x.algebra, y.rank, x.rank, x.stack @ dagger(y.stack)
     )
 
 
 def adjoint(T):
     """Entrywise-starred transpose; satisfies <u, Tv> = <T* u, v>."""
     return ModuleOperator(
-        T.algebra, T.target_rank, T.source_rank, T.rep.conj().T
+        T.algebra, T.target_rank, T.source_rank, dagger(T.rep)
     )
 
 

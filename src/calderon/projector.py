@@ -29,11 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
+from .csalg import dagger
 from .dirac import (
     CollarFunction,
     _channels_to_values,
     _values_to_channels,
-    exact_channel,
+    graph_projection,
     mode_radius,
     y_points,
     y_weight,
@@ -261,9 +262,10 @@ def _group_by_eta(channel_blocks):
 
 
 def exact_projector_block(b_mat):
-    """The graph projection P(e^{-b}) on the double trace of one mode, by
-    the double's exact oracle :func:`calderon.dirac.exact_channel`."""
-    return exact_channel(b_mat)[0]
+    """The graph projection P(e^{-b}) on the double trace of one mode, as
+    the double's exact oracle :func:`calderon.dirac.exact_channel` forms it
+    (without its kernel count)."""
+    return graph_projection(b_mat)[0]
 
 
 def _collocation_blocks(sys):
@@ -342,28 +344,53 @@ def principal_symbol(b, tol=1e-12):
     largest and smallest |eigenvalue| (they only set the schedule), reaches
     double precision in at most 9 steps.  It stops when a step moves X by
     less than ``tol`` in the Frobenius norm, a bound on the 2-norm.
+
+    A stack (..., n, n) runs as one pass: each step inverts the matrices
+    that have not stopped yet, each with its own mu, and each stops at its
+    own step, so every member is bit-identical to its one-matrix call.  The
+    projections then come with arrays (...) of step counts and last steps.
+    Every member must be self-adjoint (else StructureError) and keep its
+    eigenvalues PINCH_TOL away from zero (else CertificationError).
     """
     b = np.asarray(b, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
         raise StructureError("fiber matrix must be square")
-    scale = max(1.0, np.linalg.norm(b, 2))
-    if np.linalg.norm(b - b.conj().T, 2) > 1e-10 * scale:
+    n = b.shape[-1]
+    lead = b.shape[:-2]
+    b = b.reshape((-1, n, n))
+    scale = np.maximum(1.0, np.linalg.norm(b, 2, axis=(-2, -1)))
+    asym = np.linalg.norm(b - dagger(b), 2, axis=(-2, -1))
+    if np.any(asym > 1e-10 * scale):
         raise StructureError("tangential symbol must be self-adjoint")
-    x = 0.5 * (b + b.conj().T)
+    x = 0.5 * (b + dagger(b))
     eigs = np.abs(np.linalg.eigvalsh(x))
-    a, c = eigs.max(), eigs.min()
-    if c < PINCH_TOL:
+    a, c = eigs.max(axis=-1), eigs.min(axis=-1)
+    if np.any(c < PINCH_TOL):
         raise CertificationError(
             "sign iteration pinched: eigenvalue %.3e within %.0e of zero"
-            % (c, PINCH_TOL)
+            % (c.min(), PINCH_TOL)
         )
+    proj = np.empty_like(x)
+    steps = np.zeros(len(x), dtype=int)
+    last = np.zeros(len(x))
+    live = np.arange(len(x))  # members still iterating
     mu = 1.0 / np.sqrt(a * c)
     for k in range(1, SIGN_MAX_STEPS + 1):
-        x, prev = 0.5 * (mu * x + np.linalg.inv(x) / mu), x
-        x = 0.5 * (x + x.conj().T)
-        step = float(np.linalg.norm(x - prev))
-        if step < tol:
-            return 0.5 * (np.eye(b.shape[0]) + x), k, step
+        m = mu[:, None, None]
+        x, prev = 0.5 * (m * x + np.linalg.inv(x) / m), x
+        x = 0.5 * (x + dagger(x))
+        step = _frobenius(x - prev)
+        done = step < tol
+        idx = live[done]
+        proj[idx] = 0.5 * (np.eye(n) + x[done])
+        steps[idx], last[idx] = k, step[done]
+        if done.all():
+            if not lead:
+                return proj[0], int(steps[0]), float(last[0])
+            shape = lead + (n, n)
+            return proj.reshape(shape), steps.reshape(lead), last.reshape(lead)
+        go = ~done
+        x, live, a, c, mu = x[go], live[go], a[go], c[go], mu[go]
         mu = (
             np.sqrt(2.0 * np.sqrt(a * c) / (a + c))
             if k == 1
@@ -372,6 +399,16 @@ def principal_symbol(b, tol=1e-12):
     raise CertificationError(
         "sign iteration did not reach %.1e agreement" % tol
     )
+
+
+def _frobenius(d):
+    """Frobenius norm of each matrix of a stack (k, n, n), by the strided
+    dot products of real and imaginary parts that ``np.linalg.norm`` takes
+    for one matrix (a row times a column is one such dot per member)."""
+    rows = d.reshape(len(d), 1, -1)
+    re, im = rows.real, rows.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[:, 0, 0])
 
 
 #: eigenvalues of magnitude up to this are kernel; the spectral
@@ -386,9 +423,14 @@ def _positive_part(eigvals, eigvecs):
 
 
 def spectral_projection_positive(b_mat):
-    """Eigendecomposition projection onto eigenvalues > 0 (kernel included)."""
+    """Eigendecomposition projection onto eigenvalues > 0 (kernel included),
+    of a matrix or of each matrix of a stack (..., n, n) from one stacked
+    eigh."""
     b_mat = np.asarray(b_mat, dtype=complex)
-    return _positive_part(*np.linalg.eigh(0.5 * (b_mat + b_mat.conj().T)))
+    n = b_mat.shape[-1]
+    w, v = np.linalg.eigh(0.5 * (b_mat + dagger(b_mat)))
+    parts = map(_positive_part, w.reshape(-1, n), v.reshape(-1, n, n))
+    return np.stack(list(parts)).reshape(b_mat.shape)
 
 
 def symbol_limit_check(model, etas=(2, 4, 8, 16)):

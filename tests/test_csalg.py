@@ -98,3 +98,43 @@ def test_algebra_mismatch_rejected(rng):
     b = CStarAlgebra.cyclic(4).random_element(rng)
     with pytest.raises(StructureError):
         a + b
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [CStarAlgebra.matrix(2), CStarAlgebra.matrix(3), CStarAlgebra.cyclic(4)],
+    ids=["M2", "M3", "Z4"],
+)
+@pytest.mark.parametrize("size", [(5,), (3, 19)], ids=["k", "k-by-19"])
+def test_random_element_stack_is_the_sequential_stream(alg, size):
+    rng_stacked = np.random.default_rng(7)
+    stacked = alg.random_element(rng_stacked, 0.5, size=size)
+    rng = np.random.default_rng(7)
+    one_by_one = [alg.random_element(rng, 0.5) for _ in range(np.prod(size))]
+    m = alg.rep_dim
+    assert stacked.mat.shape == size + (m, m)
+    expected = np.stack([a.mat for a in one_by_one]).reshape(size + (m, m))
+    assert np.array_equal(stacked.mat, expected)
+    # both streams are left at the same point
+    assert rng_stacked.standard_normal() == rng.standard_normal()
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [CStarAlgebra.matrix(2), CStarAlgebra.matrix(3), CStarAlgebra.cyclic(4)],
+    ids=["M2", "M3", "Z4"],
+)
+def test_random_element_default_draw(alg):
+    # one element: real then imaginary coordinates, in the representation
+    a = alg.random_element(np.random.default_rng(3), 2.0)
+    rng = np.random.default_rng(3)
+    if alg.kind == "matrix":
+        m = alg.rep_dim
+        mat = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    else:
+        coeff = rng.standard_normal(alg.order) + 1j * rng.standard_normal(
+            alg.order
+        )
+        mat = np.einsum("g,gij->ij", coeff, alg._group_basis)
+    assert a.mat.shape == (alg.rep_dim, alg.rep_dim)
+    assert np.array_equal(a.mat, 2.0 * mat)

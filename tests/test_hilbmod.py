@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from calderon import hilbmod
-from calderon.csalg import CStarAlgebra, is_positive, star
+from calderon import cli, hilbmod
+from calderon.csalg import AlgebraElement, CStarAlgebra, is_positive, star
 from calderon.errors import CertificationError, StructureError
 from calderon.hilbmod import (
     ModuleOperator,
@@ -223,3 +223,84 @@ def test_module_shapes_rejected(algebra, rng):
     t = ModuleOperator.random(algebra, 3, 2, rng)
     with pytest.raises(StructureError):
         t.apply(x)
+
+
+# -- stacks of vectors and operators --------------------------------------
+
+
+def _module_objects(alg, mats):
+    """x, y in A^3, a in A and T, S in M_3(A) from 25 drawn elements
+    (..., 25, m, m): stacked objects for a stack, else single ones."""
+    e = [AlgebraElement(alg, mats[..., i, :, :]) for i in range(25)]
+    x = ModuleVector.from_entries(e[0:3])
+    y = ModuleVector.from_entries(e[3:6])
+    t = ModuleOperator.from_entries([e[7:10], e[10:13], e[13:16]])
+    s = ModuleOperator.from_entries([e[16:19], e[19:22], e[22:25]])
+    return x, y, e[6], t, s
+
+
+def _module_results(x, y, a, t, s):
+    return {
+        "inner_product": inner_product(x, y).mat,
+        "rank_one": rank_one(x, y).rep,
+        "adjoint": adjoint(t).rep,
+        "compose": t.compose(s).rep,
+        "apply": t.apply(x).stack,
+        "times": x.times(a).stack,
+        "star": star(a).mat,
+    }
+
+
+def test_stacked_module_api_is_the_per_trial_api(algebra, rng):
+    trials = 10
+    mats = algebra.random_element(rng, size=(trials, 25)).mat
+    stacked = _module_results(*_module_objects(algebra, mats))
+    for k in range(trials):
+        single = _module_results(*_module_objects(algebra, mats[k]))
+        for name, value in single.items():
+            assert value.ndim == 2
+            assert np.array_equal(stacked[name][k], value), name
+
+
+def test_stacked_module_shapes_rejected(algebra, rng):
+    m = algebra.rep_dim
+    with pytest.raises(StructureError):
+        ModuleVector(algebra, 3, np.zeros((4, 2 * m, m)))
+    with pytest.raises(StructureError):
+        ModuleOperator(algebra, 2, 3, np.zeros((4, 2 * m, 3 * m)))
+    x = ModuleVector(algebra, 2, np.zeros((4, 2 * m, m)))
+    assert x.entry(1).mat.shape == (4, m, m)
+
+
+def _module_check_per_trial(alg, seed, trials=200):
+    """The module-check identity suite one trial at a time, on single
+    vectors and operators, drawing from the stream in the same order."""
+    rng = np.random.default_rng(seed)
+    ip = inner_product
+    worst = 0.0
+    for _ in range(trials):
+        x = ModuleVector.random(alg, 3, rng)
+        y = ModuleVector.random(alg, 3, rng)
+        z = ModuleVector.random(alg, 3, rng)
+        a = alg.random_element(rng)
+        t_op = ModuleOperator.random(alg, 3, 3, rng)
+        th_xy, th_yx = rank_one(x, y), rank_one(y, x)
+        devs = (
+            (ip(x, y.times(a)) - ip(x, y) * a).mat,
+            (ip(x, y) - star(ip(y, x))).mat,
+            (adjoint(th_xy) - th_yx).rep,
+            th_xy.compose(th_yx).apply(z).stack
+            - x.times(ip(y, y) * ip(x, z)).stack,
+            (ip(t_op.apply(x), y) - ip(x, adjoint(t_op).apply(y))).mat,
+        )
+        worst = max([worst] + [float(np.linalg.norm(d, 2)) for d in devs])
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 34])
+def test_module_check_task_matches_per_trial_loop(algebra, seed):
+    cfg = {"algebra": algebra, "seed": seed}
+    status, metrics = cli._task_module_check(cfg, None, None)
+    assert status == "pass"
+    assert metrics["trials"] == 200
+    assert metrics["max_deviation"] == _module_check_per_trial(algebra, seed)

@@ -470,6 +470,80 @@ def test_symbol_rejects_non_hermitian():
         principal_symbol(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _fiber_stack(seed, n, k):
+    """k Hermitian n x n fibers with eigenvalues of magnitude in [0.1, 10]
+    times a spread 10^e per member (e in [-3, 3]), so that members take
+    different numbers of sign steps."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        eigs = rng.uniform(0.1, 10.0, n) * rng.choice([-1.0, 1.0], n)
+        eigs *= 10.0 ** rng.uniform(-3.0, 3.0, n)
+        u = np.linalg.qr(hermitian(rng, n))[0]
+        h = u @ np.diag(eigs) @ u.conj().T
+        out.append(0.5 * (h + h.conj().T))
+    return np.stack(out)
+
+
+def _assert_stack_matches_single_calls(stack):
+    proj, steps, last = principal_symbol(stack)
+    lead = stack.shape[:-2]
+    assert proj.shape == stack.shape
+    assert steps.shape == last.shape == lead
+    for idx in np.ndindex(*lead):
+        q, k, step = principal_symbol(stack[idx])
+        assert np.array_equal(proj[idx], q)
+        assert steps[idx] == k
+        assert last[idx] == step
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    k=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_symbol_stack_matches_single_calls_property(n, k, seed):
+    _assert_stack_matches_single_calls(_fiber_stack(seed, n, k))
+
+
+def test_symbol_stack_members_stop_at_their_own_steps(monkeypatch):
+    wide = np.diag([1e6, -1e-3, 0.5]).astype(complex)
+    stack = np.stack([np.diag([1.0, -1.0, 1.0]).astype(complex), wide])
+    stack = np.stack([stack, stack[::-1]])  # leading shape (2, 2)
+    inverted = _counting_inv(monkeypatch)
+    _, steps, _ = principal_symbol(stack)
+    assert steps[0, 0] < steps[0, 1]
+    # each step inverts the members that have not stopped, and only those
+    assert len(inverted) == steps.max()
+    assert sum(inverted) == steps.sum()
+    _assert_stack_matches_single_calls(stack)
+
+
+def test_symbol_stack_with_one_pinched_member():
+    stack = _fiber_stack(5, 3, 4)
+    stack[2] = np.diag([1.0, 1e-9, -2.0])
+    with pytest.raises(CertificationError):
+        principal_symbol(stack)
+
+
+def test_symbol_stack_with_one_non_hermitian_member():
+    stack = _fiber_stack(6, 2, 4)
+    stack[1] = np.array([[1.0, 1.0], [0.0, -1.0]])
+    with pytest.raises(StructureError):
+        principal_symbol(stack)
+
+
+def test_spectral_projection_positive_of_a_stack():
+    stack = _fiber_stack(8, 4, 5).reshape(5, 1, 4, 4)
+    projections = spectral_projection_positive(stack)
+    assert projections.shape == stack.shape
+    for i in range(5):
+        assert np.array_equal(
+            projections[i, 0], spectral_projection_positive(stack[i, 0])
+        )
+
+
 def test_symbol_limit_ladder(built):
     model, _, _ = built
     table = symbol_limit_check(model)
@@ -478,6 +552,21 @@ def test_symbol_limit_ladder(built):
     # super-polynomial decay: three orders of magnitude per doubling
     deltas = table["deltas"]
     assert deltas[2] < 1e-3 * deltas[0]
+
+
+def test_symbol_limit_takes_no_svd(built, monkeypatch):
+    # the exact blocks come from the graph projection alone; the kernel
+    # count of exact_channel (one SVD) is not taken
+    model, _, _ = built
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+    )
+    symbol_limit_check(model)
+    assert calls == []
+    b = model.tangential_matrix(4.0)
+    assert np.array_equal(exact_projector_block(b), exact_channel(b)[0])
 
 
 def test_symbol_limit_v_zero_superpolynomial():
