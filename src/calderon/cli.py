@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .csalg import AlgebraElement, CStarAlgebra, star
+from .csalg import AlgebraElement, CStarAlgebra, herm, opnorm, star
 from .csalg import norm as alg_norm
 from .errors import CalderonError, StructureError
 from . import hilbmod
@@ -154,7 +154,7 @@ def _parse_v(desc, rm, seed):
         rng = np.random.default_rng(seed)
         scale = _read_real(desc.get("scale", 1.0), "model.v.scale")
         mat = rng.standard_normal((rm, rm)) + 1j * rng.standard_normal((rm, rm))
-        return scale * 0.5 * (mat + mat.conj().T)
+        return scale * herm(mat)
     if kind == "matrix":
         mat = _parse_matrix(desc, "model.v")
         if mat.shape != (rm, rm):
@@ -370,8 +370,7 @@ def _task_module_check(cfg, out_dir, run):
         # adjoint identity for a random operator
         d5 = (ip(t_op.apply(x), y) - ip(x, hilbmod.adjoint(t_op).apply(y))).mat
         for d in (d1, d2, d3, d4, d5):
-            dev = np.linalg.norm(d, 2, axis=(-2, -1))
-            worst = max(worst, float(dev.max()))
+            worst = max(worst, float(opnorm(d).max()))
     status = "pass" if worst < 1e-10 else "fail"
     return status, {"max_deviation": worst, "trials": trials}
 
@@ -435,7 +434,7 @@ def _oracle_defect(proj, sysd):
     """Largest 2-norm distance of a channel block from its exact graph
     projection, which the double ``sysd`` stores for the same channel."""
     return max(
-        float(np.linalg.norm(block - cs.exact_block, 2))
+        float(opnorm(block - cs.exact_block))
         for (_, block), cs in zip(proj.channel_blocks, sysd.channels)
     )
 
@@ -468,16 +467,14 @@ def _task_symbol(cfg, out_dir, run):
         b = rng.standard_normal((n_f, n_f)) + 1j * rng.standard_normal(
             (n_f, n_f)
         )
-        b = 0.5 * (b + b.conj().T)
+        b = herm(b)
         eigs = np.linalg.eigvalsh(b)
         if np.abs(eigs).min() <= 0.1:
             continue
         samples.append(b)
     fibers = np.stack(samples)
     symbols, iterations, last_steps = principal_symbol(fibers)
-    devs = np.linalg.norm(
-        symbols - spectral_projection_positive(fibers), 2, axis=(-2, -1)
-    )
+    devs = opnorm(symbols - spectral_projection_positive(fibers))
     metrics = {
         "contour_vs_eig": float(devs.max()),
         "samples": len(samples),

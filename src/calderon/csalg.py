@@ -133,12 +133,6 @@ class CStarAlgebra:
                 mats[g, self.table[g][h], h] = 1.0
         return mats
 
-    def group_element(self, g):
-        """The group element g as an algebra element."""
-        if self.kind != "group":
-            raise StructureError("group_element on a matrix algebra")
-        return AlgebraElement(self, self._group_basis[g])
-
     def identity(self):
         return AlgebraElement(self, np.eye(self.rep_dim, dtype=complex))
 
@@ -165,9 +159,7 @@ class CStarAlgebra:
         """Operator-norm distance from ``mat`` to the algebra span: a float,
         or an array of distances for a stack (..., rep_dim, rep_dim)."""
         mat = np.asarray(mat, dtype=complex)
-        defect = np.linalg.norm(
-            mat - self.project_matrix(mat), 2, axis=(-2, -1)
-        )
+        defect = opnorm(mat - self.project_matrix(mat))
         return float(defect) if defect.ndim == 0 else defect
 
     def element(self, mat):
@@ -179,9 +171,7 @@ class CStarAlgebra:
         mat = np.asarray(mat, dtype=complex)
         if self.kind == "group":
             proj = self.project_matrix(mat)
-            if np.linalg.norm(mat - proj, 2) > SPAN_TOL * max(
-                1.0, np.linalg.norm(mat, 2)
-            ):
+            if opnorm(mat - proj) > SPAN_TOL * max(1.0, opnorm(mat)):
                 raise StructureError(
                     "matrix does not lie in the group-algebra span"
                 )
@@ -305,9 +295,27 @@ def star(a):
     return AlgebraElement(a.algebra, dagger(a.mat))
 
 
+def opnorm(a):
+    """Operator 2-norm of a matrix, or of each matrix of a stack: its
+    largest singular value, the C*-norm in the faithful representation.
+    NumPy's matrix 2-norm takes the same ``svd`` and maximum; this one
+    looks ``svd`` up on ``np.linalg`` at call time."""
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+
+
+def adjoint_defect(a):
+    """||a - a*||_2 of a matrix, or of each matrix of a stack."""
+    return opnorm(a - dagger(a))
+
+
+def herm(a):
+    """Hermitian part (a + a*)/2 of a matrix, or of each matrix of a stack."""
+    return 0.5 * (a + dagger(a))
+
+
 def norm(a):
     """C*-norm: largest singular value of the representing matrix."""
-    return float(np.linalg.norm(a.mat, 2))
+    return float(opnorm(a.mat))
 
 
 def spectrum(a):
@@ -330,9 +338,7 @@ def spectrum(a):
 
 def is_positive(a):
     """True iff ``a`` is Hermitian with spectrum >= 0, to POSITIVITY_TOL."""
-    herm_defect = np.linalg.norm(a.mat - a.mat.conj().T, 2)
-    if herm_defect > POSITIVITY_TOL * max(1.0, np.linalg.norm(a.mat, 2)):
+    if adjoint_defect(a.mat) > POSITIVITY_TOL * max(1.0, opnorm(a.mat)):
         return False
-    h = 0.5 * (a.mat + a.mat.conj().T)
-    eigs = np.linalg.eigvalsh(h)
+    eigs = np.linalg.eigvalsh(herm(a.mat))
     return bool(eigs.min() >= -POSITIVITY_TOL)

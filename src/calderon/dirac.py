@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csalg import AlgebraElement
+from .csalg import AlgebraElement, adjoint_defect, opnorm
 from .errors import CertificationError, StructureError
 from .hilbmod import ModuleOperator
 
@@ -211,20 +211,6 @@ class CollarFunction:
         self.grid = grid
         self.values = values
 
-    def copy(self, values=None):
-        return CollarFunction(
-            self.grid, self.values.copy() if values is None else values
-        )
-
-    def __sub__(self, other):
-        return CollarFunction(self.grid, self.values - other.values)
-
-    def __add__(self, other):
-        return CollarFunction(self.grid, self.values + other.values)
-
-    def __rmul__(self, scalar):
-        return CollarFunction(self.grid, complex(scalar) * self.values)
-
     def norm(self):
         """Quadrature L^2 norm (Frobenius fiberwise)."""
         w = self.grid.quad_weights()
@@ -236,16 +222,10 @@ class CollarFunction:
 # -- the model ----------------------------------------------------------
 
 
-def _norms(a):
-    """2-norm of a matrix, or of each matrix of a stack."""
-    return np.linalg.norm(a, 2, axis=(-2, -1))
-
-
 def _check_self_adjoint(a, name):
     """Refuse a matrix, or a stack of them, that is not self-adjoint to
     1e-12 relative to its 2-norm."""
-    asym = _norms(a - np.swapaxes(a.conj(), -1, -2))
-    if np.any(asym > 1e-12 * np.maximum(1.0, _norms(a))):
+    if np.any(adjoint_defect(a) > 1e-12 * np.maximum(1.0, opnorm(a))):
         raise StructureError("%s must be self-adjoint" % name)
 
 
@@ -324,18 +304,17 @@ class ProductDiracModel:
             if base != "cylinder":
                 raise StructureError("a holonomy needs the cylinder base")
             self.h_rep = self._coerce_operator(holonomy, "holonomy")
-            defect = np.linalg.norm(
-                self.h_rep @ self.h_rep.conj().T - np.eye(self.rm), 2
-            )
+            defect = opnorm(self.h_rep @ self.h_rep.conj().T - np.eye(self.rm))
             if defect > 1e-10:
                 raise StructureError("holonomy must be unitary")
         if self.v_rep is not None:
             self._check_commutes(self.v_rep)
-        self._check_clifford()  # evaluates a V(y) at y = 0 by v_samples
+        if self.y_dependent:  # sampling checks V(0), so a bad V(y) fails here
+            self.v_samples(1)
 
     def _check_commutes(self, v):
         h = self.h_rep
-        if h is not None and np.any(_norms(h @ v - v @ h) > 1e-10):
+        if h is not None and np.any(opnorm(h @ v - v @ h) > 1e-10):
             raise StructureError("holonomy must commute with v")
 
     def _coerce_operator(self, op, name):
@@ -368,23 +347,6 @@ class ProductDiracModel:
         if self.base == "segment":
             b = b + np.kron(SIGMA_1, self.w_rep)
         return b
-
-    def _check_clifford(self):
-        g = self.g_rep
-        if np.linalg.norm(g @ g.conj().T - np.eye(self.n_fiber), 2) > 1e-12:
-            raise StructureError("G must be unitary")
-        if np.linalg.norm(g.conj().T + g, 2) > 1e-12:
-            raise StructureError("G* must equal -G")
-        eta_probe = 1.0 if self.base == "cylinder" else 0.0
-        b = self.tangential_matrix(eta_probe, self.v_samples(1)[0])
-        if np.linalg.norm(b - b.conj().T, 2) > 1e-10 * max(
-            1.0, np.linalg.norm(b, 2)
-        ):
-            raise StructureError("B must be self-adjoint")
-        if np.linalg.norm(g @ b + b @ g, 2) > 1e-10 * max(
-            1.0, np.linalg.norm(b, 2)
-        ):
-            raise StructureError("G and B must anticommute")
 
     @property
     def y_dependent(self):
@@ -810,10 +772,8 @@ def build_double(model, grid):
             channel=ch, eigvals=w, eigvecs=u, rows=rows, systems=systems,
             sigma_min=float(sigmas[rows].min()),
             kernel_dim=kernel_dim, exact_block=block,
-            eig_residual=float(np.linalg.norm(ch.b_mat @ u - u * w, 2)),
-            unitarity_defect=float(
-                np.linalg.norm(u.conj().T @ u - np.eye(len(w)), 2)
-            ),
+            eig_residual=float(opnorm(ch.b_mat @ u - u * w)),
+            unitarity_defect=float(opnorm(u.conj().T @ u - np.eye(len(w)))),
         ))
     sigma_min = float(sigmas.min())
     if sigma_min < DOUBLE_CERT_TOL:

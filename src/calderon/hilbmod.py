@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .csalg import AlgebraElement, dagger
+from .csalg import AlgebraElement, adjoint_defect, dagger, herm, opnorm
 from .errors import CertificationError, StructureError
 
 #: relative singular-value threshold for numerical rank decisions
@@ -107,7 +107,7 @@ class ModuleVector:
     def norm(self):
         """Hilbert-module norm ||<x,x>_A||^(1/2)."""
         g = self.stack.conj().T @ self.stack
-        return float(np.sqrt(np.linalg.norm(g, 2)))
+        return float(np.sqrt(opnorm(g)))
 
     def _compat(self, other):
         if self.algebra != other.algebra or self.rank != other.rank:
@@ -214,7 +214,7 @@ class ModuleOperator:
         )
 
     def norm(self):
-        return float(np.linalg.norm(self.rep, 2))
+        return float(opnorm(self.rep))
 
     def _same_shape(self, other):
         if (
@@ -374,7 +374,7 @@ def mishchenko_decompose(T):
         worst = 0.0
         for xa in gens_a:
             for xb in gens_b:
-                worst = max(worst, np.linalg.norm(inner_product(xa, xb).mat, 2))
+                worst = max(worst, opnorm(inner_product(xa, xb).mat))
         return worst
 
     def completeness(cols_a, cols_b, dim):
@@ -382,7 +382,7 @@ def mishchenko_decompose(T):
         # reconstruct every ambient representation basis vector
         basis = np.hstack([cols_a, cols_b])
         proj = basis @ basis.conj().T
-        return float(np.linalg.norm(proj - np.eye(dim), 2))
+        return float(opnorm(proj - np.eye(dim)))
 
     m = alg.rep_dim
     residuals = {
@@ -430,14 +430,14 @@ def orthogonalize_idempotent_matrix(rep):
         raise StructureError("idempotent must be square")
     dim = rep.shape[0]
     eye = np.eye(dim)
-    idem_defect = np.linalg.norm(rep @ rep - rep, 2)
-    if idem_defect > IDEM_TOL * max(1.0, np.linalg.norm(rep, 2) ** 2):
+    idem_defect = opnorm(rep @ rep - rep)
+    if idem_defect > IDEM_TOL * max(1.0, opnorm(rep) ** 2):
         raise StructureError(
             "operator is not idempotent within tolerance (defect %.3e)"
             % idem_defect
         )
     f = rep @ rep.conj().T + (eye - rep.conj().T) @ (eye - rep)
-    f_eigs = np.linalg.eigvalsh(0.5 * (f + f.conj().T))
+    f_eigs = np.linalg.eigvalsh(herm(f))
     if f_eigs.min() < 1e-12 * max(1.0, f_eigs.max()):
         raise CertificationError(
             "F numerically singular (min eigenvalue %.3e); "
@@ -463,8 +463,8 @@ def _diagonal_blocks(P):
 def projection_defects(blocks):
     """Idempotency and self-adjointness defects of a block diagonal in the
     2-norm: the largest over its blocks."""
-    idem = (float(np.linalg.norm(b @ b - b, 2)) for b in blocks)
-    asym = (float(np.linalg.norm(b - b.conj().T, 2)) for b in blocks)
+    idem = (float(opnorm(b @ b - b)) for b in blocks)
+    asym = (float(adjoint_defect(b)) for b in blocks)
     return max(idem, default=0.0), max(asym, default=0.0)
 
 

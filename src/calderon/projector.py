@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .csalg import dagger
+from .csalg import adjoint_defect, herm, opnorm
 from .dirac import (
     CollarFunction,
     _channels_to_values,
@@ -80,7 +80,7 @@ class BoundaryData:
         return cls(model, n_y, np.zeros(shape, complex), np.zeros(shape, complex))
 
     @classmethod
-    def random_band_limited(cls, model, n_y, rng, scale=1.0):
+    def random_band_limited(cls, model, n_y, rng):
         """Random data supported on the dealiased frequency set."""
         shape = (n_y, model.n_fiber, model.m)
         out = []
@@ -89,10 +89,8 @@ class BoundaryData:
         for _ in range(2):
             vals = np.zeros(shape, dtype=complex)
             for eta in range(-cut, cut + 1):
-                coef = scale * (
-                    rng.standard_normal(shape[1:])
-                    + 1j * rng.standard_normal(shape[1:])
-                )
+                coef = rng.standard_normal(shape[1:])
+                coef = coef + 1j * rng.standard_normal(shape[1:])
                 vals += np.exp(1j * eta * y)[:, None, None] * coef[None]
             out.append(vals)
         return cls(model, n_y, out[0], out[1])
@@ -177,8 +175,7 @@ class BoundaryProjector:
         """Apply to boundary data on the projector's grid: the two traces
         are gathered into every channel by one y-FFT, and scattered back
         by one inverse y-FFT."""
-        if g.model is not self.model and g.model.n_fiber != self.model.n_fiber:
-            raise StructureError("boundary data model mismatch")
+        _check_data_model(g, self.model)
         if g.n_y != self.n_y:
             raise StructureError("data on n_y %d, not %d" % (g.n_y, self.n_y))
         channels = [ch for ch, _ in self.channel_blocks]
@@ -223,6 +220,14 @@ class BoundaryProjector:
             rhs = self.apply(g).times(a)
             worst = max(worst, (lhs - rhs).norm())
         return worst
+
+
+def _check_data_model(g, model):
+    """Refuse boundary data over another algebra or fiber than ``model``'s."""
+    if g.model is not model and (
+        g.model.algebra != model.algebra or g.model.n_fiber != model.n_fiber
+    ):
+        raise StructureError("boundary data model mismatch")
 
 
 def _block_diag(blocks):
@@ -290,6 +295,7 @@ def poisson(sys, g, with_side2=False):
     Returns the side-1 solution; its traces are the Calderon projection of
     ``g`` and it solves the homogeneous equation in the interior.
     """
+    _check_data_model(g, sys.model)
     phi, tau = sys.solve(jump0=g.g0, jump1=g.g1)
     out = CollarFunction(sys.grid, phi)
     if with_side2:
@@ -358,11 +364,9 @@ def principal_symbol(b, tol=1e-12):
     n = b.shape[-1]
     lead = b.shape[:-2]
     b = b.reshape((-1, n, n))
-    scale = np.maximum(1.0, np.linalg.norm(b, 2, axis=(-2, -1)))
-    asym = np.linalg.norm(b - dagger(b), 2, axis=(-2, -1))
-    if np.any(asym > 1e-10 * scale):
+    if np.any(adjoint_defect(b) > 1e-10 * np.maximum(1.0, opnorm(b))):
         raise StructureError("tangential symbol must be self-adjoint")
-    x = 0.5 * (b + dagger(b))
+    x = herm(b)
     eigs = np.abs(np.linalg.eigvalsh(x))
     a, c = eigs.max(axis=-1), eigs.min(axis=-1)
     if np.any(c < PINCH_TOL):
@@ -378,7 +382,7 @@ def principal_symbol(b, tol=1e-12):
     for k in range(1, SIGN_MAX_STEPS + 1):
         m = mu[:, None, None]
         x, prev = 0.5 * (m * x + np.linalg.inv(x) / m), x
-        x = 0.5 * (x + dagger(x))
+        x = herm(x)
         step = _frobenius(x - prev)
         done = step < tol
         idx = live[done]
@@ -428,24 +432,26 @@ def spectral_projection_positive(b_mat):
     eigh."""
     b_mat = np.asarray(b_mat, dtype=complex)
     n = b_mat.shape[-1]
-    w, v = np.linalg.eigh(0.5 * (b_mat + dagger(b_mat)))
+    w, v = np.linalg.eigh(herm(b_mat))
     parts = map(_positive_part, w.reshape(-1, n), v.reshape(-1, n, n))
     return np.stack(list(parts)).reshape(b_mat.shape)
 
 
-def symbol_limit_check(model, etas=(2, 4, 8, 16)):
+#: the frequency ladder of symbol_limit_check
+SYMBOL_LIMIT_ETAS = (2.0, 4.0, 8.0, 16.0)
+
+
+def symbol_limit_check(model):
     """Large-frequency comparison of the projector with its symbol.
 
-    For each eta computes delta = || (u=0 block of C(eta)) - positive
+    For each eta of SYMBOL_LIMIT_ETAS computes delta = || (u=0 block of C(eta)) - positive
     spectral projection of B(eta) ||; certifies monotone decrease and the
     bound delta <= K / |eta|.  The eigendecomposition projection is used as
     the reference to keep the comparison floor at rounding level.
     """
     if model.y_dependent:
         raise StructureError("symbol limit check needs constant coefficients")
-    etas = [float(e) for e in etas]
-    if any(e <= 0 for e in etas) or sorted(etas) != etas:
-        raise StructureError("frequency ladder must be positive increasing")
+    etas = list(SYMBOL_LIMIT_ETAS)
     deltas = []
     for eta in etas:
         b = model.tangential_matrix(eta)
@@ -453,7 +459,7 @@ def symbol_limit_check(model, etas=(2, 4, 8, 16)):
         q2 = b.shape[0]
         top = block[:q2, :q2]
         q_plus = spectral_projection_positive(b)
-        deltas.append(float(np.linalg.norm(top - q_plus, 2)))
+        deltas.append(float(opnorm(top - q_plus)))
     monotone = all(
         deltas[i + 1] <= deltas[i] + 1e-14 for i in range(len(deltas) - 1)
     )

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -518,6 +519,21 @@ def test_holonomy_not_commuting_with_v_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_hermitian_cosine_base_exits_2(tmp_path, capsys):
+    # V(0) is sampled when the model is built, so the bad base is refused
+    # before any task runs or any output is written
+    out = tmp_path / "out"
+    raw = cylinder_config(out, tasks=["symbol"])
+    raw["model"]["v"] = {
+        "kind": "cosine",
+        "base": {"kind": "matrix", "real": [[1.0, 0.3], [0.0, 0.5]]},
+        "amplitude": 0.3,
+    }
+    assert main(["run", write_config(tmp_path, raw)]) == 2
+    assert "v must be self-adjoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_holonomy_on_segment_exits_2(tmp_path, capsys):
     # the segment has no y-periodicity for a holonomy to twist
     out = tmp_path / "out"
@@ -526,6 +542,39 @@ def test_holonomy_on_segment_exits_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, raw)]) == 2
     assert "holonomy needs the cylinder base" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _bypassing_svd_calls(monkeypatch):
+    """Record the calls to the ``svd`` of numpy's linalg module that do not
+    go through the public ``np.linalg.svd`` (numpy's 2-norm makes such
+    calls), leaving the public attribute as it is."""
+    try:
+        module = importlib.import_module("numpy.linalg._linalg")
+    except ImportError:  # numpy < 2
+        module = importlib.import_module("numpy.linalg.linalg")
+    assert np.linalg.svd is module.svd
+    calls = []
+    svd = module.svd
+    monkeypatch.setattr(
+        module, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
+    )
+    return calls
+
+
+def group_config(output_dir, tasks=("module-check", "symbol")):
+    raw = cylinder_config(output_dir, tasks)
+    raw["algebra"] = {"kind": "group", "name": "cyclic", "n": 4}
+    return raw
+
+
+@pytest.mark.parametrize("make", [cylinder_config, group_config])
+def test_every_svd_goes_through_np_linalg_svd(tmp_path, monkeypatch, make):
+    # every 2-norm is csalg.opnorm, which calls np.linalg.svd, so a counter
+    # on the public svd sees every SVD that a scenario takes
+    calls = _bypassing_svd_calls(monkeypatch)
+    report = cli.run_scenario(parse_config(make(tmp_path / "out")))
+    assert report["status"] == "pass"
+    assert calls == []
 
 
 # -- selfcheck and plumbing ---------------------------------------------

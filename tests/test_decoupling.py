@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 from calderon import dirac
-from calderon.csalg import CStarAlgebra
+from calderon.csalg import CStarAlgebra, adjoint_defect, opnorm
 from calderon.dirac import (
     CollarFunction,
     CollarGrid,
@@ -75,6 +75,24 @@ IDS = [name for name, _, _ in CASES]
 def case(request):
     name, model, grid = request.param
     return model, grid, build_double(model, grid)
+
+
+@pytest.mark.parametrize("name, model, grid", CASES, ids=IDS)
+def test_clifford_identities(name, model, grid):
+    """G is unitary with G* = -G, and every tangential matrix B (on every
+    channel frequency and V(y) sample) is Hermitian and anticommutes with
+    G: the identities the construction guarantees for self-adjoint V and W,
+    which the model therefore does not re-check when it is built."""
+    g = model.g_rep
+    assert opnorm(g @ g.conj().T - np.eye(model.n_fiber)) <= 1e-15
+    assert np.array_equal(g.conj().T, -g)
+    channels = model.mode_channels(grid.n_y)
+    etas = sorted({1.5} | {ch.eta + ch.shift for ch in channels})
+    for v in model.v_samples(grid.n_y):
+        for eta in etas:
+            b = model.tangential_matrix(eta, v)
+            assert adjoint_defect(b) <= 1e-12 * max(1.0, opnorm(b))
+            assert opnorm(g @ b + b @ g) <= 1e-15 * max(1.0, opnorm(b))
 
 
 def _channel_matrix(grid, b_mat):

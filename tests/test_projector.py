@@ -15,6 +15,7 @@ from calderon.dirac import (
 from calderon.errors import CertificationError, StructureError
 from calderon import projector
 from calderon.projector import (
+    SYMBOL_LIMIT_ETAS,
     BoundaryData,
     aps_projection,
     boundary_trace,
@@ -109,6 +110,29 @@ def test_poisson_rejects_data_on_another_grid(built, rng):
     g = BoundaryData.random_band_limited(model, 16, rng)
     assert grid.n_y != 16
     with pytest.raises(StructureError):
+        poisson(sysd, g)
+
+
+@pytest.mark.parametrize(
+    "other, r",
+    [(CStarAlgebra.cyclic(2), 1), (CStarAlgebra.matrix(4), 2)],
+    ids=["Z2-data-same-m", "M4-data-same-fiber"],
+)
+def test_projector_and_poisson_reject_data_over_another_algebra(
+    other, r, rng
+):
+    # C[Z/2] data has the m and fiber of an M2 model; M4 data has the fiber
+    # of an M2 model at r = 2: neither is data over the model's algebra
+    alg = CStarAlgebra.matrix(2)
+    model = ProductDiracModel("cylinder", alg, r=r, v=hermitian(rng, 2 * r))
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    sysd = build_double(model, grid)
+    foreign = ProductDiracModel("cylinder", other)
+    assert foreign.n_fiber == model.n_fiber
+    g = BoundaryData.random_band_limited(foreign, grid.n_y, rng)
+    with pytest.raises(StructureError, match="model mismatch"):
+        calderon_projector(sysd).apply(g)
+    with pytest.raises(StructureError, match="model mismatch"):
         poisson(sysd, g)
 
 
@@ -556,7 +580,8 @@ def test_symbol_limit_ladder(built):
 
 def test_symbol_limit_takes_no_svd(built, monkeypatch):
     # the exact blocks come from the graph projection alone; the kernel
-    # count of exact_channel (one SVD) is not taken
+    # count of exact_channel (one SVD) is not taken, so the only SVDs are
+    # the delta 2-norms, one per ladder frequency
     model, _, _ = built
     calls = []
     svd = np.linalg.svd
@@ -564,7 +589,7 @@ def test_symbol_limit_takes_no_svd(built, monkeypatch):
         np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
     )
     symbol_limit_check(model)
-    assert calls == []
+    assert len(calls) == len(SYMBOL_LIMIT_ETAS)
     b = model.tangential_matrix(4.0)
     assert np.array_equal(exact_projector_block(b), exact_channel(b)[0])
 
