@@ -30,6 +30,7 @@ from .errors import CalderonError, StructureError
 from . import hilbmod
 from . import sobolev
 from .dirac import (
+    SPLIT_TOL,
     CollarFunction,
     CollarGrid,
     ProductDiracModel,
@@ -50,6 +51,11 @@ REPORT_SCHEMA_VERSION = 1
 
 class ConfigError(Exception):
     """Raised for any config that does not match the schema."""
+
+
+#: errors that fail one task (and a build of the double, every task that
+#: needs it) while the scenario goes on and its report is still written
+TASK_ERRORS = (CalderonError, np.linalg.LinAlgError, MemoryError)
 
 
 # -- strict config parsing ---------------------------------------------
@@ -303,26 +309,24 @@ def write_csv(path, header, rows):
 def export_projector(out_dir, name, proj, diag):
     mat = proj.matrix()
     np.save(os.path.join(out_dir, name + ".npy"), mat)
-    # one entry per line, formatted as write_csv formats ints and floats; an
-    # entry with all bits zero (+0.0 in both parts) is a head and a tail
+    # one entry per line, formatted as write_csv formats ints and floats:
+    # a row is its head joined with the tails of its entries, and only the
+    # entries with a nonzero bit (not +0.0 in both parts) are formatted
     n_rows, n_cols = mat.shape
-    flat = mat.ravel()
-    heads = ["%d" % i for i in range(n_rows)]
     tails = [",%d,%s,%s\n" % (j, _fmt(0.0), _fmt(0.0)) for j in range(n_cols)]
-    entries = zip(
-        np.repeat(np.arange(n_rows), n_cols).tolist(),
-        np.tile(np.arange(n_cols), n_rows).tolist(),
-        flat.real.tolist(),
-        flat.imag.tolist(),
-        flat.view(np.uint64).reshape(-1, 2).any(axis=1).tolist(),
-    )
+    nonzero = mat.ravel().view(np.uint64).reshape(n_rows, n_cols, 2).any(2)
     with open(os.path.join(out_dir, name + ".csv"), "w") as fh:
         fh.write("row,col,real,imag\n")
-        fh.writelines(
-            "%d,%d,%.17e,%.17e\n" % (i, j, re, im) if bits else
-            heads[i] + tails[j]
-            for i, j, re, im, bits in entries
-        )
+        for i, (row, bits) in enumerate(zip(mat, nonzero)):
+            cells = tails.copy()
+            cols = np.flatnonzero(bits)
+            values = row[cols]
+            for j, re, im in zip(
+                cols.tolist(), values.real.tolist(), values.imag.tolist()
+            ):
+                cells[j] = ",%d,%.17e,%.17e\n" % (j, re, im)
+            head = "%d" % i
+            fh.write(head + head.join(cells))
     with open(os.path.join(out_dir, name + "_diagnostics.txt"), "w") as fh:
         for key in sorted(diag):
             fh.write("%s = %s\n" % (key, _fmt(diag[key])))
@@ -424,6 +428,8 @@ def _task_double(cfg, out_dir, run):
     ok = sysd.sigma_min > cfg["tolerances"]["sigma_min"] and ghost[
         "trivial_kernel"
     ]
+    # a y-coupled double's channels are only as exact as their split
+    ok = ok and metrics.get("commutant_offblock_residual", 0.0) <= SPLIT_TOL
     dims = sysd.kernel_dims()
     metrics["max_kernel_dim"] = int(max(dims))
     ok = ok and max(dims) == 0
@@ -633,7 +639,7 @@ class _ScenarioRun:
                 self._double = build_double(
                     self.cfg["model"], self.cfg["grid"]
                 )
-            except (CalderonError, np.linalg.LinAlgError) as exc:
+            except TASK_ERRORS as exc:
                 self._error = exc
                 raise
         return self._double
@@ -669,10 +675,10 @@ def _strict_json(obj):
 def run_scenario(cfg, levels=3):
     """Execute the configured tasks in order and assemble the report.
 
-    A task that raises a :class:`CalderonError` or a
-    ``numpy.linalg.LinAlgError``, or reports a NaN metric, fails; the
-    report is written in any case, as strict JSON with non-finite values
-    as ``null``.
+    A task that raises one of TASK_ERRORS (a :class:`CalderonError`, a
+    ``numpy.linalg.LinAlgError`` or a ``MemoryError``), or reports a NaN
+    metric, fails; the report is written in any case, as strict JSON with
+    non-finite values as ``null``.
     """
     out_dir = cfg["output_dir"]
     os.makedirs(out_dir, exist_ok=True)
@@ -684,8 +690,8 @@ def run_scenario(cfg, levels=3):
         func = _TASK_FUNCS[name]
         try:
             status, metrics = func(cfg, out_dir, run)
-        except (CalderonError, np.linalg.LinAlgError) as exc:
-            status, metrics = "fail", {"error": str(exc)}
+        except TASK_ERRORS as exc:
+            status, metrics = "fail", {"error": str(exc) or type(exc).__name__}
         nan_keys = _nan_keys(metrics)
         if nan_keys:
             status = "fail"

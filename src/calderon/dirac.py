@@ -19,13 +19,16 @@ Two choices are independent.  The u-rule comes from ``grid.kind``:
 Chebyshev collocation, or 4th-order finite differences with one-sided
 closures on a uniform grid.  The channels come from V
 (:meth:`ProductDiracModel.mode_channels`): a constant V gives one channel
-per dealiased y-mode and holonomy eigenphase; a V(y) gives a single
-channel whose tangential block is B over all (y-point, fiber)
-coordinates, pseudospectral in y and Hermitian as well.  The double's
-channel list is the one channel map: data is gathered into all mode
-channels by one y-FFT and scattered back by one inverse y-FFT; on the
-y-coupled channel, whose coordinates are the boundary samples, both are
-reshapes.  Past that, every channel runs the same code on either u-grid.
+per dealiased y-mode and holonomy eigenphase; a V(y) gives one y-coupled
+channel per cluster of the commutant split of its samples and the
+holonomy (:func:`commutant_split`), whose tangential block is B,
+pseudospectral in y and Hermitian as well, on the (y-point, cluster)
+coordinates.  The double's channel list is the one channel map: data is
+gathered into all mode channels by one y-FFT and scattered back by one
+inverse y-FFT; on the y-coupled channels, whose coordinates are the
+boundary samples in the cluster's fiber basis, both are one product with
+the embedding per sample.  Past that, every channel runs the same code on
+either u-grid.
 
 A holonomy H, s(y + 2 pi) = H s(y), is taken in the periodic gauge
 s = e^{iy Theta} p, Theta = sum of shift * basis basis^* over the
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csalg import AlgebraElement, adjoint_defect, opnorm
+from .csalg import AlgebraElement, adjoint_defect, dagger, opnorm
 from .errors import CertificationError, StructureError
 from .hilbmod import ModuleOperator
 
@@ -69,6 +72,12 @@ SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: smallest certified singular value for the assembled double
 DOUBLE_CERT_TOL = 1e-10
+
+#: :func:`commutant_split`: the seed of its combination, the relative
+#: eigenvalue gap it splits at and the bound it certifies a split to
+SPLIT_SEED = 20100521
+SPLIT_GAP = 1e-3
+SPLIT_TOL = 1e-12
 
 
 # -- u-axis discretizations --------------------------------------------
@@ -229,22 +238,68 @@ def _check_self_adjoint(a, name):
         raise StructureError("%s must be self-adjoint" % name)
 
 
+def commutant_split(mats):
+    """Invariant subspaces of all Hermitian ``mats`` (k, n, n) (the
+    commutant step of Murota, Kanno, Kojima & Kojima, Japan J. Indust.
+    Appl. Math. 27, 2010): the eigenvectors E of one combination
+    sum c_j mats[j], the c_j in [1, 2) from a generator seeded SPLIT_SEED,
+    cut into clusters at eigenvalue gaps above SPLIT_GAP times its norm.
+    Returns E, the clusters (column slices) and the certificate: their
+    count, ||E*E - I||_2 and the largest off-block part of E* mats[j] E
+    relative to max(1, ||mats[j]||_2), as :func:`_check_self_adjoint`
+    measures.  One cluster, or a split that fails SPLIT_TOL (matrices that
+    do not commute), is returned as E = I."""
+    mats = np.asarray(mats, dtype=complex)
+    n = mats.shape[-1]
+    coef = np.random.default_rng(SPLIT_SEED).uniform(1.0, 2.0, len(mats))
+    w, e = np.linalg.eigh(np.tensordot(coef, mats, axes=1))
+    cuts = [0, *np.flatnonzero(np.diff(w) > SPLIT_GAP * np.abs(w).max()) + 1]
+    clusters = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
+    rot = dagger(e) @ mats @ e
+    for c in clusters:
+        rot[:, c, c] = 0.0
+    residual = float((opnorm(rot) / np.maximum(1.0, opnorm(mats))).max())
+    defect = float(opnorm(dagger(e) @ e - np.eye(n)))
+    if len(clusters) == 1 or max(residual, defect) > SPLIT_TOL:
+        e, clusters, residual, defect = np.eye(n), [slice(0, n)], 0.0, 0.0
+    return e, clusters, {
+        "commutant_clusters": len(clusters),
+        "commutant_unitarity_defect": defect,
+        "commutant_offblock_residual": residual,
+    }
+
+
+def _fiber_embedding(basis):
+    """diag(basis, basis), (2rm, 2q), by slice assignment: np.kron would
+    write 0 * (-x) = -0.0 into the off-blocks."""
+    rm, q = basis.shape
+    embedding = np.zeros((2 * rm, 2 * q), dtype=complex)
+    embedding[:rm, :q] = embedding[rm:, q:] = basis
+    return embedding
+
+
 @dataclass
 class ModeChannel:
     """One channel block: the integer frequency ``eta`` of the periodic
     part, the eigenphase ``shift`` and the channel's embedding.
 
     ``embedding`` = diag(basis, basis) embeds the channel's coordinates,
-    spinor x eigenphase subspace (orthonormal ``basis``, (rm, q)), into the
-    full fiber; ``b_mat`` is B(eta + shift) on them.  The y-coupled
-    channel has eta = 0, no embedding, and ``b_mat`` is B over all
-    (y-point, fiber) coordinates: the boundary samples themselves.
+    spinor x subspace (orthonormal ``basis``, (rm, q)), into the full
+    fiber; ``b_mat`` is B(eta + shift) on them.  A y-coupled channel
+    (``coupled``, with the certificate ``split`` of its commutant split) has
+    eta = 0, and its coordinates are the boundary samples in its cluster's
+    basis: it embeds by I_{n_y} x embedding, and ``b_mat`` is B on them.
     """
 
     eta: float
     shift: float
-    embedding: np.ndarray  # (2rm, 2q), or None on the y-coupled channel
-    b_mat: np.ndarray  # (2q, 2q)
+    embedding: np.ndarray  # (2rm, 2q)
+    b_mat: np.ndarray  # (2q, 2q), or (n_y 2q, n_y 2q) y-coupled
+    split: dict = None
+
+    @property
+    def coupled(self):
+        return self.split is not None
 
     @property
     def dim(self):
@@ -261,7 +316,8 @@ class ProductDiracModel:
     r : twist rank (the coefficient bundle is A^r)
     v : the sigma_3 potential; a self-adjoint ModuleOperator A^r -> A^r, or
         a callable y -> (r*m, r*m) Hermitian complex matrix (V(y): the
-        double then has one y-coupled channel), or None (= 0)
+        double then has one y-coupled channel per commutant cluster), or
+        None (= 0)
     w : optional self-adjoint sigma_1 term (segment only)
     holonomy : optional unitary ModuleOperator A^r -> A^r twisting the
         y-periodicity (cylinder only); must commute with v (with V(y) at
@@ -395,24 +451,34 @@ class ProductDiracModel:
 
         Constant V: one tangential block per dealiased frequency and
         holonomy eigenphase (on the segment, n_y = 1: the one block
-        B(0)).  V(y): the one y-coupled channel, whose block
-        is B over all (y-point, fiber) coordinates, i.e. the operator of
-        :func:`_tangential_apply` applied to the identity.
+        B(0)).  V(y): one y-coupled channel per cluster of the commutant
+        split of the V(y) samples and the eigenphase projectors, whose
+        block is (I x E)* B (I x E), B the operator of
+        :func:`_tangential_apply` applied to the identity and I x E the
+        channel's embedding.
         """
+        holonomy = self.holonomy_channels()
         if self.y_dependent:
-            n = n_y * self.n_fiber
-            eye = np.eye(n, dtype=complex).reshape(1, n_y, self.n_fiber, n)
-            b = _tangential_apply(self, n_y, eye).reshape(n, n)
-            return [ModeChannel(0.0, 0.0, None, b)]
+            f = self.n_fiber
+            projectors = [p @ p.conj().T for _, p in holonomy]
+            e, clusters, split = commutant_split(
+                [*self.v_samples(n_y), *projectors]
+            )
+            eye = np.eye(n_y * f, dtype=complex).reshape(1, n_y, f, -1)
+            b = _tangential_apply(self, n_y, eye).reshape(n_y, f, -1)
+            channels = []
+            for cols in clusters:
+                emb = _fiber_embedding(e[:, cols])
+                # rows, then columns, per y-point
+                b_c = (dagger(emb) @ b).reshape(-1, n_y, f) @ emb
+                b_c = b_c.reshape(n_y * emb.shape[1], -1)
+                channels.append(ModeChannel(0.0, 0.0, emb, b_c, split))
+            return channels
         channels = []
         cut = mode_radius(n_y)
-        for shift, basis in self.holonomy_channels():
+        for shift, basis in holonomy:
             v_sub = basis.conj().T @ self.v_rep @ basis
-            # diag(basis, basis) by slice assignment: np.kron would write
-            # 0 * (-x) = -0.0 into the off-blocks
-            q = basis.shape[1]
-            embedding = np.zeros((self.n_fiber, 2 * q), dtype=complex)
-            embedding[: self.rm, :q] = embedding[self.rm :, q:] = basis
+            embedding = _fiber_embedding(basis)
             for eta in range(-cut, cut + 1):
                 b = self.tangential_matrix(eta + shift, v_sub)
                 channels.append(ModeChannel(float(eta), shift, embedding, b))
@@ -557,16 +623,19 @@ class DoubleSystem:
 
     @property
     def per_mode(self):
-        """False on the double of a V(y) model, whose one channel has no
-        embedding."""
-        return all(cs.channel.embedding is not None for cs in self.channels)
+        """False on the double of a V(y) model, whose channels are
+        y-coupled."""
+        return not any(cs.channel.coupled for cs in self.channels)
 
-    # dense_matrix and dense_lu are read-only aliases of channels[0].matrix
-    # and channels[0].lu on the y-coupled channel (None per mode); they stay
-    # because benchmarks/tracing.py reads them for the system's dof and bytes
+    # dense_matrix (the row stack of every channel's matrix) and dense_lu
+    # (channels[0].lu) are read-only aliases on the y-coupled double (None
+    # per mode); they stay because benchmarks/tracing.py reads them for the
+    # system's dof and bytes
     @property
     def dense_matrix(self):
-        return None if self.per_mode else self.channels[0].matrix
+        if self.per_mode:
+            return None
+        return np.concatenate([cs.matrix for cs in self.channels])
 
     @property
     def dense_lu(self):
@@ -575,8 +644,10 @@ class DoubleSystem:
     def certificate(self):
         """How ``sigma_min`` was obtained: the method, the size and number
         of the full SVDs against the channels' scalar systems, and the
-        largest eigendecomposition residual and unitarity defect."""
+        largest eigendecomposition residual and unitarity defect; on the
+        y-coupled double also the commutant split's certificate."""
         return {
+            **(self.channels[0].channel.split or {}),
             "sigma_min_method": "%s decoupled full SVD"
             % ("per-mode" if self.per_mode else "y-coupled"),
             "svd_max_dim": int(self.systems.shape[-1]),
@@ -803,12 +874,15 @@ def _solve_channel(cs, rhs):
 
 def _values_to_channels(values, channels, n_y):
     """The coefficients of each channel in values sampled on the boundary
-    circle, shape (..., n_y, n_fiber, cols), from one y-FFT: per mode
-    channel embedding^* c_eta, (..., 2q, cols), with c_eta the y-Fourier
-    coefficient of its frequency; on the y-coupled channel (no embedding)
-    the samples themselves, (..., n_y * n_fiber, cols)."""
-    if channels[0].embedding is None:
-        return [values.reshape(values.shape[:-3] + (-1, values.shape[-1]))]
+    circle, shape (..., n_y, n_fiber, cols): per mode channel, from one
+    y-FFT, embedding^* c_eta, (..., 2q, cols), with c_eta the y-Fourier
+    coefficient of its frequency; per y-coupled channel embedding^* at
+    every sample, flattened to (..., n_y * 2q, cols)."""
+    if channels[0].coupled:
+        shape = values.shape[:-3] + (-1, values.shape[-1])
+        return [
+            (dagger(ch.embedding) @ values).reshape(shape) for ch in channels
+        ]
     coeffs = np.fft.fft(values, axis=-3) / n_y
     return [
         ch.embedding.conj().T @ coeffs[..., int(ch.eta) % n_y, :, :]
@@ -819,10 +893,13 @@ def _values_to_channels(values, channels, n_y):
 def _channels_to_values(channel_vals, channels, n_y, shape):
     """The samples, of the given shape (..., n_y, n_fiber, cols), of one
     coefficient array per channel: the inverse of :func:`_values_to_channels`
-    by one inverse y-FFT of the frequency slabs embedding @ c."""
-    if channels[0].embedding is None:
-        (vals,) = channel_vals
-        return vals.reshape(shape)
+    by one inverse y-FFT of the frequency slabs embedding @ c, or on the
+    y-coupled channels the sum of embedding @ c at every sample."""
+    if channels[0].coupled:
+        return sum(
+            ch.embedding @ c.reshape(c.shape[:-2] + (n_y, -1, c.shape[-1]))
+            for ch, c in zip(channels, channel_vals)
+        ).reshape(shape)
     coeffs = np.zeros(shape, dtype=complex)
     for ch, c in zip(channels, channel_vals):
         coeffs[..., int(ch.eta) % n_y, :, :] += ch.embedding @ c

@@ -105,9 +105,9 @@ class ModuleVector:
         return ModuleVector(self.algebra, self.rank, complex(scalar) * self.stack)
 
     def norm(self):
-        """Hilbert-module norm ||<x,x>_A||^(1/2)."""
-        g = self.stack.conj().T @ self.stack
-        return float(np.sqrt(opnorm(g)))
+        """Hilbert-module norm ||<x,x>_A||^(1/2): a float, or an array over
+        the members of a stack."""
+        return _per_member(np.sqrt(opnorm(inner_product(self, self).mat)))
 
     def _compat(self, other):
         if self.algebra != other.algebra or self.rank != other.rank:
@@ -214,7 +214,8 @@ class ModuleOperator:
         )
 
     def norm(self):
-        return float(opnorm(self.rep))
+        """Operator norm: a float, or an array over the members of a stack."""
+        return _per_member(opnorm(self.rep))
 
     def _same_shape(self, other):
         if (
@@ -243,6 +244,11 @@ def membership_defect(algebra, rep):
 
 
 # -- basic operations ---------------------------------------------------
+
+
+def _per_member(a):
+    """A float for one member, the array itself for a stack."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def inner_product(x, y):

@@ -12,7 +12,7 @@ projection
             [T (1+T^2)^-1, T (1+T^2)^-1 T]],       T = e^{-b}.
 
 The projector is stored as one block per channel of the double (per mode
-and eigenphase, or the one y-coupled channel), built from the 2x2 maps
+and eigenphase, or per commutant cluster of a V(y)), built from the 2x2 maps
 p(lambda) from jump data to traces of the real scalar systems A(lambda) of
 the double, the discrete P(e^{-lambda}).  Its principal symbol (the large
 |eta| limit of the u=0 block) is the positive spectral projection of b,
@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .csalg import adjoint_defect, herm, opnorm
+from .csalg import adjoint_defect, dagger, herm, opnorm
 from .dirac import (
     CollarFunction,
     _channels_to_values,
@@ -141,8 +141,8 @@ class BoundaryProjector:
     frequency: per mode, a block acts on the full-fiber double trace
     (2 * n_fiber complex dimensions) of one frequency, and with holonomy it
     is the sum of the embedded eigenphase-channel blocks.  The y-coupled
-    projector has one channel, with no embedding: its block acts on all
-    (component, y, fiber) coordinates and is its one full block.
+    projector has one channel per commutant cluster, and its one full block,
+    on all (component, y, fiber) coordinates, is the sum of theirs embedded.
     """
 
     model: object
@@ -151,8 +151,8 @@ class BoundaryProjector:
 
     @property
     def per_mode(self):
-        """False on the y-coupled projector (no channel embedding)."""
-        return all(ch.embedding is not None for ch, _ in self.channel_blocks)
+        """False on the y-coupled projector."""
+        return not any(ch.coupled for ch, _ in self.channel_blocks)
 
     @cached_property
     def blocks(self):
@@ -244,9 +244,14 @@ def _block_diag(blocks):
 
 def _embed_channel_block(ch, block):
     """Embed a (2d x 2d) channel block into the full-fiber double trace."""
-    if ch.embedding is None:  # the y-coupled channel acts on it already
-        return block
-    e_b = _block_diag([ch.embedding, ch.embedding])
+    e = ch.embedding
+    f, q2 = e.shape
+    if ch.coupled:  # (I_k x e) block (I_k x e)*, k = 2 n_y: two products
+        k = len(block) // q2
+        x = block.reshape(k, q2, k, q2).transpose(1, 0, 2, 3).reshape(q2, -1)
+        x = (e @ x).reshape(-1, q2) @ dagger(e)
+        return x.reshape(f, k, k, f).transpose(1, 0, 2, 3).reshape(k * f, -1)
+    e_b = _block_diag([e, e])
     return e_b @ block @ e_b.conj().T
 
 
@@ -522,13 +527,13 @@ def calderon_vs_aps_index(sys):
     each channel.
 
     Both projectors are built over the channels of the double (per mode
-    and eigenphase, or the one y-coupled channel), the APS blocks from its
-    eigenpairs, and compared with hilbmod.relative_index channel block by
-    channel block; ranks add over a direct sum, so the result is the
+    and eigenphase, or per commutant cluster of a V(y)), the APS blocks
+    from its eigenpairs, and compared with hilbmod.relative_index channel
+    block by channel block; ranks add over a direct sum, so the result is the
     integer (complex-dimension counting) of the assembled matrices.  It is
     reported with the frequency set it counts: ``mode_radius`` (|eta| <=
-    n_y // 3) per mode, ``y_frequencies`` = n_y on the y-coupled channel,
-    which counts every y-frequency.
+    n_y // 3) per mode, ``y_frequencies`` = n_y on the y-coupled channels,
+    which count every y-frequency.
     """
     n_y = sys.grid.n_y
     c_proj = calderon_projector(sys, method="exact")

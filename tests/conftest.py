@@ -45,7 +45,7 @@ def cylinder_fixture(seed=424242):
 
 def y_coupled_model():
     """Cylinder over M2 with V(y) = diag(0.9, -0.4) + 0.3 cos(y): its double
-    is the one y-coupled channel."""
+    has one y-coupled channel per fiber coordinate."""
     alg = CStarAlgebra.matrix(2)
     base = np.diag([0.9, -0.4]).astype(complex)
     return ProductDiracModel(

@@ -388,6 +388,51 @@ def test_double_reports_how_sigma_min_was_certified(tmp_path):
     assert metrics["max_kernel_dim"] == 0
 
 
+def test_double_reports_the_commutant_split(tmp_path, monkeypatch):
+    # the cylinder-vy fixture: V(y) = diag(0.9, -0.4) + 0.3 cos(y) splits
+    # into one y-coupled channel per fiber coordinate
+    (raw,) = [
+        raw for raw in cli.builtin_fixtures(str(tmp_path))
+        if raw["output_dir"].endswith("cylinder-vy")
+    ]
+    raw["tasks"] = ["double"]
+    (double,) = cli.run_scenario(parse_config(raw))["tasks"]
+    assert double["status"] == "pass"
+    metrics = double["metrics"]
+    assert metrics["commutant_clusters"] == 2
+    assert 0.0 <= metrics["commutant_offblock_residual"] <= 1e-12
+    assert 0.0 <= metrics["commutant_unitarity_defect"] <= 1e-12
+    assert metrics["sigma_min_method"] == "y-coupled decoupled full SVD"
+    # the task gates the residual of the split it reports
+    split = dirac.commutant_split
+
+    def loose_split(mats):
+        e, clusters, cert = split(mats)
+        return e, clusters, dict(cert, commutant_offblock_residual=2e-12)
+
+    monkeypatch.setattr(dirac, "commutant_split", loose_split)
+    (double,) = cli.run_scenario(parse_config(raw))["tasks"]
+    assert double["status"] == "fail"
+
+
+def test_memory_error_becomes_fail_entry(tmp_path, monkeypatch):
+    def out_of_memory(model, grid):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_double", out_of_memory)
+    out = tmp_path / "out"
+    raw = cylinder_config(out, tasks=("double", "symbol", "calderon"))
+    assert main(["run", write_config(tmp_path, raw)]) == 1
+    report = strict_report(out)
+    assert report["status"] == "fail"
+    tasks = {t["name"]: t for t in report["tasks"]}
+    assert tasks["symbol"]["status"] == "pass"
+    for name in ("double", "calderon"):
+        assert tasks[name] == {
+            "name": name, "status": "fail", "metrics": {"error": "MemoryError"}
+        }
+
+
 def test_symbol_reports_how_it_was_computed(tmp_path):
     out = tmp_path / "out"
     raw = cylinder_config(out, tasks=["symbol"])

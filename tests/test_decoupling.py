@@ -1,5 +1,5 @@
 """The double, solved in the eigenbasis of each channel's tangential block
-(per mode, or the one y-coupled channel of a V(y) model), against the
+(per mode, or the y-coupled channels of a V(y) model), against the
 coupled channel system it replaces."""
 
 import numpy as np
@@ -33,7 +33,7 @@ from conftest import fixture_models, hermitian, twisted_model, y_coupled_model
 
 def decoupling_models():
     """fixture_models() plus a segment with a sigma_1 term w, a cylinder
-    with V(y), whose double is one y-coupled channel, on either u-grid, and
+    with V(y), whose double has two y-coupled channels, on either u-grid, and
     a twisted cylinder whose eigenvalues are all distinct."""
     rng = np.random.default_rng(7)
     m2 = CStarAlgebra.matrix(2)

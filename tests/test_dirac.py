@@ -13,6 +13,7 @@ from calderon.dirac import (
     build_double,
     chebyshev_nodes_diff,
     clenshaw_curtis_weights,
+    commutant_split,
     exact_channel,
     expm,
     fd4_diff,
@@ -104,6 +105,29 @@ def test_model_validation(rng):
             v=np.diag([1.0, 2.0]),
             holonomy=np.array([[0.0, 1.0], [1.0, 0.0]]),
         )  # does not commute with v
+
+
+def test_commutant_split_of_a_rotated_commuting_family(rng):
+    """Five Hermitian matrices with joint eigenspaces of dimensions 1, 2
+    and 3 in a random basis: the split finds the three, certified."""
+    u = np.linalg.qr(hermitian(rng, 6) + 1j * np.eye(6))[0]
+    groups = np.repeat([0, 1, 2], [1, 2, 3])
+    lams = [rng.standard_normal(3)[groups] for _ in range(5)]
+    mats = np.stack([(u * lam) @ u.conj().T for lam in lams])
+    e, clusters, cert = commutant_split(mats)
+    assert sorted(c.stop - c.start for c in clusters) == [1, 2, 3]
+    assert cert["commutant_clusters"] == 3
+    assert cert["commutant_unitarity_defect"] <= 1e-12
+    assert cert["commutant_offblock_residual"] <= 1e-12
+    # each cluster spans one joint eigenspace
+    for c in clusters:
+        g = groups[np.argmax(np.abs(u.conj().T @ e[:, c.start]))]
+        p = u[:, groups == g] @ u[:, groups == g].conj().T
+        assert np.linalg.norm(e[:, c] @ e[:, c].conj().T - p, 2) < 1e-12
+    # a non-commuting pair has no certified split: one cluster, E = I
+    e, clusters, cert = commutant_split([mats[0], hermitian(rng, 6)])
+    assert np.array_equal(e, np.eye(6)) and clusters == [slice(0, 6)]
+    assert cert["commutant_clusters"] == 1
 
 
 def test_mode_channels_dealiased():

@@ -262,6 +262,19 @@ def test_stacked_module_api_is_the_per_trial_api(algebra, rng):
             assert np.array_equal(stacked[name][k], value), name
 
 
+def test_stacked_module_norms_are_the_per_member_norms(algebra, rng):
+    # over M2 a (2, 6, 2) vector stack and a (2, 6, 6) operator stack
+    mats = algebra.random_element(rng, size=(2, 25)).mat
+    x, _, _, t, _ = _module_objects(algebra, mats)
+    for obj in (x, t):
+        stacked = obj.norm()
+        assert stacked.shape == (2,)
+        for k in range(2):
+            single = _module_objects(algebra, mats[k])[0 if obj is x else 3]
+            assert type(single.norm()) is float
+            assert stacked[k] == single.norm()
+
+
 def test_stacked_module_shapes_rejected(algebra, rng):
     m = algebra.rep_dim
     with pytest.raises(StructureError):

@@ -4,9 +4,11 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from calderon.csalg import CStarAlgebra
+from calderon import dirac
 from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
+    _tangential_apply,
     _values_to_channels,
     apply_dirac,
     build_double,
@@ -17,6 +19,7 @@ from calderon import projector
 from calderon.projector import (
     SYMBOL_LIMIT_ETAS,
     BoundaryData,
+    BoundaryProjector,
     aps_projection,
     boundary_trace,
     calderon_projector,
@@ -305,31 +308,142 @@ def test_dense_projector_converges_to_oracle():
 
 
 def test_y_coupled_projector_converges_to_exact_graph_projection():
-    """With V(y) the one channel's exact-in-u projector is the graph
-    projection of the y-coupled B; the FD4 collocation projector converges
-    to it at 4th order."""
+    """With V(y) each y-coupled channel's exact-in-u projector block is the
+    graph projection of its B; the FD4 collocation projector converges to
+    the assembled exact one at 4th order."""
     model = y_coupled_model()
     errs = []
     for n_u in (16, 32, 64):
         sysd = build_double(model, CollarGrid(n_u=n_u, n_y=8, kind="uniform"))
-        oracle = exact_projector_block(sysd.channels[0].channel.b_mat)
-        exact = calderon_projector(sysd, method="exact").matrix()
-        assert np.array_equal(exact, oracle)
+        exact = calderon_projector(sysd, method="exact")
+        for ch, block in exact.channel_blocks:
+            assert np.array_equal(block, exact_projector_block(ch.b_mat))
         proj = calderon_projector(sysd).matrix()
-        errs.append(np.linalg.norm(proj - oracle, 2))
+        errs.append(np.linalg.norm(proj - _exact_matrix(sysd), 2))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert orders.min() >= 3.5
 
 
 def test_y_coupled_chebyshev_projector_matches_exact_graph_projection():
-    """V(y) on a Chebyshev grid: the collocation projector of the one
-    y-coupled channel is spectrally close to its exact graph projection."""
+    """V(y) on a Chebyshev grid: the collocation projector of the y-coupled
+    channels is spectrally close to their assembled exact graph
+    projection."""
     model = y_coupled_model()
     sysd = build_double(model, CollarGrid(n_u=24, n_y=12, kind="chebyshev"))
     assert not sysd.per_mode
-    oracle = exact_projector_block(sysd.channels[0].channel.b_mat)
     proj = calderon_projector(sysd).matrix()
-    assert np.linalg.norm(proj - oracle, 2) < 1e-9
+    assert np.linalg.norm(proj - _exact_matrix(sysd), 2) < 1e-9
+
+
+def _exact_matrix(sysd):
+    """The assembled matrix of the exact graph projections of the double's
+    channel blocks, each formed again from its b."""
+    channel_blocks = [
+        (cs.channel, exact_projector_block(cs.channel.b_mat))
+        for cs in sysd.channels
+    ]
+    proj = BoundaryProjector(sysd.model, sysd.grid.n_y, channel_blocks)
+    return proj.matrix()
+
+
+def _unsplit_b(model, n_y):
+    """B over all (y-point, fiber) coordinates: the tangential operator
+    applied to the identity, with no commutant split."""
+    n = n_y * model.n_fiber
+    eye = np.eye(n, dtype=complex).reshape(1, n_y, model.n_fiber, n)
+    return _tangential_apply(model, n_y, eye).reshape(n, n)
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_split_block_spectra_match_the_unsplit_b(twisted):
+    """The y-coupled channels of a cosine V(y) (under a holonomy as well)
+    are one per fiber eigenvalue cluster, and together they carry the
+    spectrum of the unsplit B."""
+    if twisted:
+        v = np.diag([1.0, 0.5]).astype(complex)
+        model = twisted_model(lambda y: v + 0.3 * np.cos(y) * np.eye(2))
+    else:
+        model = y_coupled_model()
+    n_y = 12
+    channels = model.mode_channels(n_y)
+    assert [ch.dim for ch in channels] == [2 * n_y, 2 * n_y]
+    assert all(ch.coupled for ch in channels)
+    b = _unsplit_b(model, n_y)
+    split = np.sort(
+        np.concatenate([np.linalg.eigvalsh(ch.b_mat) for ch in channels])
+    )
+    scale = np.linalg.norm(b, 2)
+    assert np.abs(split - np.linalg.eigvalsh(b)).max() < 1e-12 * scale
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_split_projector_equals_the_unsplit_one(monkeypatch, rotated):
+    """On the cylinder-vy fixture, and with its diagonal base replaced by a
+    random Hermitian one, the projectors of the split double (two
+    channels) and of the one unsplit channel agree to rounding, the
+    collocation and the exact ones."""
+    model = y_coupled_model()
+    if rotated:
+        base = hermitian(np.random.default_rng(5), 2)
+        model = ProductDiracModel(
+            "cylinder", model.algebra,
+            v=lambda y: base + 0.3 * np.cos(y) * np.eye(2),
+        )
+    grid = CollarGrid(n_u=24, n_y=12, kind="chebyshev")
+    split = build_double(model, grid)
+    # a split that no residual passes is dropped for the one cluster E = I
+    monkeypatch.setattr(dirac, "SPLIT_TOL", -1.0)
+    unsplit = build_double(model, grid)
+    assert (len(split.channels), len(unsplit.channels)) == (2, 1)
+    assert np.array_equal(
+        unsplit.channels[0].channel.b_mat, _unsplit_b(model, grid.n_y)
+    )
+    for method in ("collocation", "exact"):
+        p_split = calderon_projector(split, method=method).matrix()
+        p_unsplit = calderon_projector(unsplit, method=method).matrix()
+        assert np.abs(p_split - p_unsplit).max() < 1e-12
+
+
+def test_y_coupled_cross_cluster_entries_are_exact_zeros():
+    """V(y) = diag(0.9, -0.4) + 0.3 cos(y) splits by fiber coordinate: an
+    entry of the projector between the two clusters is +0.0 in both parts,
+    so the export writes it as a zero."""
+    model = y_coupled_model()
+    grid = CollarGrid(n_u=24, n_y=12, kind="chebyshev")
+    sysd = build_double(model, grid)
+    # the cluster of a (component, y, spinor, fiber) coordinate
+    cluster = np.arange(2 * grid.n_y * model.n_fiber) % model.rm
+    cross = cluster[:, None] != cluster[None, :]
+    for method in ("collocation", "exact"):
+        mat = calderon_projector(sysd, method=method).matrix()
+        bits = mat.view(np.uint64).reshape(mat.shape + (2,))
+        assert not bits[cross].any()
+        assert bits[~cross].any(axis=-1).all()
+
+
+@pytest.mark.parametrize("commuting", [False, True])
+def test_v_of_y_without_a_split_stays_one_channel(commuting):
+    """A library V(y) whose samples do not commute has no certified split,
+    and one whose samples commute with no clear eigenvalue gap has a
+    single cluster: either double keeps the one y-coupled channel B, and
+    says so."""
+    alg = CStarAlgebra.matrix(2)
+    base = np.diag([0.9, -0.4]).astype(complex)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    if commuting:
+        base, x = 0.5 * np.eye(2) + 1e-5 * x, np.eye(2)
+    model = ProductDiracModel(
+        "cylinder", alg, v=lambda y: base + 0.3 * np.cos(y) * x
+    )
+    grid = CollarGrid(n_u=24, n_y=12, kind="chebyshev")
+    (ch,) = model.mode_channels(grid.n_y)
+    assert ch.coupled
+    assert np.array_equal(ch.embedding, np.eye(model.n_fiber))
+    assert np.array_equal(ch.b_mat, _unsplit_b(model, grid.n_y))
+    cert = build_double(model, grid).certificate()
+    assert cert["commutant_clusters"] == 1
+    assert cert["commutant_offblock_residual"] == 0.0
+    assert cert["sigma_min_method"] == "y-coupled decoupled full SVD"
 
 
 # -- Poisson operator ---------------------------------------------------
@@ -686,18 +800,18 @@ def test_twisted_apply_is_idempotent_and_matches_poisson_traces(rng):
 
 
 def test_twisted_y_coupled_b_matches_per_mode_blocks():
-    """A constant V given as V(y) under a holonomy: the y-coupled B is
-    Hermitian with the spectrum of the per-mode twisted blocks
-    sigma_1 (eta + shift) + sigma_3 V over all n_y frequencies, and the
-    index is the per-mode one."""
+    """A constant V given as V(y) under a holonomy: each y-coupled B is
+    Hermitian, together they have the spectrum of the per-mode twisted
+    blocks sigma_1 (eta + shift) + sigma_3 V over all n_y frequencies, and
+    the index is the per-mode one."""
     v = np.diag([1.0, 0.5]).astype(complex)
     per_mode = twisted_model(v)
     coupled = twisted_model(lambda y: v)
     grid = CollarGrid(n_u=24, n_y=12, kind="chebyshev")
-    (ch,) = coupled.mode_channels(grid.n_y)
-    b = ch.b_mat
-    scale = np.linalg.norm(b, 2)
-    assert np.linalg.norm(b - b.conj().T, 2) < 1e-12 * scale
+    bs = [ch.b_mat for ch in coupled.mode_channels(grid.n_y)]
+    scale = max(np.linalg.norm(b, 2) for b in bs)
+    for b in bs:
+        assert np.linalg.norm(b - b.conj().T, 2) < 1e-12 * scale
     ref = np.sort(
         np.concatenate(
             [
@@ -711,7 +825,8 @@ def test_twisted_y_coupled_b_matches_per_mode_blocks():
             ]
         )
     )
-    assert np.abs(np.linalg.eigvalsh(b) - ref).max() < 1e-12 * scale
+    got = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in bs]))
+    assert np.abs(got - ref).max() < 1e-12 * scale
     i_mode = calderon_vs_aps_index(build_double(per_mode, grid))["index"]
     i_coupled = calderon_vs_aps_index(build_double(coupled, grid))["index"]
     assert i_coupled == i_mode
