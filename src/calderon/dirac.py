@@ -39,17 +39,24 @@ V(y) must commute with H.
 Every channel is solved and certified in the eigenbasis of its Hermitian
 tangential block b = U diag(lambda) U*.  The channel system kron(D, I) +
 kron(S, b) plus identity gluing rows is unitarily similar to the block
-diagonal of the scalar transmission systems A(lambda_k) = A(0) + lambda_k S
-of size 2(n_u+1), which are real because D and lambda_k are.  The double
-stores one A(lambda) per distinct eigenvalue of all its channels (only
-bit-identical ones merge, as the spectra of the modes eta and -eta do).
-Their full SVDs give each channel's smallest singular value (no
-estimate), and a solve is one batched ``np.linalg.solve`` over the
-channel's A(lambda_k); no LU factors are stored.  The eigendecomposition
-residual ||bU - U Lambda||_2 and the unitarity defect ||U*U - I||_2 are
-kept with the channel: by Weyl's inequality the decoupled sigma_min is
-within ||bU - U Lambda||_2 + 2 ||b||_2 ||U*U - I||_2 of that of the
-coupled channel system.
+diagonal of the real scalar transmission systems A(lambda_k) of size
+2(n_u+1), one per eigenvalue.  Both u-rules have J D J = -D bit for bit (J
+reverses the nodes), so in the unknown z = phi + i J tau each A(lambda) is
+the realification of the complex half system
+
+    C(lambda) = C(0) + lambda T = [(D + lambda I)[1:]; e_0^T + i e_n^T]
+
+of size n_u+1 (:func:`_realify` gives A back): the double of [0, 1] is a
+circle of length 2, closed by the factor i.  Every singular value of
+A(lambda) is one of C(lambda), counted twice.  The double stores one
+C(lambda) per distinct eigenvalue of all its channels (only bit-identical
+ones merge, as the spectra of the modes eta and -eta do).  Their full SVDs
+give each channel's smallest singular value (no estimate), and a solve is
+one batched ``np.linalg.solve`` over the channel's C(lambda_k); no LU
+factors are stored.  The eigendecomposition residual ||bU - U Lambda||_2
+and the unitarity defect ||U*U - I||_2 are kept with the channel: by
+Weyl's inequality the decoupled sigma_min is within ||bU - U Lambda||_2 +
+2 ||b||_2 ||U*U - I||_2 of that of the coupled channel system.
 
 :meth:`DoubleSystem.solve` is the one solve of the double: the inverse
 (:func:`invert_double`) and the Poisson operator are that transmission
@@ -68,7 +75,6 @@ from .hilbmod import ModuleOperator
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: smallest certified singular value for the assembled double
 DOUBLE_CERT_TOL = 1e-10
@@ -100,7 +106,10 @@ def chebyshev_nodes_diff(n):
     # map x -> u = (1-x)/2: ascending nodes, d/du = -2 d/dx
     u = (1.0 - x) / 2.0
     d_u = -2.0 * d
-    return u, d_u
+    # J D J = -D bit for bit (J reverses the nodes), as the continuum
+    # reflection u -> 1 - u gives; exact, since IEEE subtraction is
+    # antisymmetric and halving is exact
+    return u, 0.5 * (d_u - d_u[::-1, ::-1])
 
 
 def clenshaw_curtis_weights(n):
@@ -393,15 +402,21 @@ class ProductDiracModel:
         return np.kron(1j * SIGMA_2, np.eye(self.rm))
 
     def tangential_matrix(self, eta, v_rep=None):
-        """B(eta) = sigma_1 eta + sigma_3 V as a fiber matrix."""
+        """B(eta) = sigma_1 (eta + W) + sigma_3 V as a fiber matrix (W only
+        on the segment), or a stack of them for a stack of V (..., k, k),
+        by slice assignment."""
         if v_rep is None:
             if self.v_rep is None:
                 raise StructureError("y-dependent v has no per-mode matrix")
             v_rep = self.v_rep
-        eye = np.eye(v_rep.shape[0])
-        b = np.kron(SIGMA_1, eta * eye) + np.kron(SIGMA_3, v_rep)
+        k = v_rep.shape[-1]
+        off = eta * np.eye(k)
         if self.base == "segment":
-            b = b + np.kron(SIGMA_1, self.w_rep)
+            off = off + self.w_rep
+        b = np.zeros(v_rep.shape[:-2] + (2 * k, 2 * k), dtype=complex)
+        b[..., :k, :k] = v_rep
+        b[..., k:, k:] = -v_rep
+        b[..., :k, k:] = b[..., k:, :k] = off
         return b
 
     @property
@@ -461,11 +476,10 @@ class ProductDiracModel:
         if self.y_dependent:
             f = self.n_fiber
             projectors = [p @ p.conj().T for _, p in holonomy]
-            e, clusters, split = commutant_split(
-                [*self.v_samples(n_y), *projectors]
-            )
+            v = self.v_samples(n_y)
+            e, clusters, split = commutant_split([*v, *projectors])
             eye = np.eye(n_y * f, dtype=complex).reshape(1, n_y, f, -1)
-            b = _tangential_apply(self, n_y, eye).reshape(n_y, f, -1)
+            b = _tangential_apply(self, n_y, eye, v).reshape(n_y, f, -1)
             channels = []
             for cols in clusters:
                 emb = _fiber_embedding(e[:, cols])
@@ -488,14 +502,17 @@ class ProductDiracModel:
 # -- applying the operator ---------------------------------------------
 
 
-def _tangential_apply(model, n_y, values):
+def _tangential_apply(model, n_y, values, v_samples=None):
     """Apply B = sigma_1 (-i d/dy + Theta) + sigma_3 V(y) to periodic parts
-    sampled on n_y boundary points, shape (n_nodes, n_y, n_fiber, cols)."""
+    sampled on n_y boundary points, shape (n_nodes, n_y, n_fiber, cols).
+    ``v_samples`` are the already checked samples of V, sampled here when
+    omitted."""
     if values.shape[2] != model.n_fiber:
         raise StructureError("fiber dimension mismatch")
     # B(0) at every y-point, then sigma_1 tensor (-i d/dy + Theta)
-    v_samples = model.v_samples(n_y)
-    b0 = np.stack([model.tangential_matrix(0.0, v) for v in v_samples])
+    if v_samples is None:
+        v_samples = model.v_samples(n_y)
+    b0 = model.tangential_matrix(0.0, v_samples)
     out = np.einsum("yij,uyjm->uyim", b0, values)
     if n_y > 1:
         theta = sum(s * e @ e.conj().T for s, e in model.holonomy_channels())
@@ -582,18 +599,19 @@ def green_residual(model, s1, s2):
 class ChannelSystem:
     """One channel, decoupled in the eigenbasis of its tangential block.
 
-    ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``; A(eigvals[k]) is
-    ``systems[rows[k]]``.  The read-only ``matrix`` stacks them row-wise (a
-    copy), shape (2q * 2(n_u+1), 2(n_u+1)), so its row count is the
-    channel's number of unknowns.  No LU factors are kept: one batched
-    ``np.linalg.solve`` (:func:`_solve_channel`) solves grid-level data.
+    ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``; C(eigvals[k]) is
+    ``systems[rows[k]]``.  The read-only ``matrix`` stacks their real
+    scalar systems A(eigvals[k]) row-wise (a copy), shape (2q * 2(n_u+1),
+    2(n_u+1)), so its row count is the channel's number of unknowns.  No LU
+    factors are kept: one batched ``np.linalg.solve`` (:func:`_solve_channel`)
+    solves grid-level data.
     """
 
     channel: ModeChannel
     eigvals: np.ndarray  # (2q,)
     eigvecs: np.ndarray  # (2q, 2q)
     rows: np.ndarray  # (2q,) indices into systems
-    systems: np.ndarray  # the double's store (L, N, N), shared
+    systems: np.ndarray  # the double's store (L, n_u+1, n_u+1), shared
     sigma_min: float
     kernel_dim: int  # of the continuum matching problem (exact_channel)
     exact_block: np.ndarray  # (4q, 4q) P(e^{-b}), exact (exact_channel)
@@ -606,7 +624,9 @@ class ChannelSystem:
 
     @property
     def matrix(self):
-        return self.systems[self.rows].reshape(-1, self.systems.shape[-1])
+        return _realify(self.systems[self.rows]).reshape(
+            -1, 2 * self.systems.shape[-1]
+        )
 
 
 @dataclass
@@ -617,7 +637,7 @@ class DoubleSystem:
     grid: CollarGrid
     channels: list  # ChannelSystem, one per channel
     eigvals: np.ndarray  # (L,) the distinct eigenvalues of all channels
-    systems: np.ndarray  # (L, N, N) their A(lambda): the one store
+    systems: np.ndarray  # (L, n_u+1, n_u+1) their C(lambda): the one store
     sigma_min: float
     bound_constant: float
 
@@ -642,14 +662,15 @@ class DoubleSystem:
         return None if self.per_mode else self.channels[0].lu
 
     def certificate(self):
-        """How ``sigma_min`` was obtained: the method, the size and number
-        of the full SVDs against the channels' scalar systems, and the
-        largest eigendecomposition residual and unitarity defect; on the
-        y-coupled double also the commutant split's certificate."""
+        """How ``sigma_min`` was obtained: the method, the size of the full
+        SVDs (of the complex half systems C(lambda)) and their number
+        against the channels' scalar systems, and the largest
+        eigendecomposition residual and unitarity defect; on the y-coupled
+        double also the commutant split's certificate."""
         return {
             **(self.channels[0].channel.split or {}),
-            "sigma_min_method": "%s decoupled full SVD"
-            % ("per-mode" if self.per_mode else "y-coupled"),
+            "sigma_min_method": "%s decoupled full SVD of the complex half "
+            "systems" % ("per-mode" if self.per_mode else "y-coupled"),
             "svd_max_dim": int(self.systems.shape[-1]),
             "distinct_eigenvalues": len(self.eigvals),
             "scalar_systems": sum(len(cs.rows) for cs in self.channels),
@@ -707,31 +728,44 @@ def _row_selection(n):
 
 
 def _scalar_systems(grid):
-    """A(0) and S of the real scalar transmission system of one eigenvalue,
-    A(lambda) = A(0) + lambda S.
-
-    Unknowns: phi then tau at the n_u + 1 nodes.  Rows: (d/du + lambda) phi
-    at the side-1 nodes, (-d/du + lambda) tau at the side-2 nodes, then the
-    gluing rows phi(0) - tau(0) (jump0, row 2 n_u) and phi(1) + tau(1)
-    (jump1, row 2 n_u + 1).
-    """
+    """C(0) and T of the complex half system of one eigenvalue, C(lambda) =
+    C(0) + lambda T, in the unknown z = phi + i J tau at the n_u + 1 nodes:
+    row r < n_u is (d/du + lambda) z at node r + 1, whose imaginary part
+    is, as J D J = -D, the side-2 row at node n_u - 1 - r; row n_u is
+    z(0) + i z(1) = jump0 + i jump1."""
     n = grid.n_u
-    d = grid.diff_matrix()
-    side1_rows, side2_rows = _row_selection(n)
-    a0 = np.zeros((2 * n + 2, 2 * n + 2))
-    a0[:n, : n + 1] = d[side1_rows]
-    a0[n : 2 * n, n + 1 :] = -d[side2_rows]
-    a0[2 * n, [0, n + 1]] = 1.0, -1.0
-    a0[2 * n + 1, [n, 2 * n + 1]] = 1.0
-    s = np.zeros_like(a0)
-    s[np.arange(n), side1_rows] = 1.0
-    s[n + np.arange(n), n + 1 + side2_rows] = 1.0
-    return a0, s
+    c0 = np.zeros((n + 1, n + 1), dtype=complex)
+    c0[:n] = grid.diff_matrix()[1:]
+    c0[n, 0], c0[n, n] = 1.0, 1j
+    t = np.zeros_like(c0)
+    t[np.arange(n), np.arange(1, n + 1)] = 1.0
+    return c0, t
+
+
+def _realify(c):
+    """The real scalar systems A(lambda) (..., 2(n_u+1), 2(n_u+1)) of the
+    complex half systems c = C(lambda) (..., n_u+1, n_u+1).
+
+    Unknowns: phi then tau at the nodes.  Rows: (d/du + lambda) phi at the
+    side-1 nodes (:func:`_row_selection`), (-d/du + lambda) tau at the
+    side-2 nodes, then the gluing rows phi(0) - tau(0) (jump0, row 2 n_u)
+    and phi(1) + tau(1) (jump1, row 2 n_u + 1).  On z = phi + i J tau, the
+    real part of row c_r is [Re c_r, -Im c_r J] and its imaginary part
+    [Im c_r, Re c_r J].
+    """
+    n = c.shape[-1] - 1
+    re_rows = np.concatenate([c.real, -c.imag[..., ::-1]], axis=-1)
+    im_rows = np.concatenate([c.imag, c.real[..., ::-1]], axis=-1)
+    return np.concatenate(
+        [re_rows[..., :n, :], im_rows[..., n - 1 :: -1, :],
+         re_rows[..., n:, :], im_rows[..., n:, :]],
+        axis=-2,
+    )
 
 
 def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
     """Right-hand side of the channel system, in the row order of
-    :func:`_scalar_systems` with the q2 fiber rows inside each row.
+    :func:`_realify` with the q2 fiber rows inside each row.
 
     ``f1``/``f2`` have shape (n+1, q2, ...) and are the already-transformed
     rhs for (d/du + B) phi and (-d/du + B) tau; the jumps have shape
@@ -827,13 +861,13 @@ def build_double(model, grid):
     analogue of the lower bound ||sigma|| <= C ||D sigma|| is reported as
     bound_constant = 1 / sigma_min.  Each channel keeps its exact oracle.
     """
-    a0, s = _scalar_systems(grid)
+    c0, t = _scalar_systems(grid)
     channels = model.mode_channels(grid.n_y)
     eigs = [np.linalg.eigh(ch.b_mat) for ch in channels]
     lam = np.concatenate([w for w, _ in eigs])
     lam, inv = np.unique(lam, return_inverse=True)  # exact equality only
-    systems = lam[:, None, None] * s
-    systems += a0  # a0 + lam S, with no second (L, N, N) temporary
+    systems = lam[:, None, None] * t
+    systems += c0  # c0 + lam T, with no second (L, N, N) temporary
     sigmas = np.linalg.svd(systems, compute_uv=False).min(axis=1)
     offsets = np.cumsum([len(w) for w, _ in eigs])[:-1]
     channel_systems = []
@@ -860,16 +894,21 @@ def build_double(model, grid):
 def _solve_channel(cs, rhs):
     """Solve the transmission system of channel ``cs`` for ``rhs`` laid out
     as :func:`_channel_rhs` builds it: rotate the fiber axis into the
-    eigenbasis of b, solve the scalar systems of all eigenvalues in one
+    eigenbasis of b, solve the half systems of all eigenvalues in one
     batched ``np.linalg.solve``, rotate back.  The complex data is viewed as
-    interleaved real columns, so the real A(lambda_k) factor in real
-    arithmetic."""
+    interleaved real columns b of the real A(lambda_k), and each is one
+    complex column of C(lambda_k): b_r + i b_{2n-1-r} for r < n, b_{2n} +
+    i b_{2n+1} last; the solution z gives phi = Re z and tau = J Im z."""
     u = cs.eigvecs
+    n = cs.systems.shape[-1] - 1
     coef = u.conj().T @ rhs.reshape(-1, u.shape[0], rhs[0].size)
-    sol = np.linalg.solve(
-        cs.systems[cs.rows], coef.transpose(1, 0, 2).view(float)
-    ).view(complex).transpose(1, 0, 2)
-    return (u @ sol).reshape(rhs.shape)
+    b = coef.transpose(1, 0, 2).view(float)
+    beta = np.empty(b.shape[:1] + (n + 1,) + b.shape[2:], dtype=complex)
+    beta.real[:, :n], beta.imag[:, :n] = b[:, :n], b[:, 2 * n - 1 : n - 1 : -1]
+    beta.real[:, n], beta.imag[:, n] = b[:, 2 * n], b[:, 2 * n + 1]
+    z = np.linalg.solve(cs.systems[cs.rows], beta)
+    sol = np.concatenate([z.real, z.imag[:, ::-1]], axis=1)
+    return (u @ sol.view(complex).transpose(1, 0, 2)).reshape(rhs.shape)
 
 
 def _values_to_channels(values, channels, n_y):

@@ -13,8 +13,9 @@ projection
 
 The projector is stored as one block per channel of the double (per mode
 and eigenphase, or per commutant cluster of a V(y)), built from the 2x2 maps
-p(lambda) from jump data to traces of the real scalar systems A(lambda) of
-the double, the discrete P(e^{-lambda}).  Its principal symbol (the large
+p(lambda) from jump data to traces of the double's scalar transmission
+systems, the discrete P(e^{-lambda}), each read from one solve of its
+complex half system C(lambda).  Its principal symbol (the large
 |eta| limit of the u=0 block) is the positive spectral projection of b,
 computed independently by the scaled Newton iteration for the matrix sign.
 The spectral (APS) projection is stored the same way, its blocks read from
@@ -280,12 +281,15 @@ def exact_projector_block(b_mat):
 
 def _collocation_blocks(sys):
     """Channel blocks (I_2 x U) [p_ij(lambda_k)] (I_2 x U*) of C: p(lambda)
-    maps the jumps at rows 2 n_u, 2 n_u + 1 of A(lambda) to phi(0), phi(1),
-    by one batched real 2-column solve of the double's store."""
-    n = sys.systems.shape[-1]
-    e = np.zeros((1, n, 2))
-    e[0, [n - 2, n - 1], [0, 1]] = 1.0
-    p_all = np.linalg.solve(sys.systems, e)[:, [0, sys.grid.n_u]]
+    maps the jumps (jump0, jump1) to phi(0), phi(1).  Both jumps enter the
+    last row of the half system C(lambda), jump1 times i, so one batched
+    complex 1-column solve w = C(lambda)^-1 e_n of the double's store gives
+    p = [[Re w_0, -Im w_0], [Re w_n, -Im w_n]]."""
+    n = sys.grid.n_u
+    e = np.zeros((1, n + 1, 1), dtype=complex)
+    e[0, n, 0] = 1.0
+    w = np.linalg.solve(sys.systems, e)[:, [0, n], 0]
+    p_all = np.stack([w.real, -w.imag], axis=-1)
     blocks = []
     for cs in sys.channels:
         u, u_star, p = cs.eigvecs, cs.eigvecs.conj().T, p_all[cs.rows]

@@ -60,6 +60,22 @@ def write_config(tmp_path, raw, name="config.json"):
 # -- strict schema ------------------------------------------------------
 
 
+def test_parse_config_builds_no_u_discretization(tmp_path, monkeypatch):
+    """Parsing builds the model and the grid, but no differentiation
+    matrix and no half system: build_double makes those, so parsing a
+    config costs no more than validating it."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a u-discretization was built")
+
+    for name in ("chebyshev_nodes_diff", "fd4_diff", "_scalar_systems"):
+        monkeypatch.setattr(dirac, name, forbidden)
+    for raw in cli.builtin_fixtures(str(tmp_path)):
+        cfg = parse_config(raw)
+        # the guard is live: the build goes through the patched names
+        with pytest.raises(AssertionError):
+            dirac.build_double(cfg["model"], cfg["grid"])
+
+
 def test_unknown_top_level_key_rejected(tmp_path):
     raw = segment_config(tmp_path / "out")
     raw["extra"] = 1
@@ -369,8 +385,10 @@ def test_double_reports_how_sigma_min_was_certified(tmp_path):
     out = tmp_path / "out"
     cfg = parse_config(cylinder_config(out, tasks=["double"]))
     metrics = cli.run_scenario(cfg)["tasks"][0]["metrics"]
-    assert metrics["sigma_min_method"] == "per-mode decoupled full SVD"
-    assert metrics["svd_max_dim"] == 2 * (12 + 1)
+    assert metrics["sigma_min_method"] == (
+        "per-mode decoupled full SVD of the complex half systems"
+    )
+    assert metrics["svd_max_dim"] == 12 + 1
     assert metrics["eig_residual"] < 1e-12
     assert metrics["eig_unitarity_defect"] < 1e-12
     raw = cylinder_config(out, tasks=["double"])
@@ -381,8 +399,10 @@ def test_double_reports_how_sigma_min_was_certified(tmp_path):
     }
     raw["grid"] = {"n_u": 8, "n_y": 8, "kind": "uniform"}
     metrics = cli.run_scenario(parse_config(raw))["tasks"][0]["metrics"]
-    assert metrics["sigma_min_method"] == "y-coupled decoupled full SVD"
-    assert metrics["svd_max_dim"] == 2 * (8 + 1)
+    assert metrics["sigma_min_method"] == (
+        "y-coupled decoupled full SVD of the complex half systems"
+    )
+    assert metrics["svd_max_dim"] == 8 + 1
     assert metrics["eig_residual"] < 1e-12
     assert metrics["eig_unitarity_defect"] < 1e-12
     assert metrics["max_kernel_dim"] == 0
@@ -402,7 +422,9 @@ def test_double_reports_the_commutant_split(tmp_path, monkeypatch):
     assert metrics["commutant_clusters"] == 2
     assert 0.0 <= metrics["commutant_offblock_residual"] <= 1e-12
     assert 0.0 <= metrics["commutant_unitarity_defect"] <= 1e-12
-    assert metrics["sigma_min_method"] == "y-coupled decoupled full SVD"
+    assert metrics["sigma_min_method"] == (
+        "y-coupled decoupled full SVD of the complex half systems"
+    )
     # the task gates the residual of the split it reports
     split = dirac.commutant_split
 

@@ -12,6 +12,7 @@ from calderon.dirac import (
     CollarFunction,
     CollarGrid,
     ProductDiracModel,
+    _realify,
     _row_selection,
     _scalar_systems,
     build_double,
@@ -149,12 +150,23 @@ def rel_diff(a, b):
 
 
 def test_scalar_system_is_channel_matrix_of_one_eigenvalue():
+    """The realified half system C(lambda) is the coupled system of the
+    1 x 1 block lambda, bit for bit."""
     grid = CollarGrid(n_u=12, n_y=1, kind="chebyshev")
-    a0, s = _scalar_systems(grid)
+    c0, t = _scalar_systems(grid)
     for lam in (0.0, -1.7, 3.25):
         ref = _channel_matrix(grid, np.array([[lam]]))
-        assert np.array_equal(a0 + lam * s, ref.real)
+        assert np.array_equal(_realify(c0 + lam * t), ref.real)
         assert not ref.imag.any()
+
+
+@pytest.mark.parametrize("kind", ["chebyshev", "uniform"])
+def test_diff_matrix_is_reflection_antisymmetric(kind):
+    """J D J = -D bit for bit, J the node reversal: the identity that makes
+    the real scalar system the realification of the half system."""
+    for n_u in range(4, 130, 2):
+        d = CollarGrid(n_u=n_u, n_y=1, kind=kind).diff_matrix()
+        assert np.array_equal(d[::-1, ::-1], -d)
 
 
 def test_sigma_min_matches_coupled_svd(case):
@@ -172,8 +184,10 @@ def test_certificate_records_method_and_residuals(case):
     cert = sysd.certificate()
     path = "per-mode" if sysd.per_mode else "y-coupled"
     assert sysd.per_mode != model.y_dependent
-    assert cert["sigma_min_method"] == path + " decoupled full SVD"
-    assert cert["svd_max_dim"] == 2 * grid.n_nodes
+    assert cert["sigma_min_method"] == (
+        path + " decoupled full SVD of the complex half systems"
+    )
+    assert cert["svd_max_dim"] == grid.n_nodes
     assert 0.0 <= cert["eig_residual"] < 1e-12
     assert 0.0 <= cert["eig_unitarity_defect"] < 1e-12
     lam = np.concatenate([cs.eigvals for cs in sysd.channels])
@@ -266,15 +280,17 @@ def test_blockwise_diagnostics_match_assembled_matrix(case):
 # -- the per-eigenvalue store: exact, not approximate ---------------------
 
 
-def count_real_matrices(monkeypatch, name):
-    """Count the real matrices passed to ``np.linalg.<name>``: the scalar
-    systems and ghost stacks are real, the exact oracles complex."""
+def count_matrices(monkeypatch, name, kind, size=None):
+    """Count the matrices of dtype kind ``kind`` (and ``size`` columns, if
+    given) passed to ``np.linalg.<name>``: the ghost stacks are real, the
+    half systems complex of size n_u + 1 (odd), the exact oracles complex
+    of even size."""
     counts = []
     func = getattr(np.linalg, name)
 
     def counted(a, *args, **kwargs):
         a = np.asarray(a)
-        if a.dtype.kind == "f":
+        if a.dtype.kind == kind and size in (None, a.shape[-1]):
             counts.append(int(np.prod(a.shape[:-2])))
         return func(a, *args, **kwargs)
 
@@ -283,24 +299,45 @@ def count_real_matrices(monkeypatch, name):
 
 
 def test_store_is_exact_and_certified_once_per_eigenvalue(case, monkeypatch):
-    """The store holds A(lambda) of each distinct eigenvalue bit for bit,
-    and each channel's sigma_min equals the SVD of its own scalar
-    systems; build_double makes one SVD per distinct eigenvalue."""
+    """The store holds C(lambda) of each distinct eigenvalue bit for bit,
+    each channel's matrix is their realification and its sigma_min equals
+    the SVD of its own half systems; build_double makes one SVD per
+    distinct eigenvalue."""
     model, grid, sysd = case
-    a0, s = _scalar_systems(grid)
+    c0, t = _scalar_systems(grid)
     lam = np.concatenate([cs.eigvals for cs in sysd.channels])
     assert np.array_equal(sysd.eigvals, np.unique(lam))
-    assert np.array_equal(sysd.systems, a0 + sysd.eigvals[:, None, None] * s)
+    assert np.array_equal(sysd.systems, c0 + sysd.eigvals[:, None, None] * t)
     for cs in sysd.channels:
-        own = a0 + cs.eigvals[:, None, None] * s
+        own = c0 + cs.eigvals[:, None, None] * t
         assert cs.systems is sysd.systems
         assert np.array_equal(sysd.eigvals[cs.rows], cs.eigvals)
-        assert np.array_equal(cs.matrix, own.reshape(-1, a0.shape[1]))
+        assert np.array_equal(
+            cs.matrix, _realify(own).reshape(-1, 2 * grid.n_nodes)
+        )
         assert cs.sigma_min == np.linalg.svd(own, compute_uv=False).min()
-    svds = count_real_matrices(monkeypatch, "svd")
+    svds = count_matrices(monkeypatch, "svd", "c", grid.n_nodes)
+    real_svds = count_matrices(monkeypatch, "svd", "f")
     again = build_double(model, grid)
     assert svds == [len(sysd.eigvals)]
+    assert real_svds == []
     assert again.sigma_min == sysd.sigma_min
+
+
+def test_half_system_svd_is_the_real_svd_doubled(case):
+    """Every singular value of the real scalar system A(lambda) is one of
+    C(lambda), counted twice: the certificate against the full real SVD."""
+    _, _, sysd = case
+    half = np.linalg.svd(sysd.systems, compute_uv=False)
+    real = np.linalg.svd(_realify(sysd.systems), compute_uv=False)
+    doubled = np.repeat(half, 2, axis=-1)
+    assert np.all(np.abs(doubled - real) <= 1e-12 * real)
+
+
+def test_store_is_half_the_real_store(case):
+    _, grid, sysd = case
+    assert sysd.systems.shape[-2:] == (grid.n_nodes, grid.n_nodes)
+    assert 2 * sysd.systems.nbytes == _realify(sysd.systems).nbytes
 
 
 def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
@@ -309,7 +346,7 @@ def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
     eye_nodes = np.eye(n + 1)
     base = np.vstack([grid.diff_matrix(), eye_nodes[[0, n]]])
     select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
-    svds = count_real_matrices(monkeypatch, "svd")
+    svds = count_matrices(monkeypatch, "svd", "f")
     ghost = ghost_solution_check(sysd)
     assert svds == [len(sysd.eigvals)]
     monkeypatch.undo()
@@ -319,21 +356,23 @@ def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
 
 
 def test_collocation_blocks_are_the_per_channel_trace_maps(case, monkeypatch):
-    """Each block equals the 2-column solve of the channel's own scalar
-    systems, rotated back; the projector solves each distinct eigenvalue
-    once."""
+    """Each block equals the complex 1-column solve w = C(lambda)^-1 e_n of
+    the channel's own half systems, p = [[Re w_0, -Im w_0], [Re w_n, -Im
+    w_n]] (jump1 enters as i e_n), rotated back; the projector solves each
+    distinct eigenvalue once."""
     model, grid, sysd = case
-    a0, s = _scalar_systems(grid)
-    n = a0.shape[1]
-    e = np.zeros((1, n, 2))
-    e[0, [n - 2, n - 1], [0, 1]] = 1.0
-    solves = count_real_matrices(monkeypatch, "solve")
+    c0, t = _scalar_systems(grid)
+    n = grid.n_u
+    e = np.zeros((1, n + 1, 1), dtype=complex)
+    e[0, n, 0] = 1.0
+    solves = count_matrices(monkeypatch, "solve", "c")
     proj = calderon_projector(sysd)
     assert solves == [len(sysd.eigvals)]
     monkeypatch.undo()
     for cs, (_, block) in zip(sysd.channels, proj.channel_blocks):
-        own = a0 + cs.eigvals[:, None, None] * s
-        p = np.linalg.solve(own, e)[:, [0, grid.n_u]]
+        own = c0 + cs.eigvals[:, None, None] * t
+        w = np.linalg.solve(own, e)[:, [0, n], 0]
+        p = np.stack([w.real, -w.imag], axis=-1)
         u = cs.eigvecs
         ref = np.block(
             [[(u * p[:, i, j]) @ u.conj().T for j in (0, 1)] for i in (0, 1)]

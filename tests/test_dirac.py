@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from calderon import dirac
 from calderon.csalg import CStarAlgebra
 from calderon.csalg import norm as alg_norm
 from calderon.dirac import (
@@ -483,6 +484,31 @@ def test_v_of_y_must_be_self_adjoint_at_every_sample():
             CStarAlgebra.matrix(2),
             v=lambda y: np.diag([1.0, -0.5]) + lower,
         )
+
+
+def test_v_of_y_is_sampled_and_checked_once_per_build(monkeypatch):
+    """build_double evaluates a V(y) once per y-point and checks the
+    samples once: the commutant split and B share them."""
+    calls = []
+
+    def v(y):
+        calls.append(y)
+        return np.diag([0.9, -0.4]) + 0.3 * np.cos(y) * np.eye(2)
+
+    model = ProductDiracModel("cylinder", CStarAlgebra.matrix(2), v=v)
+    checks = []
+    check = dirac._check_self_adjoint
+
+    def counted(a, name):
+        checks.append(name)
+        check(a, name)
+
+    monkeypatch.setattr(dirac, "_check_self_adjoint", counted)
+    grid = CollarGrid(n_u=8, n_y=8, kind="uniform")
+    calls.clear()
+    build_double(model, grid)
+    assert len(calls) == grid.n_y
+    assert checks == ["v"]
 
 
 def test_holonomy_must_commute_with_v_of_y():

@@ -443,7 +443,9 @@ def test_v_of_y_without_a_split_stays_one_channel(commuting):
     cert = build_double(model, grid).certificate()
     assert cert["commutant_clusters"] == 1
     assert cert["commutant_offblock_residual"] == 0.0
-    assert cert["sigma_min_method"] == "y-coupled decoupled full SVD"
+    assert cert["sigma_min_method"] == (
+        "y-coupled decoupled full SVD of the complex half systems"
+    )
 
 
 # -- Poisson operator ---------------------------------------------------
