@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .csalg import AlgebraElement, CStarAlgebra, herm, opnorm, star
-from .csalg import norm as alg_norm
+from .csalg import norm as alg_norm, shape_groups
 from .errors import CalderonError, StructureError
 from . import hilbmod
 from . import sobolev
@@ -438,11 +438,13 @@ def _task_double(cfg, out_dir, run):
 
 def _oracle_defect(proj, sysd):
     """Largest 2-norm distance of a channel block from its exact graph
-    projection, which the double ``sysd`` stores for the same channel."""
-    return max(
-        float(opnorm(block - cs.exact_block))
+    projection, which the double ``sysd`` stores for the same channel: one
+    ``opnorm`` per group of equal-sized channels."""
+    diffs = [
+        block - cs.exact_block
         for (_, block), cs in zip(proj.channel_blocks, sysd.channels)
-    )
+    ]
+    return max(float(opnorm(d).max()) for _, d in shape_groups(diffs))
 
 
 def _task_calderon(cfg, out_dir, run):

@@ -303,6 +303,34 @@ def opnorm(a):
     return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
 
 
+def shape_groups(arrays):
+    """The arrays grouped by shape, in order of first appearance: a list of
+    (indices, stack) pairs, ``stack`` the arrays at ``indices`` stacked on
+    a new leading axis.  A per-channel pass runs once per group on its
+    stack; numpy's matrix products, solves and decompositions act on a
+    stack member by member, so each member is bit-identical to its
+    one-matrix call."""
+    groups = {}
+    for i, a in enumerate(arrays):
+        groups.setdefault(np.shape(a), []).append(i)
+    return [
+        (idx, np.stack([arrays[i] for i in idx])) for idx in groups.values()
+    ]
+
+
+def map_groups(func, arrays, *more):
+    """``func`` on the stack of each shape group of ``arrays`` (and on the
+    stacks of the same members of each list in ``more``), split back into
+    one result per array, in their order; a ``func`` that returns a tuple
+    of stacks gives one tuple per array."""
+    out = [None] * len(arrays)
+    for idx, stack in shape_groups(arrays):
+        res = func(stack, *(np.stack([m[i] for i in idx]) for m in more))
+        for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+            out[i] = r
+    return out
+
+
 def adjoint_defect(a):
     """||a - a*||_2 of a matrix, or of each matrix of a stack."""
     return opnorm(a - dagger(a))

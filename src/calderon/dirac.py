@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csalg import AlgebraElement, adjoint_defect, dagger, opnorm
+from .csalg import AlgebraElement, adjoint_defect, dagger, map_groups, opnorm
 from .errors import CertificationError, StructureError
 from .hilbmod import ModuleOperator
 
@@ -805,13 +805,19 @@ def expm(a):
     """Matrix exponential by scaling and squaring with the [13/13] Pade
     approximant (Higham 2005): scale ``a`` by 2^-s until its 1-norm is at
     most theta_13, evaluate the approximant, square s times.  Uses no
-    eigendecomposition, so it is an independent check of eigenbasis code."""
+    eigendecomposition, so it is an independent check of eigenbasis code.
+
+    A stack (..., n, n) runs as one pass: each member keeps its own s, and
+    squaring step k squares only the members with s > k, so every member
+    is bit-identical to its one-matrix call."""
     a = np.asarray(a)
-    norm = np.linalg.norm(a, 1)
-    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = a / 2.0**s
+    shape, n = a.shape, a.shape[-1]
+    a = a.reshape((-1, n, n))
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)  # the 1-norm of each member
+    s = np.ceil(np.log2(np.maximum(norm, _THETA13) / _THETA13)).astype(int)
+    a = a / (2.0**s)[:, None, None]
     c = _PADE13
-    eye = np.eye(a.shape[0])
+    eye = np.eye(n)
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a2 @ a4
@@ -824,31 +830,49 @@ def expm(a):
         + c[6] * a6 + c[4] * a4 + c[2] * a2 + c[0] * eye
     )
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    for k in range(s.max(initial=0)):
+        live = s > k
+        x = r[live]
+        r[live] = x @ x
+    return r.reshape(shape)
 
 
 def graph_projection(b_mat):
     """The graph projection P(T), T = exp(-B), with first block row
-    (1 + T^2)^-1 [1, T] = M^-1 [exp(B), 1], and M = exp(B) + exp(-B)."""
+    (1 + T^2)^-1 [1, T] = M^-1 [exp(B), 1], and M = exp(B) + exp(-B); of a
+    matrix or of each matrix of a stack (..., n, n), with one :func:`expm`
+    of all the -B and B."""
     b = np.asarray(b_mat, dtype=complex)
-    t, e_plus = expm(-b), expm(b)
+    t, e_plus = expm(np.stack([-b, b]))
     m_mat = e_plus + t
-    top = np.linalg.solve(m_mat, np.hstack([e_plus, np.eye(len(t))]))
-    return np.vstack([top, t @ top]), m_mat
+    eye = np.broadcast_to(np.eye(b.shape[-1]), b.shape)
+    top = np.linalg.solve(m_mat, np.concatenate([e_plus, eye], axis=-1))
+    return np.concatenate([top, t @ top], axis=-2), m_mat
 
 
 def exact_channel(b_mat):
-    """Exact oracle of one channel: its :func:`graph_projection` and the
-    kernel dimension of the matching problem.  Side-1 and side-2 solutions
-    exp(-uB) a and exp(uB) c match iff a = c and M a = 0.  For self-adjoint
-    B, M = 2 cosh B >= 2, so a singular value of M below 1 marks a kernel
-    direction (a threshold relative to the largest, about exp(||B||), would
-    count rounding)."""
+    """Exact oracle of one channel, or of each of a stack: its
+    :func:`graph_projection` and the kernel dimension of the matching
+    problem (an int, or an array over the stack).  Side-1 and side-2
+    solutions exp(-uB) a and exp(uB) c match iff a = c and M a = 0.  For
+    self-adjoint B, M = 2 cosh B >= 2, so a singular value of M below 1
+    marks a kernel direction (a threshold relative to the largest, about
+    exp(||B||), would count rounding)."""
     block, m_mat = graph_projection(b_mat)
-    kernel_dim = int(np.sum(np.linalg.svd(m_mat, compute_uv=False) < 1.0))
-    return block, kernel_dim
+    kernel_dim = np.sum(np.linalg.svd(m_mat, compute_uv=False) < 1.0, axis=-1)
+    return block, int(kernel_dim) if kernel_dim.ndim == 0 else kernel_dim
+
+
+def _decouple(b):
+    """Eigenpairs, exact oracle and eigendecomposition certificate of a
+    stack of tangential blocks b = U diag(lambda) U* (k, 2q, 2q): one
+    stacked ``eigh``, one stacked :func:`exact_channel`, and one
+    ``opnorm`` each for ||bU - U Lambda||_2 and ||U*U - I||_2."""
+    w, u = np.linalg.eigh(b)
+    block, kernel_dim = exact_channel(b)
+    eig_residual = opnorm(b @ u - u * w[:, None, :])
+    unitarity_defect = opnorm(dagger(u) @ u - np.eye(b.shape[-1]))
+    return w, u, block, kernel_dim, eig_residual, unitarity_defect
 
 
 def build_double(model, grid):
@@ -863,22 +887,22 @@ def build_double(model, grid):
     """
     c0, t = _scalar_systems(grid)
     channels = model.mode_channels(grid.n_y)
-    eigs = [np.linalg.eigh(ch.b_mat) for ch in channels]
-    lam = np.concatenate([w for w, _ in eigs])
+    # one stacked pass per group of equal-sized channels
+    parts = map_groups(_decouple, [ch.b_mat for ch in channels])
+    lam = np.concatenate([w for w, *_ in parts])
     lam, inv = np.unique(lam, return_inverse=True)  # exact equality only
     systems = lam[:, None, None] * t
     systems += c0  # c0 + lam T, with no second (L, N, N) temporary
     sigmas = np.linalg.svd(systems, compute_uv=False).min(axis=1)
-    offsets = np.cumsum([len(w) for w, _ in eigs])[:-1]
+    offsets = np.cumsum([len(w) for w, *_ in parts])[:-1]
     channel_systems = []
-    for ch, (w, u), rows in zip(channels, eigs, np.split(inv, offsets)):
-        block, kernel_dim = exact_channel(ch.b_mat)
+    for ch, part, rows in zip(channels, parts, np.split(inv, offsets)):
+        w, u, block, kernel_dim, residual, defect = part
         channel_systems.append(ChannelSystem(
             channel=ch, eigvals=w, eigvecs=u, rows=rows, systems=systems,
             sigma_min=float(sigmas[rows].min()),
-            kernel_dim=kernel_dim, exact_block=block,
-            eig_residual=float(opnorm(ch.b_mat @ u - u * w)),
-            unitarity_defect=float(opnorm(u.conj().T @ u - np.eye(len(w)))),
+            kernel_dim=int(kernel_dim), exact_block=block,
+            eig_residual=float(residual), unitarity_defect=float(defect),
         ))
     sigma_min = float(sigmas.min())
     if sigma_min < DOUBLE_CERT_TOL:
@@ -970,15 +994,18 @@ def ghost_solution_check(sys):
     rows and reports the smallest singular value of the stacked operator
     per channel; a trivial kernel certifies the absence of discrete ghost
     solutions.  The stack decouples in the eigenbasis of b into the real
-    scalar stacks [D + lambda I; e_0^T; e_n^T], one SVD per distinct
-    eigenvalue of the double.
+    scalar stacks S(lambda) = [D + lambda I; e_0^T; e_n^T].  As J D J = -D
+    (J reverses the nodes), S(-lambda) J is S(lambda) with its first n + 1
+    rows reversed and negated and its last two swapped, so both have the
+    same singular values: one SVD per distinct |lambda| of the double.
     """
     n = sys.grid.n_u
     eye_nodes = np.eye(n + 1)
     base = np.vstack([sys.grid.diff_matrix(), eye_nodes[[0, n]]])
     select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
-    lam = sys.eigvals[:, None, None]
-    sigmas = np.linalg.svd(base + lam * select, compute_uv=False).min(axis=1)
+    mags, inv = np.unique(np.abs(sys.eigvals), return_inverse=True)
+    stacks = base + mags[:, None, None] * select
+    sigmas = np.linalg.svd(stacks, compute_uv=False).min(axis=1)[inv]
     per_channel = [float(sigmas[cs.rows].min()) for cs in sys.channels]
     sigma = min(per_channel)
     return {

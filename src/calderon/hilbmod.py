@@ -12,8 +12,10 @@ Vectors and operators may carry leading axes: a stack (..., k*m, m) of
 vectors or (..., l*m, k*m) of operators, built from stacked algebra
 elements.  The module operations (``times``, ``apply``, ``compose``, sums,
 :func:`inner_product`, :func:`rank_one`, :func:`adjoint`) then act member
-by member in one pass, each member bit-identical to the one-object call.
-The norms, the closed-range and decomposition routines and the index take
+by member in one pass, each member bit-identical to the one-object call,
+and so does :func:`orthogonalize_idempotent_matrix` on a stack of
+matrices.  The index and :func:`projection_defects` take lists of blocks,
+stacked per shape.  The closed-range and decomposition routines take
 single objects.
 """
 
@@ -24,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .csalg import AlgebraElement, adjoint_defect, dagger, herm, opnorm
+from .csalg import shape_groups
 from .errors import CertificationError, StructureError
 
 #: relative singular-value threshold for numerical rank decisions
@@ -234,12 +237,14 @@ class ModuleOperator:
 
 
 def membership_defect(algebra, rep):
-    """Max distance of the m x m blocks of ``rep`` from the algebra span."""
+    """Max distance of the m x m blocks of ``rep``, or of every matrix of a
+    stack (..., l*m, k*m), from the algebra span."""
     m = algebra.rep_dim
-    l = rep.shape[0] // m
-    k = rep.shape[1] // m
-    # blocks[i, j] = rep[i*m:(i+1)*m, j*m:(j+1)*m]
-    blocks = rep[: l * m, : k * m].reshape(l, m, k, m).swapaxes(1, 2)
+    l = rep.shape[-2] // m
+    k = rep.shape[-1] // m
+    # blocks[..., i, j] = rep[..., i*m:(i+1)*m, j*m:(j+1)*m]
+    blocks = rep[..., : l * m, : k * m].reshape(rep.shape[:-2] + (l, m, k, m))
+    blocks = blocks.swapaxes(-3, -2)
     return float(np.max(algebra.membership_defect(blocks), initial=0.0))
 
 
@@ -431,26 +436,31 @@ def orthogonalize_idempotent(C, with_report=False):
 def orthogonalize_idempotent_matrix(rep):
     """Matrix-level core of :func:`orthogonalize_idempotent`, also for
     idempotents that are not module-shaped: the orthogonal projection onto
-    the range of ``rep`` and the certified smallest eigenvalue of F."""
-    if rep.shape[0] != rep.shape[1]:
+    the range of ``rep`` and the certified smallest eigenvalue of F.  A
+    stack (..., n, n) runs as one pass, each member checked on its own and
+    bit-identical to its one-matrix call; the eigenvalues are then an
+    array over the stack."""
+    rep = np.asarray(rep)
+    if rep.ndim < 2 or rep.shape[-1] != rep.shape[-2]:
         raise StructureError("idempotent must be square")
-    dim = rep.shape[0]
-    eye = np.eye(dim)
+    eye = np.eye(rep.shape[-1])
     idem_defect = opnorm(rep @ rep - rep)
-    if idem_defect > IDEM_TOL * max(1.0, opnorm(rep) ** 2):
+    if np.any(idem_defect > IDEM_TOL * np.maximum(1.0, opnorm(rep) ** 2)):
         raise StructureError(
             "operator is not idempotent within tolerance (defect %.3e)"
-            % idem_defect
+            % idem_defect.max()
         )
-    f = rep @ rep.conj().T + (eye - rep.conj().T) @ (eye - rep)
+    rep_star = dagger(rep)
+    f = rep @ rep_star + (eye - rep_star) @ (eye - rep)
     f_eigs = np.linalg.eigvalsh(herm(f))
-    if f_eigs.min() < 1e-12 * max(1.0, f_eigs.max()):
+    f_min = f_eigs.min(axis=-1)
+    if np.any(f_min < 1e-12 * np.maximum(1.0, f_eigs.max(axis=-1))):
         raise CertificationError(
             "F numerically singular (min eigenvalue %.3e); "
-            "input was not an idempotent" % f_eigs.min()
+            "input was not an idempotent" % f_min.min()
         )
-    orth = np.linalg.solve(f.conj().T, (rep @ rep.conj().T).conj().T).conj().T
-    return orth, float(f_eigs.min())
+    orth = dagger(np.linalg.solve(dagger(f), dagger(rep @ rep_star)))
+    return orth, _per_member(f_min)
 
 
 def _diagonal_blocks(P):
@@ -468,18 +478,22 @@ def _diagonal_blocks(P):
 
 def projection_defects(blocks):
     """Idempotency and self-adjointness defects of a block diagonal in the
-    2-norm: the largest over its blocks."""
-    idem = (float(opnorm(b @ b - b)) for b in blocks)
-    asym = (float(adjoint_defect(b)) for b in blocks)
-    return max(idem, default=0.0), max(asym, default=0.0)
+    2-norm: the largest over its blocks, each from one ``opnorm`` per group
+    of equal-shaped blocks."""
+    idem = asym = 0.0
+    for _, b in shape_groups(blocks):
+        idem = max(idem, float(opnorm(b @ b - b).max()))
+        asym = max(asym, float(adjoint_defect(b).max()))
+    return idem, asym
 
 
 def _projection_rank(blocks):
     """Rank of a block-diagonal orthogonal projection from one SVD per
-    block, which also gives the scale (its largest singular value) of the
-    projection checks and of the RANK_RTOL threshold."""
-    s = [np.linalg.svd(b, compute_uv=False) for b in blocks]
-    top = max([0.0] + [v[0] for v in s if v.size])
+    block (one stacked SVD per group of equal-shaped blocks), which also
+    gives the scale (its largest singular value) of the projection checks
+    and of the RANK_RTOL threshold."""
+    s = [np.linalg.svd(b, compute_uv=False) for _, b in shape_groups(blocks)]
+    top = max([0.0] + [v.max() for v in s if v.size])
     idem, asym = projection_defects(blocks)
     if idem > PROJECTION_TOL * max(1.0, top) ** 2:
         raise StructureError("operator is not idempotent within tolerance")

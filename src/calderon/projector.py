@@ -30,7 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .csalg import adjoint_defect, dagger, herm, opnorm
+from .csalg import adjoint_defect, dagger, herm, map_groups, opnorm
+from .csalg import shape_groups
 from .dirac import (
     CollarFunction,
     _channels_to_values,
@@ -88,10 +89,10 @@ class BoundaryData:
         cut = mode_radius(n_y)
         y = y_points(n_y)
         for _ in range(2):
+            # the real then the imaginary part of each frequency, in order
+            g = rng.standard_normal((2 * cut + 1, 2) + shape[1:])
             vals = np.zeros(shape, dtype=complex)
-            for eta in range(-cut, cut + 1):
-                coef = rng.standard_normal(shape[1:])
-                coef = coef + 1j * rng.standard_normal(shape[1:])
+            for eta, coef in zip(range(-cut, cut + 1), g[:, 0] + 1j * g[:, 1]):
                 vals += np.exp(1j * eta * y)[:, None, None] * coef[None]
             out.append(vals)
         return cls(model, n_y, out[0], out[1])
@@ -175,23 +176,26 @@ class BoundaryProjector:
     def apply(self, g):
         """Apply to boundary data on the projector's grid: the two traces
         are gathered into every channel by one y-FFT, and scattered back
-        by one inverse y-FFT."""
+        by one inverse y-FFT; one batched block product per group of
+        equal-sized channels."""
         _check_data_model(g, self.model)
         if g.n_y != self.n_y:
             raise StructureError("data on n_y %d, not %d" % (g.n_y, self.n_y))
         channels = [ch for ch, _ in self.channel_blocks]
+        blocks = [block for _, block in self.channel_blocks]
         coeffs = _values_to_channels(np.stack([g.g0, g.g1]), channels, g.n_y)
-        out = [
-            (ch, block @ c.reshape(-1, self.model.m))
-            for (ch, block), c in zip(self.channel_blocks, coeffs)
-        ]
-        return BoundaryData.from_channel_coeffs(self.model, self.n_y, out)
+        coeffs = [c.reshape(-1, self.model.m) for c in coeffs]
+        out = map_groups(np.matmul, blocks, coeffs)
+        return BoundaryData.from_channel_coeffs(
+            self.model, self.n_y, list(zip(channels, out))
+        )
 
     def diagnostics(self):
         """Idempotency and self-adjointness defects (2-norm), dimension and
         algebra-membership defect: maxima over the diagonal blocks, since
         the 2-norm of a block-diagonal matrix is the largest block norm and
-        its off-diagonal m-blocks are exactly zero.
+        its off-diagonal m-blocks are exactly zero.  Each is taken on the
+        stack of equal-shaped blocks.
         """
         alg = self.model.algebra
         idem, asym = projection_defects(self.blocks)
@@ -200,7 +204,7 @@ class BoundaryProjector:
             "self_adjointness_defect": asym,
             "dimension": sum(b.shape[0] for b in self.blocks),
             "a_membership_defect": max(
-                float(membership_defect(alg, b)) for b in self.blocks
+                membership_defect(alg, b) for _, b in shape_groups(self.blocks)
             ),
         }
         if self.per_mode:
@@ -284,18 +288,23 @@ def _collocation_blocks(sys):
     maps the jumps (jump0, jump1) to phi(0), phi(1).  Both jumps enter the
     last row of the half system C(lambda), jump1 times i, so one batched
     complex 1-column solve w = C(lambda)^-1 e_n of the double's store gives
-    p = [[Re w_0, -Im w_0], [Re w_n, -Im w_n]]."""
+    p = [[Re w_0, -Im w_0], [Re w_n, -Im w_n]].  The rotations run as one
+    batched product per group of equal-sized channels."""
     n = sys.grid.n_u
     e = np.zeros((1, n + 1, 1), dtype=complex)
     e[0, n, 0] = 1.0
     w = np.linalg.solve(sys.systems, e)[:, [0, n], 0]
     p_all = np.stack([w.real, -w.imag], axis=-1)
-    blocks = []
-    for cs in sys.channels:
-        u, u_star, p = cs.eigvecs, cs.eigvecs.conj().T, p_all[cs.rows]
-        upu = [[(u * p[:, i, j]) @ u_star for j in (0, 1)] for i in (0, 1)]
-        blocks.append(np.block(upu))
-    return blocks
+
+    def rotate(u, rows):
+        u_star, p = dagger(u), p_all[rows][:, None]
+        upu = [[(u * p[..., i, j]) @ u_star for j in (0, 1)] for i in (0, 1)]
+        return np.block(upu)
+
+    channels = sys.channels
+    return map_groups(
+        rotate, [cs.eigvecs for cs in channels], [cs.rows for cs in channels]
+    )
 
 
 def poisson(sys, g, with_side2=False):
@@ -500,13 +509,19 @@ def aps_projection(sys):
     operator.  Both come from the eigenpairs b = U diag(lambda) U* that
     the double already holds (``eigvecs``, ``eigvals``), so no further
     eigendecomposition is taken.  Kernel eigenvalues (|lambda| <=
-    ``ZERO_EIG_TOL``) are assigned to the positive side of both.
+    ``ZERO_EIG_TOL``) are assigned to the positive side of both.  Each
+    half is V V*, V the eigenvectors it keeps, from one batched product
+    per group of equal-shaped V.
     """
-    channel_blocks = []
-    for cs in sys.channels:
-        w, u = cs.eigvals, cs.eigvecs
-        halves = [_positive_part(w, u), _positive_part(-w, u)]
-        channel_blocks.append((cs.channel, _block_diag(halves)))
+    channels = sys.channels
+    keep = [cs.eigvecs[:, cs.eigvals >= -ZERO_EIG_TOL] for cs in channels]
+    keep += [cs.eigvecs[:, cs.eigvals <= ZERO_EIG_TOL] for cs in channels]
+    halves = map_groups(lambda v: v @ dagger(v), keep)
+    k = len(channels)
+    channel_blocks = [
+        (cs.channel, _block_diag([plus, minus]))
+        for cs, plus, minus in zip(channels, halves[:k], halves[k:])
+    ]
     return BoundaryProjector(
         model=sys.model, n_y=sys.grid.n_y, channel_blocks=channel_blocks
     )
@@ -514,14 +529,17 @@ def aps_projection(sys):
 
 def orthogonalized_calderon(projector):
     """Orthogonal projection with the same range, by the certified F-solve
-    of each channel block."""
+    of each channel block, one stacked pass per group of equal-sized
+    channels."""
+    channels = [ch for ch, _ in projector.channel_blocks]
+    orth = map_groups(
+        lambda b: orthogonalize_idempotent_matrix(b)[0],
+        [b for _, b in projector.channel_blocks],
+    )
     return BoundaryProjector(
         model=projector.model,
         n_y=projector.n_y,
-        channel_blocks=[
-            (ch, orthogonalize_idempotent_matrix(b)[0])
-            for ch, b in projector.channel_blocks
-        ],
+        channel_blocks=list(zip(channels, orth)),
     )
 
 

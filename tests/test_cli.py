@@ -324,12 +324,13 @@ def test_double_is_built_once_per_scenario(tmp_path, monkeypatch):
 def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
     # the double forms e^{b} and e^{-b} once per channel, for its kernel
     # check and its exact blocks; the calderon oracle gate and the index
-    # read those blocks
+    # read those blocks.  expm takes stacks, so the count is of the
+    # matrices exponentiated: the product of each call's leading axes
     calls = []
     expm = dirac.expm
 
     def counting_expm(a):
-        calls.append(1)
+        calls.append(int(np.prod(np.shape(a)[:-2])))
         return expm(a)
 
     monkeypatch.setattr(dirac, "expm", counting_expm)
@@ -339,7 +340,7 @@ def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
     assert cfg["tasks"] == ["double", "calderon", "index"]
     report = cli.run_scenario(cfg)
     assert report["status"] == "pass"
-    assert len(calls) == 2 * len(cfg["model"].mode_channels(cfg["grid"].n_y))
+    assert sum(calls) == 2 * len(cfg["model"].mode_channels(cfg["grid"].n_y))
 
 
 def test_one_channel_map_per_scenario(tmp_path, monkeypatch):

@@ -340,19 +340,41 @@ def test_store_is_half_the_real_store(case):
     assert 2 * sysd.systems.nbytes == _realify(sysd.systems).nbytes
 
 
-def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
-    model, grid, sysd = case
+def ghost_stacks(grid, lam):
+    """The real ghost stacks [D + lambda I; e_0^T; e_n^T], one per lambda."""
     n = grid.n_u
     eye_nodes = np.eye(n + 1)
     base = np.vstack([grid.diff_matrix(), eye_nodes[[0, n]]])
     select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
+    return base + np.asarray(lam)[:, None, None] * select
+
+
+def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
+    """Each channel's ghost sigma is the smallest singular value of the
+    stacks at the |lambda| of its eigenvalues, one SVD per distinct
+    |lambda| of the double."""
+    model, grid, sysd = case
     svds = count_matrices(monkeypatch, "svd", "f")
     ghost = ghost_solution_check(sysd)
-    assert svds == [len(sysd.eigvals)]
+    assert svds == [len(np.unique(np.abs(sysd.eigvals)))]
     monkeypatch.undo()
     for cs, sigma in zip(sysd.channels, ghost["per_channel"]):
-        stack = base + cs.eigvals[:, None, None] * select
+        stack = ghost_stacks(grid, np.abs(cs.eigvals))
         assert sigma == np.linalg.svd(stack, compute_uv=False).min()
+
+
+@pytest.mark.parametrize("kind", ["chebyshev", "uniform"])
+def test_ghost_singular_values_agree_at_opposite_eigenvalues(kind):
+    """J D J = -D makes the stack at -lambda a signed row and column
+    permutation of the one at lambda: the singular values agree to
+    rounding, each to 1e-13 of itself, which is what lets the ghost check
+    take one SVD per |lambda|."""
+    lam = np.array([0.0, 0.3, 1.7, 12.5, 250.0])
+    for n_u in range(4, 66, 2):
+        grid = CollarGrid(n_u=n_u, n_y=1, kind=kind)
+        plus = np.linalg.svd(ghost_stacks(grid, lam), compute_uv=False)
+        minus = np.linalg.svd(ghost_stacks(grid, -lam), compute_uv=False)
+        assert np.all(np.abs(plus - minus) <= 1e-13 * plus), n_u
 
 
 def test_collocation_blocks_are_the_per_channel_trace_maps(case, monkeypatch):
