@@ -110,6 +110,14 @@ def _parse_algebra(desc):
     _require_keys(desc, ("kind",), ("n", "name", "table"), "algebra")
     if "n" in desc:
         desc = dict(desc, n=_read_int(desc["n"], "algebra.n"))
+    if "table" in desc:
+        table = desc["table"]
+        if not isinstance(table, list) or not all(
+            isinstance(row, list) for row in table
+        ):
+            raise ConfigError("algebra.table must be an array of arrays")
+        table = [[_read_int(x, "algebra.table") for x in row] for row in table]
+        desc = dict(desc, table=table)
     try:
         return CStarAlgebra.from_descriptor(desc)
     except (StructureError, KeyError) as exc:
@@ -252,7 +260,7 @@ def parse_config(raw):
     if not isinstance(tasks, list) or not tasks:
         raise ConfigError("tasks must be a non-empty list")
     for t in tasks:
-        if t not in _TASK_FUNCS:
+        if not isinstance(t, str) or t not in _TASK_FUNCS:
             raise ConfigError(
                 "unknown task %r (choose from %s)" % (t, list(_TASK_FUNCS))
             )
@@ -281,9 +289,11 @@ def parse_config(raw):
 
 def load_config(path):
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (
+        OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError
+    ) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     return parse_config(raw)
 

@@ -10,6 +10,7 @@ numerical linear algebra.
 from __future__ import annotations
 
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 
@@ -63,10 +64,7 @@ class CStarAlgebra:
                 raise StructureError("group algebra needs a Cayley table")
             table = [list(row) for row in table]
             order = len(table)
-            if order < 1 or order > _MAX_GROUP_ORDER:
-                raise StructureError(
-                    "group order must be between 1 and %d" % _MAX_GROUP_ORDER
-                )
+            _check_group_order(order)
             _check_cayley_table(table)
             self.kind = "group"
             self.table = table
@@ -88,10 +86,14 @@ class CStarAlgebra:
 
     @classmethod
     def cyclic(cls, n):
+        _check_group_order(n)
         return cls.group(cyclic_table(n))
 
     @classmethod
     def symmetric(cls, n):
+        # checked before the table is built: |S_n| = n! (S_0 has one
+        # element), and past the cap n! is too, so min keeps it cheap
+        _check_group_order(factorial(min(max(n, 0), _MAX_GROUP_ORDER)))
         return cls.group(symmetric_table(n))
 
     @classmethod
@@ -222,6 +224,13 @@ class CStarAlgebra:
         if self.kind == "matrix":
             return "CStarAlgebra(M_%d(C))" % self.n
         return "CStarAlgebra(C[G], |G|=%d)" % self.order
+
+
+def _check_group_order(order):
+    if order < 1 or order > _MAX_GROUP_ORDER:
+        raise StructureError(
+            "group order must be between 1 and %d" % _MAX_GROUP_ORDER
+        )
 
 
 def _check_cayley_table(table):

@@ -23,12 +23,12 @@ per dealiased y-mode and holonomy eigenphase; a V(y) gives one y-coupled
 channel per cluster of the commutant split of its samples and the
 holonomy (:func:`commutant_split`), whose tangential block is B,
 pseudospectral in y and Hermitian as well, on the (y-point, cluster)
-coordinates.  The double's channel list is the one channel map: data is
-gathered into all mode channels by one y-FFT and scattered back by one
-inverse y-FFT; on the y-coupled channels, whose coordinates are the
-boundary samples in the cluster's fiber basis, both are one product with
-the embedding per sample.  Past that, every channel runs the same code on
-either u-grid.
+coordinates.  The double's channel list is the one channel map: each
+channel reads its own y-slabs of boundary data (``ModeChannel.slabs``: its
+y-Fourier coefficient per mode, from one y-FFT for all of them; every
+sample on a y-coupled channel) through its embedding, and adds back into
+them, with one code path for both kinds.  Past that, every channel runs
+the same code on either u-grid.
 
 A holonomy H, s(y + 2 pi) = H s(y), is taken in the periodic gauge
 s = e^{iy Theta} p, Theta = sum of shift * basis basis^* over the
@@ -52,11 +52,13 @@ A(lambda) is one of C(lambda), counted twice.  The double stores one
 C(lambda) per distinct eigenvalue of all its channels (only bit-identical
 ones merge, as the spectra of the modes eta and -eta do).  Their full SVDs
 give each channel's smallest singular value (no estimate), and a solve is
-one batched ``np.linalg.solve`` over the channel's C(lambda_k); no LU
-factors are stored.  The eigendecomposition residual ||bU - U Lambda||_2
-and the unitarity defect ||U*U - I||_2 are kept with the channel: by
-Weyl's inequality the decoupled sigma_min is within ||bU - U Lambda||_2 +
-2 ||b||_2 ||U*U - I||_2 of that of the coupled channel system.
+one batched ``np.linalg.solve`` over the channel's C(lambda_k), whose
+columns are filled straight from the rotated data (A(lambda) is never
+formed to solve); no LU factors are stored.  The eigendecomposition
+residual ||bU - U Lambda||_2 and the unitarity defect ||U*U - I||_2 are
+kept with the channel: by Weyl's inequality the decoupled sigma_min is
+within ||bU - U Lambda||_2 + 2 ||b||_2 ||U*U - I||_2 of that of the coupled
+channel system.
 
 :meth:`DoubleSystem.solve` is the one solve of the double: the inverse
 (:func:`invert_double`) and the Poisson operator are that transmission
@@ -290,20 +292,24 @@ def _fiber_embedding(basis):
 @dataclass
 class ModeChannel:
     """One channel block: the integer frequency ``eta`` of the periodic
-    part, the eigenphase ``shift`` and the channel's embedding.
+    part, the eigenphase ``shift``, the channel's embedding and the
+    y-slabs it reads.
 
-    ``embedding`` = diag(basis, basis) embeds the channel's coordinates,
+    ``embedding`` = E = diag(basis, basis) embeds the channel's coordinates,
     spinor x subspace (orthonormal ``basis``, (rm, q)), into the full
-    fiber; ``b_mat`` is B(eta + shift) on them.  A y-coupled channel
-    (``coupled``, with the certificate ``split`` of its commutant split) has
-    eta = 0, and its coordinates are the boundary samples in its cluster's
-    basis: it embeds by I_{n_y} x embedding, and ``b_mat`` is B on them.
+    fiber, and ``slabs`` selects the y-slabs of boundary data it reads:
+    the y-Fourier coefficient k = eta mod n_y per mode, every sample on a
+    y-coupled channel (``coupled``, with the certificate ``split`` of its
+    commutant split; eta = 0).  The channel's coordinates are E* at each of
+    its slabs, so it embeds by I_k x E, and ``b_mat`` is B(eta + shift)
+    on them, or B on the samples of a y-coupled channel.
     """
 
     eta: float
     shift: float
     embedding: np.ndarray  # (2rm, 2q)
     b_mat: np.ndarray  # (2q, 2q), or (n_y 2q, n_y 2q) y-coupled
+    slabs: slice  # slice(k, k + 1) per mode, slice(None) y-coupled
     split: dict = None
 
     @property
@@ -486,7 +492,9 @@ class ProductDiracModel:
                 # rows, then columns, per y-point
                 b_c = (dagger(emb) @ b).reshape(-1, n_y, f) @ emb
                 b_c = b_c.reshape(n_y * emb.shape[1], -1)
-                channels.append(ModeChannel(0.0, 0.0, emb, b_c, split))
+                channels.append(
+                    ModeChannel(0.0, 0.0, emb, b_c, slice(None), split)
+                )
             return channels
         channels = []
         cut = mode_radius(n_y)
@@ -495,7 +503,10 @@ class ProductDiracModel:
             embedding = _fiber_embedding(basis)
             for eta in range(-cut, cut + 1):
                 b = self.tangential_matrix(eta + shift, v_sub)
-                channels.append(ModeChannel(float(eta), shift, embedding, b))
+                k = eta % n_y
+                channels.append(ModeChannel(
+                    float(eta), shift, embedding, b, slice(k, k + 1)
+                ))
         return channels
 
 
@@ -602,9 +613,10 @@ class ChannelSystem:
     ``b_mat = eigvecs @ diag(eigvals) @ eigvecs^*``; C(eigvals[k]) is
     ``systems[rows[k]]``.  The read-only ``matrix`` stacks their real
     scalar systems A(eigvals[k]) row-wise (a copy), shape (2q * 2(n_u+1),
-    2(n_u+1)), so its row count is the channel's number of unknowns.  No LU
-    factors are kept: one batched ``np.linalg.solve`` (:func:`_solve_channel`)
-    solves grid-level data.
+    2(n_u+1)), so its row count is the channel's number of unknowns; only
+    the tracer reads it.  No LU factors are kept: grid-level data is solved
+    by one batched ``np.linalg.solve`` of the half systems
+    (:func:`_solve_channel`).
     """
 
     channel: ModeChannel
@@ -689,8 +701,8 @@ class DoubleSystem:
 
         ``f1``/``f2`` have shape (n_nodes, n_y, n_fiber, cols), the jumps
         (n_y, n_fiber, cols); omitted data is zero.  Each given array is
-        gathered into every channel by one y-FFT, and the channel solutions
-        are scattered back by one inverse y-FFT.
+        gathered into the channels' y-slabs, and the channel solutions are
+        added back into them (:func:`_values_to_channels`).
         """
         grid = self.grid
         data = (f1, f2, jump0, jump1)
@@ -709,22 +721,13 @@ class DoubleSystem:
             for a in data
         ]
         sols = [
-            _solve_channel(cs, _channel_rhs(grid, cs.channel.dim, *parts))
-            .reshape(2, grid.n_nodes, cs.channel.dim, cols)
+            _solve_channel(cs, *parts)
             for cs, *parts in zip(self.channels, *gathered)
         ]
         out = _channels_to_values(
             sols, channels, grid.n_y, (2, grid.n_nodes) + fiber
         )
         return out[0], out[1]
-
-
-def _row_selection(n):
-    """Collocation rows for the two sides: side 1 drops the u=0 node, side 2
-    drops the u=1 node; the freed rows carry the transmission conditions."""
-    side1 = np.arange(1, n + 1)
-    side2 = np.arange(0, n)
-    return side1, side2
 
 
 def _scalar_systems(grid):
@@ -747,8 +750,8 @@ def _realify(c):
     complex half systems c = C(lambda) (..., n_u+1, n_u+1).
 
     Unknowns: phi then tau at the nodes.  Rows: (d/du + lambda) phi at the
-    side-1 nodes (:func:`_row_selection`), (-d/du + lambda) tau at the
-    side-2 nodes, then the gluing rows phi(0) - tau(0) (jump0, row 2 n_u)
+    side-1 nodes 1..n_u, (-d/du + lambda) tau at the side-2 nodes
+    0..n_u-1, then the gluing rows phi(0) - tau(0) (jump0, row 2 n_u)
     and phi(1) + tau(1) (jump1, row 2 n_u + 1).  On z = phi + i J tau, the
     real part of row c_r is [Re c_r, -Im c_r J] and its imaginary part
     [Im c_r, Re c_r J].
@@ -761,32 +764,6 @@ def _realify(c):
          re_rows[..., n:, :], im_rows[..., n:, :]],
         axis=-2,
     )
-
-
-def _channel_rhs(grid, q2, f1=None, f2=None, jump0=None, jump1=None):
-    """Right-hand side of the channel system, in the row order of
-    :func:`_realify` with the q2 fiber rows inside each row.
-
-    ``f1``/``f2`` have shape (n+1, q2, ...) and are the already-transformed
-    rhs for (d/du + B) phi and (-d/du + B) tau; the jumps have shape
-    (q2, ...).  Omitted data is zero.
-    """
-    side1_rows, side2_rows = _row_selection(grid.n_u)
-    # a jump is the rhs of one gluing row block: data on a single node
-    parts = [
-        (f1, side1_rows),
-        (f2, side2_rows),
-        (None if jump0 is None else np.asarray(jump0)[None], [0]),
-        (None if jump1 is None else np.asarray(jump1)[None], [0]),
-    ]
-    tail = next(np.shape(a)[2:] for a, _ in parts if a is not None)
-    rhs = [
-        np.zeros((len(rows), q2) + tail, dtype=complex)
-        if a is None
-        else np.asarray(a, dtype=complex)[rows]
-        for a, rows in parts
-    ]
-    return np.concatenate(rhs).reshape((-1,) + tail)
 
 
 #: numerator coefficients of the [13/13] Pade approximant to exp (the
@@ -915,58 +892,60 @@ def build_double(model, grid):
     )
 
 
-def _solve_channel(cs, rhs):
-    """Solve the transmission system of channel ``cs`` for ``rhs`` laid out
-    as :func:`_channel_rhs` builds it: rotate the fiber axis into the
-    eigenbasis of b, solve the half systems of all eigenvalues in one
-    batched ``np.linalg.solve``, rotate back.  The complex data is viewed as
-    interleaved real columns b of the real A(lambda_k), and each is one
-    complex column of C(lambda_k): b_r + i b_{2n-1-r} for r < n, b_{2n} +
-    i b_{2n+1} last; the solution z gives phi = Re z and tau = J Im z."""
+def _solve_channel(cs, f1, f2, jump0, jump1):
+    """Solve the transmission system of channel ``cs`` for its gathered data
+    (``f1``/``f2`` (n_u+1, 2q, cols), the jumps (2q, cols), None for zero):
+    rotate the fiber axis into the eigenbasis of b and fill the columns of
+    the half systems C(lambda_k) directly, each complex data column viewed
+    as two real ones.  The real part is f1 at nodes 1..n, then jump0; the
+    imaginary part f2 at nodes n-1..0, then jump1 (the rows of
+    :func:`_scalar_systems`).  One batched ``np.linalg.solve`` gives z, and
+    (phi, tau) = (Re z, J Im z), rotated back, stacked (2, n_u+1, 2q, cols).
+    """
     u = cs.eigvecs
+    u_star = u.conj().T
     n = cs.systems.shape[-1] - 1
-    coef = u.conj().T @ rhs.reshape(-1, u.shape[0], rhs[0].size)
-    b = coef.transpose(1, 0, 2).view(float)
-    beta = np.empty(b.shape[:1] + (n + 1,) + b.shape[2:], dtype=complex)
-    beta.real[:, :n], beta.imag[:, :n] = b[:, :n], b[:, 2 * n - 1 : n - 1 : -1]
-    beta.real[:, n], beta.imag[:, n] = b[:, 2 * n], b[:, 2 * n + 1]
+    cols = next(a for a in (f1, f2, jump0, jump1) if a is not None).shape[-1]
+    beta = np.zeros((len(u), n + 1, 2 * cols), dtype=complex)
+    for part, f, nodes, jump in (
+        (beta.real, f1, slice(1, None), jump0),
+        (beta.imag, f2, slice(n - 1, None, -1), jump1),
+    ):
+        if f is not None:
+            part[:, :n] = np.swapaxes(u_star @ f[nodes], 0, 1).view(float)
+        if jump is not None:
+            part[:, n] = (u_star @ jump).view(float)
     z = np.linalg.solve(cs.systems[cs.rows], beta)
-    sol = np.concatenate([z.real, z.imag[:, ::-1]], axis=1)
-    return (u @ sol.view(complex).transpose(1, 0, 2)).reshape(rhs.shape)
+    sol = np.stack([z.real, z.imag[:, ::-1]]).view(complex)
+    return u @ np.swapaxes(sol, 1, 2)
 
 
 def _values_to_channels(values, channels, n_y):
     """The coefficients of each channel in values sampled on the boundary
-    circle, shape (..., n_y, n_fiber, cols): per mode channel, from one
-    y-FFT, embedding^* c_eta, (..., 2q, cols), with c_eta the y-Fourier
-    coefficient of its frequency; per y-coupled channel embedding^* at
-    every sample, flattened to (..., n_y * 2q, cols)."""
-    if channels[0].coupled:
-        shape = values.shape[:-3] + (-1, values.shape[-1])
-        return [
-            (dagger(ch.embedding) @ values).reshape(shape) for ch in channels
-        ]
-    coeffs = np.fft.fft(values, axis=-3) / n_y
+    circle, shape (..., n_y, n_fiber, cols): embedding^* at each of the
+    channel's y-slabs, flattened to (..., dim, cols).  The slabs are the
+    y-Fourier coefficients (one y-FFT) on mode channels and the samples on
+    y-coupled ones."""
+    coupled = channels[0].coupled
+    slabs = values if coupled else np.fft.fft(values, axis=-3) / n_y
+    shape = values.shape[:-3] + (-1, values.shape[-1])
     return [
-        ch.embedding.conj().T @ coeffs[..., int(ch.eta) % n_y, :, :]
+        (ch.embedding.conj().T @ slabs[..., ch.slabs, :, :]).reshape(shape)
         for ch in channels
     ]
 
 
 def _channels_to_values(channel_vals, channels, n_y, shape):
     """The samples, of the given shape (..., n_y, n_fiber, cols), of one
-    coefficient array per channel: the inverse of :func:`_values_to_channels`
-    by one inverse y-FFT of the frequency slabs embedding @ c, or on the
-    y-coupled channels the sum of embedding @ c at every sample."""
-    if channels[0].coupled:
-        return sum(
-            ch.embedding @ c.reshape(c.shape[:-2] + (n_y, -1, c.shape[-1]))
-            for ch, c in zip(channels, channel_vals)
-        ).reshape(shape)
-    coeffs = np.zeros(shape, dtype=complex)
+    coefficient array per channel: the inverse of :func:`_values_to_channels`,
+    embedding @ c added into the channel's y-slabs in channel order, then one
+    inverse y-FFT on mode channels."""
+    slabs = np.zeros(shape, dtype=complex)
+    lead, cols = shape[:-3] + (-1,), shape[-1:]
     for ch, c in zip(channels, channel_vals):
-        coeffs[..., int(ch.eta) % n_y, :, :] += ch.embedding @ c
-    return np.fft.ifft(coeffs, axis=-3) * n_y
+        e = ch.embedding
+        slabs[..., ch.slabs, :, :] += e @ c.reshape(lead + e.shape[1:] + cols)
+    return slabs if channels[0].coupled else np.fft.ifft(slabs, axis=-3) * n_y
 
 
 def invert_double(sys, f1, f2=None):

@@ -175,9 +175,9 @@ class BoundaryProjector:
 
     def apply(self, g):
         """Apply to boundary data on the projector's grid: the two traces
-        are gathered into every channel by one y-FFT, and scattered back
-        by one inverse y-FFT; one batched block product per group of
-        equal-sized channels."""
+        are gathered into the channels' y-slabs and added back into them
+        (the channel map of :func:`calderon.dirac._values_to_channels`);
+        one batched block product per group of equal-sized channels."""
         _check_data_model(g, self.model)
         if g.n_y != self.n_y:
             raise StructureError("data on n_y %d, not %d" % (g.n_y, self.n_y))
@@ -248,16 +248,15 @@ def _block_diag(blocks):
 
 
 def _embed_channel_block(ch, block):
-    """Embed a (2d x 2d) channel block into the full-fiber double trace."""
+    """Embed a channel block into the full-fiber double trace: (I_k x E)
+    block (I_k x E)* by two products, E the channel's embedding and k its
+    slab count on the two traces (2 per mode, 2 n_y y-coupled)."""
     e = ch.embedding
     f, q2 = e.shape
-    if ch.coupled:  # (I_k x e) block (I_k x e)*, k = 2 n_y: two products
-        k = len(block) // q2
-        x = block.reshape(k, q2, k, q2).transpose(1, 0, 2, 3).reshape(q2, -1)
-        x = (e @ x).reshape(-1, q2) @ dagger(e)
-        return x.reshape(f, k, k, f).transpose(1, 0, 2, 3).reshape(k * f, -1)
-    e_b = _block_diag([e, e])
-    return e_b @ block @ e_b.conj().T
+    k = len(block) // q2
+    x = block.reshape(k, q2, k, q2).transpose(1, 0, 2, 3).reshape(q2, -1)
+    x = (e @ x).reshape(-1, q2) @ dagger(e)
+    return x.reshape(f, k, k, f).transpose(1, 0, 2, 3).reshape(k * f, -1)
 
 
 def _group_by_eta(channel_blocks):

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from calderon import cli, dirac, projector
+from calderon import cli, csalg, dirac, projector
 from calderon.cli import ConfigError, main, parse_config
+from calderon.csalg import CStarAlgebra
 from calderon.dirac import ProductDiracModel
 from calderon.errors import CertificationError
 
@@ -112,10 +113,17 @@ def test_bad_config_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
-def test_malformed_json_exits_2(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    assert main(["run", str(path)]) == 2
+def test_malformed_json_exits_2(tmp_path, capsys):
+    for text in (
+        b"{not json",
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 100000 + b"]" * 100000,  # nested past the recursion limit
+    ):
+        path = tmp_path / "broken.json"
+        path.write_bytes(text)
+        assert main(["run", str(path)]) == 2, text[:8]
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
 
 #: config path -> malformed value; each must be a config error
@@ -134,7 +142,44 @@ MALFORMED_VALUES = {
         ("model", "holonomy"),
         {"kind": "matrix", "real": [[1], [0, 1]]},
     ),
+    "task-list": (("tasks",), [["double"]]),
+    "task-object": (("tasks",), [{"a": 1}]),
+    "table-number": (("algebra",), {"kind": "group", "table": 5}),
+    "table-flat": (("algebra",), {"kind": "group", "table": [1, 2]}),
+    "table-deep": (("algebra",), {"kind": "group", "table": [[[0]]]}),
+    "table-fraction": (("algebra",), {"kind": "group", "table": [[0.5]]}),
 }
+
+
+def test_integral_float_table_parses(tmp_path):
+    """Table entries are read as integers, as ``algebra.n`` is: 1.0 is 1."""
+    raw = segment_config(tmp_path / "out")
+    raw["algebra"] = {"kind": "group", "table": [[0.0, 1.0], [1.0, 0.0]]}
+    algebra = parse_config(raw)["algebra"]
+    assert algebra == CStarAlgebra.cyclic(2)
+    assert algebra.table == [[0, 1], [1, 0]]
+
+
+@pytest.mark.parametrize("name, n", [("symmetric", 5), ("cyclic", 25)])
+def test_oversized_named_group_exits_2_before_its_table(
+    tmp_path, capsys, monkeypatch, name, n
+):
+    """A named group past the order cap is refused from its order alone:
+    its Cayley table is never built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Cayley table was built")
+
+    for table in ("cyclic_table", "symmetric_table"):
+        monkeypatch.setattr(csalg, table, forbidden)
+    with pytest.raises(AssertionError):  # the guard is live
+        getattr(CStarAlgebra, name)(2)
+    out = tmp_path / "out"
+    raw = segment_config(out)
+    raw["algebra"] = {"kind": "group", "name": name, "n": n}
+    assert main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "group order" in err
+    assert not out.exists()
 
 
 def test_matrix_potential_parses(tmp_path):

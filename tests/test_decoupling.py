@@ -13,7 +13,6 @@ from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
     _realify,
-    _row_selection,
     _scalar_systems,
     build_double,
     ghost_solution_check,
@@ -108,7 +107,9 @@ def _channel_matrix(grid, b_mat):
     q2 = b_mat.shape[0]
     d = grid.diff_matrix()
     eye_nodes = np.eye(n + 1)
-    side1_rows, side2_rows = _row_selection(n)
+    # side 1 drops the u=0 node, side 2 the u=1 node; the freed rows carry
+    # the transmission conditions
+    side1_rows, side2_rows = range(1, n + 1), range(0, n)
     l_plus = np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_mat)
     l_minus = -np.kron(d, np.eye(q2)) + np.kron(eye_nodes, b_mat)
 
@@ -132,15 +133,30 @@ def _channel_matrix(grid, b_mat):
 
 
 def coupled_solver(grid):
-    """Drop-in for ``_solve_channel``: one LU of the full channel matrix."""
+    """Drop-in for ``_solve_channel``: the gathered data laid out as the
+    right-hand side of :func:`_channel_matrix` (side-1 rows, side-2 rows,
+    the two gluing rows; omitted data is zero), one LU of that matrix."""
     factors = {}
+    n = grid.n_u
 
-    def solve(cs, rhs):
+    def solve(cs, f1, f2, jump0, jump1):
         if id(cs) not in factors:
             mat = _channel_matrix(grid, cs.channel.b_mat)
             factors[id(cs)] = scipy.linalg.lu_factor(mat)
-        flat = rhs.reshape(rhs.shape[0], -1)
-        return scipy.linalg.lu_solve(factors[id(cs)], flat).reshape(rhs.shape)
+        q2 = cs.channel.dim
+        cols = next(a for a in (f1, f2, jump0, jump1) if a is not None)
+        rhs = np.zeros((2 * n + 2, q2, cols.shape[-1]), dtype=complex)
+        if f1 is not None:
+            rhs[:n] = f1[1:]
+        if f2 is not None:
+            rhs[n : 2 * n] = f2[:n]
+        if jump0 is not None:
+            rhs[2 * n] = jump0
+        if jump1 is not None:
+            rhs[2 * n + 1] = jump1
+        flat = rhs.reshape(len(rhs) * q2, -1)
+        sol = scipy.linalg.lu_solve(factors[id(cs)], flat)
+        return sol.reshape(2, n + 1, q2, -1)
 
     return solve
 
@@ -241,9 +257,19 @@ def test_invert_double_and_poisson_match_coupled_solve(case, monkeypatch):
         for _ in range(2)
     )
     g = BoundaryData.random_band_limited(model, grid.n_y, rng)
-    fast = invert_double(sysd, f1, f2) + poisson(sysd, g, with_side2=True)
+
+    def solves():
+        # f2 omitted: the zero side-2 data of the half-system columns
+        return (
+            invert_double(sysd, f1, f2)
+            + invert_double(sysd, f1)
+            + poisson(sysd, g, with_side2=True)
+        )
+
+    fast = solves()
     monkeypatch.setattr(dirac, "_solve_channel", coupled_solver(grid))
-    ref = invert_double(sysd, f1, f2) + poisson(sysd, g, with_side2=True)
+    ref = solves()
+    assert len(fast) == len(ref) == 6
     for a, b in zip(fast, ref):
         assert rel_diff(a.values, b.values) < 1e-12
 
