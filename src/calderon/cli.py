@@ -226,6 +226,8 @@ def parse_config(raw):
     if r < 1:
         raise ConfigError("model.r must be >= 1")
     seed = _read_int(raw.get("seed", 12345), "seed")
+    if seed < 0:  # np.random.default_rng takes no negative seed
+        raise ConfigError("seed must be a non-negative integer")
     rm = r * algebra.rep_dim
     v = _parse_v(model_desc.get("v"), rm, seed)
     w = None
@@ -273,8 +275,8 @@ def parse_config(raw):
         for key, value in defaults.items()
     }
     output_dir = raw.get("output_dir", "calderon-out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir must be a string")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise ConfigError("output_dir must be a non-empty string")
     return {
         "algebra": algebra,
         "model": model,

@@ -159,9 +159,20 @@ class CStarAlgebra:
 
     def membership_defect(self, mat):
         """Operator-norm distance from ``mat`` to the algebra span: a float,
-        or an array of distances for a stack (..., rep_dim, rep_dim)."""
+        or an array of distances for a stack (..., rep_dim, rep_dim).
+
+        On M_n the projection is the identity, so the distance is zero and
+        no SVD is taken.  For finite input that is the SVD's value bit for
+        bit; a NaN or infinite entry, on which the SVD raises
+        ``LinAlgError``, also reads zero here (``BoundaryProjector``'s
+        ``diagnostics`` raises that error from its projection defects
+        before it asks for membership)."""
         mat = np.asarray(mat, dtype=complex)
-        defect = opnorm(mat - self.project_matrix(mat))
+        proj = self.project_matrix(mat)  # also checks the shape
+        if self.kind == "matrix":
+            defect = np.zeros(mat.shape[:-2])
+        else:
+            defect = opnorm(mat - proj)
         return float(defect) if defect.ndim == 0 else defect
 
     def element(self, mat):

@@ -467,6 +467,16 @@ class ProductDiracModel:
                 start = i
         return channels
 
+    def holonomy_basis_defect(self):
+        """||W*W - I||_2 of the eigenphase bases of :meth:`holonomy_channels`
+        side by side, W = [basis_1, basis_2, ...] (rm, rm): the unitarity
+        defect of the fiber basis the per-mode channels embed by.  Zero
+        without a holonomy, where W = I and no SVD is taken."""
+        if self.h_rep is None:
+            return 0.0
+        w = np.concatenate([b for _, b in self.holonomy_channels()], axis=1)
+        return float(opnorm(dagger(w) @ w - np.eye(self.rm)))
+
     def mode_channels(self, n_y):
         """The channels of the double on n_y boundary points.
 
@@ -706,7 +716,7 @@ class DoubleSystem:
         """
         grid = self.grid
         data = (f1, f2, jump0, jump1)
-        cols = np.shape(next(a for a in data if a is not None))[-1]
+        cols = _column_count(*data)
         fiber = (grid.n_y, self.model.n_fiber, cols)
         shapes = [(grid.n_nodes,) + fiber] * 2 + [fiber] * 2
         for a, shape in zip(data, shapes):
@@ -892,6 +902,15 @@ def build_double(model, grid):
     )
 
 
+def _column_count(*data):
+    """The column count of the first given array of ``data`` (None for
+    zero data); StructureError if none is given."""
+    for a in data:
+        if a is not None:
+            return np.shape(a)[-1]
+    raise StructureError("no data to solve for")
+
+
 def _solve_channel(cs, f1, f2, jump0, jump1):
     """Solve the transmission system of channel ``cs`` for its gathered data
     (``f1``/``f2`` (n_u+1, 2q, cols), the jumps (2q, cols), None for zero):
@@ -905,7 +924,7 @@ def _solve_channel(cs, f1, f2, jump0, jump1):
     u = cs.eigvecs
     u_star = u.conj().T
     n = cs.systems.shape[-1] - 1
-    cols = next(a for a in (f1, f2, jump0, jump1) if a is not None).shape[-1]
+    cols = _column_count(f1, f2, jump0, jump1)
     beta = np.zeros((len(u), n + 1, 2 * cols), dtype=complex)
     for part, f, nodes, jump in (
         (beta.real, f1, slice(1, None), jump0),

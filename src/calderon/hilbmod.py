@@ -477,13 +477,14 @@ def _diagonal_blocks(P):
 
 
 def projection_defects(blocks):
-    """Idempotency and self-adjointness defects of a block diagonal in the
-    2-norm: the largest over its blocks, each from one ``opnorm`` per group
-    of equal-shaped blocks."""
-    idem = asym = 0.0
-    for _, b in shape_groups(blocks):
-        idem = max(idem, float(opnorm(b @ b - b).max()))
-        asym = max(asym, float(adjoint_defect(b).max()))
+    """Idempotency and self-adjointness defects ||p^2 - p||_2 and
+    ||p - p*||_2 of each block, as two arrays in block order, from one
+    ``opnorm`` each per group of equal-shaped blocks.  Those of the block
+    diagonal are their maxima."""
+    idem, asym = np.zeros(len(blocks)), np.zeros(len(blocks))
+    for idx, b in shape_groups(blocks):
+        idem[idx] = opnorm(b @ b - b)
+        asym[idx] = adjoint_defect(b)
     return idem, asym
 
 
@@ -494,7 +495,7 @@ def _projection_rank(blocks):
     and of the RANK_RTOL threshold."""
     s = [np.linalg.svd(b, compute_uv=False) for _, b in shape_groups(blocks)]
     top = max([0.0] + [v.max() for v in s if v.size])
-    idem, asym = projection_defects(blocks)
+    idem, asym = (d.max(initial=0.0) for d in projection_defects(blocks))
     if idem > PROJECTION_TOL * max(1.0, top) ** 2:
         raise StructureError("operator is not idempotent within tolerance")
     if asym > PROJECTION_TOL * max(1.0, top):

@@ -84,18 +84,8 @@ class BoundaryData:
     @classmethod
     def random_band_limited(cls, model, n_y, rng):
         """Random data supported on the dealiased frequency set."""
-        shape = (n_y, model.n_fiber, model.m)
-        out = []
-        cut = mode_radius(n_y)
-        y = y_points(n_y)
-        for _ in range(2):
-            # the real then the imaginary part of each frequency, in order
-            g = rng.standard_normal((2 * cut + 1, 2) + shape[1:])
-            vals = np.zeros(shape, dtype=complex)
-            for eta, coef in zip(range(-cut, cut + 1), g[:, 0] + 1j * g[:, 1]):
-                vals += np.exp(1j * eta * y)[:, None, None] * coef[None]
-            out.append(vals)
-        return cls(model, n_y, out[0], out[1])
+        g0, g1 = _band_limited(_band_limited_draw(model, n_y, rng), n_y)
+        return cls(model, n_y, g0, g1)
 
     def norm(self):
         dy = y_weight(self.n_y)
@@ -129,6 +119,29 @@ class BoundaryData:
         return cls(model, n_y, traces[0], traces[1])
 
 
+def _band_limited_draw(model, n_y, rng):
+    """Standard normal coefficients of both traces, (2, 2 cut + 1, 2,
+    n_fiber, m): per trace and frequency the real then the imaginary
+    part, as one draw of that shape consumes the stream."""
+    cut = mode_radius(n_y)
+    return rng.standard_normal((2, 2 * cut + 1, 2, model.n_fiber, model.m))
+
+
+def _band_limited(g, n_y):
+    """Samples (..., n_y, n_fiber, m) of sum_eta e^{i eta y} c_eta over the
+    dealiased frequencies, c_eta = g[..., k, 0] + i g[..., k, 1] from
+    coefficients g (..., 2 cut + 1, 2, n_fiber, m), any leading axes: the
+    frequencies are added in ascending order, each e^{i eta y} formed
+    once."""
+    cut = mode_radius(n_y)
+    y = y_points(n_y)
+    coef = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    vals = np.zeros(g.shape[:-4] + (n_y,) + g.shape[-2:], dtype=complex)
+    for k, eta in enumerate(range(-cut, cut + 1)):
+        vals += np.exp(1j * eta * y)[:, None, None] * coef[..., k, None, :, :]
+    return vals
+
+
 # -- the boundary projector --------------------------------------------
 
 
@@ -145,6 +158,7 @@ class BoundaryProjector:
     is the sum of the embedded eigenphase-channel blocks.  The y-coupled
     projector has one channel per commutant cluster, and its one full block,
     on all (component, y, fiber) coordinates, is the sum of theirs embedded.
+    The full blocks serve the membership defect and the export only.
     """
 
     model: object
@@ -174,37 +188,73 @@ class BoundaryProjector:
         return ModuleOperator(self.model.algebra, rank, rank, mat)
 
     def apply(self, g):
-        """Apply to boundary data on the projector's grid: the two traces
-        are gathered into the channels' y-slabs and added back into them
-        (the channel map of :func:`calderon.dirac._values_to_channels`);
-        one batched block product per group of equal-sized channels."""
+        """Apply to boundary data on the projector's grid (see
+        :meth:`_apply_traces`)."""
         _check_data_model(g, self.model)
         if g.n_y != self.n_y:
             raise StructureError("data on n_y %d, not %d" % (g.n_y, self.n_y))
+        out = self._apply_traces(np.stack([g.g0, g.g1]))
+        return BoundaryData(self.model, self.n_y, out[0], out[1])
+
+    def _apply_traces(self, traces):
+        """The projector on trace pairs (..., 2, n_y, n_fiber, m), any
+        leading axes: the traces are gathered into the channels' y-slabs
+        and added back into them (the channel map of
+        :func:`calderon.dirac._values_to_channels`), with one batched
+        block product per group of equal-sized channels, b[:, None] @ c
+        over the flattened leading axis; each member is bit-identical to
+        its one-pair call."""
+        flat = traces.reshape((-1,) + traces.shape[-4:])
         channels = [ch for ch, _ in self.channel_blocks]
         blocks = [block for _, block in self.channel_blocks]
-        coeffs = _values_to_channels(np.stack([g.g0, g.g1]), channels, g.n_y)
-        coeffs = [c.reshape(-1, self.model.m) for c in coeffs]
-        out = map_groups(np.matmul, blocks, coeffs)
-        return BoundaryData.from_channel_coeffs(
-            self.model, self.n_y, list(zip(channels, out))
-        )
+        coeffs = _values_to_channels(flat, channels, self.n_y)
+        coeffs = [c.reshape(len(flat), -1, self.model.m) for c in coeffs]
+        out = map_groups(lambda b, c: b[:, None] @ c, blocks, coeffs)
+        out = _channels_to_values(out, channels, self.n_y, flat.shape)
+        return out.reshape(traces.shape)
 
     def diagnostics(self):
-        """Idempotency and self-adjointness defects (2-norm), dimension and
-        algebra-membership defect: maxima over the diagonal blocks, since
-        the 2-norm of a block-diagonal matrix is the largest block norm and
-        its off-diagonal m-blocks are exactly zero.  Each is taken on the
-        stack of equal-shaped blocks.
+        """Idempotency and self-adjointness defects (2-norm) of the
+        assembled projector P = W diag(p_c) W*, bounded from the channel
+        blocks p_c with no SVD of an assembled block, and the dimension and
+        algebra-membership defect.
+
+        W is the fiber basis the channels embed by, and delta =
+        ||W*W - I||_2 (``embedding_unitarity_defect``): 0 per mode without a
+        holonomy, :meth:`~calderon.dirac.ProductDiracModel.holonomy_basis_defect`
+        per mode with one, ``commutant_unitarity_defect`` on a y-coupled
+        projector.  With e_c = ||p_c^2 - p_c||_2 and a_c = ||p_c - p_c*||_2
+        (:func:`~calderon.hilbmod.projection_defects`) and ||W||^2 <= 1 +
+        delta, the reported values are
+
+            ||P^2 - P|| <= (1 + delta) (max e_c + delta max x_c^2),
+            ||P - P*||  <= (1 + delta) max a_c,
+
+        x_c = (1 + a_c + sqrt((1 + a_c)^2 + 4 e_c))/2 >= ||p_c||_2, as
+        ||p||^2 = ||p* p|| <= ||p^2|| + ||(p* - p) p||.  With delta = 0 they
+        are the channel maxima.  They bound W p W* in exact arithmetic; with
+        delta > 0 the float64 ``matrix()`` adds rounding of its own, of the
+        size of these defects.  The membership defect is taken on the
+        full-fiber ``blocks`` (zero on M_n, with no SVD).
         """
-        alg = self.model.algebra
-        idem, asym = projection_defects(self.blocks)
+        blocks = [b for _, b in self.channel_blocks]
+        idem, asym = projection_defects(blocks)
+        norm = 0.5 * (1.0 + asym + np.sqrt((1.0 + asym) ** 2 + 4.0 * idem))
+        split = self.channel_blocks[0][0].split
+        delta = (
+            split["commutant_unitarity_defect"] if split
+            else self.model.holonomy_basis_defect()
+        )
         out = {
-            "idempotency_defect": idem,
-            "self_adjointness_defect": asym,
-            "dimension": sum(b.shape[0] for b in self.blocks),
+            "idempotency_defect": float(
+                (1.0 + delta) * (idem.max() + delta * (norm**2).max())
+            ),
+            "self_adjointness_defect": float((1.0 + delta) * asym.max()),
+            "embedding_unitarity_defect": delta,
+            "dimension": sum(map(len, blocks)),
             "a_membership_defect": max(
-                membership_defect(alg, b) for _, b in shape_groups(self.blocks)
+                membership_defect(self.model.algebra, b)
+                for _, b in shape_groups(self.blocks)
             ),
         }
         if self.per_mode:
@@ -216,15 +266,25 @@ class BoundaryProjector:
 
         A-linearity is structural (the projector acts on representation
         rows, the algebra on columns); this measures it directly anyway.
+        Each trial draws the coefficients of trace 0, those of trace 1
+        (as :meth:`BoundaryData.random_band_limited`) and then the algebra
+        element; all trials, g a and g alike, run through one stacked
+        :meth:`_apply_traces`, and each trial's norm is taken on its own,
+        so the result is that of one trial at a time, bit for bit.
         """
-        worst = 0.0
+        if not trials:
+            return 0.0
+        draws, mats = [], []
         for _ in range(trials):
-            g = BoundaryData.random_band_limited(self.model, self.n_y, rng)
-            a = self.model.algebra.random_element(rng)
-            lhs = self.apply(g.times(a))
-            rhs = self.apply(g).times(a)
-            worst = max(worst, (lhs - rhs).norm())
-        return worst
+            draws.append(_band_limited_draw(self.model, self.n_y, rng))
+            mats.append(self.model.algebra.random_element(rng).mat)
+        g = _band_limited(np.stack(draws), self.n_y)  # (trials, 2, n_y, f, m)
+        a = np.stack(mats)[:, None, None]
+        lhs, rhs = self._apply_traces(np.stack([g @ a, g]))
+        diff = lhs - rhs @ a
+        return max(
+            BoundaryData(self.model, self.n_y, d[0], d[1]).norm() for d in diff
+        )
 
 
 def _check_data_model(g, model):

@@ -38,7 +38,7 @@ from calderon.projector import (
     orthogonalized_calderon,
 )
 
-from conftest import hermitian
+from conftest import hermitian, twisted_model, y_coupled_model
 
 
 def test_shape_groups_keep_first_appearance_order():
@@ -106,9 +106,9 @@ def test_orthogonalize_idempotent_stack(rng):
 
 
 def test_projection_defects_and_relative_index_on_mixed_sizes(rng):
-    """Blocks of sizes 2, 4, 3, 4, 2 (three groups): the defects are the
-    maxima of the one-block calls, and the index is that of the assembled
-    matrices."""
+    """Blocks of sizes 2, 4, 3, 4, 2 (three groups): the defects of each
+    block are those of its one-block call, and the index is that of the
+    assembled matrices."""
     sizes = (2, 4, 3, 4, 2)
     p_blocks, q_blocks = [], []
     for n in sizes:
@@ -119,8 +119,8 @@ def test_projection_defects_and_relative_index_on_mixed_sizes(rng):
     assert len(shape_groups(p_blocks)) == 3
     idem, asym = projection_defects(p_blocks)
     singles = [projection_defects([b]) for b in p_blocks]
-    assert idem == max(i for i, _ in singles)
-    assert asym == max(a for _, a in singles)
+    assert np.array_equal(idem, np.concatenate([i for i, _ in singles]))
+    assert np.array_equal(asym, np.concatenate([a for _, a in singles]))
     index = relative_index(p_blocks, q_blocks)
     assembled = relative_index(
         [_block_diag(p_blocks)], [_block_diag(q_blocks)]
@@ -223,3 +223,121 @@ def test_random_band_limited_draws_the_per_frequency_stream():
         traces.append(vals)
     assert np.array_equal(g.g0, traces[0]) and np.array_equal(g.g1, traces[1])
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def stacked_pass_models():
+    """A per-mode, a twisted per-mode and a y-coupled (two clusters) model,
+    with their grids."""
+    rng = np.random.default_rng(29)
+    m2 = CStarAlgebra.matrix(2)
+    return [
+        (
+            ProductDiracModel("cylinder", m2, v=hermitian(rng, 2)),
+            CollarGrid(n_u=16, n_y=12, kind="chebyshev"),
+        ),
+        (twisted_model(), CollarGrid(n_u=16, n_y=8, kind="chebyshev")),
+        (y_coupled_model(), CollarGrid(n_u=16, n_y=8, kind="chebyshev")),
+    ]
+
+
+STACKED_IDS = ["per-mode", "twisted", "y-coupled"]
+
+
+def _trial_data(model, n_y, rng):
+    """One trial of the A-linearity check, drawn as one trial at a time
+    draws it: trace 0, trace 1 (per frequency, real then imaginary part),
+    then the algebra element."""
+    cut = n_y // 3
+    y = 2.0 * np.pi * np.arange(n_y) / n_y
+    shape = (n_y, model.n_fiber, model.m)
+    traces = []
+    for _ in range(2):
+        g = rng.standard_normal((2 * cut + 1, 2) + shape[1:])
+        vals = np.zeros(shape, dtype=complex)
+        for eta, coef in zip(range(-cut, cut + 1), g[:, 0] + 1j * g[:, 1]):
+            vals += np.exp(1j * eta * y)[:, None, None] * coef[None]
+        traces.append(vals)
+    a = model.algebra.random_element(rng)
+    return BoundaryData(model, n_y, *traces), a
+
+
+@pytest.mark.parametrize("index", range(3), ids=STACKED_IDS)
+def test_a_linearity_defect_is_the_per_trial_loop(index):
+    """The stacked A-linearity pass gives, bit for bit, the loop that
+    applies the projector to one trial's g a and g at a time, and leaves
+    the generator where that loop does."""
+    model, grid = stacked_pass_models()[index]
+    proj = calderon_projector(build_double(model, grid))
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    worst = 0.0
+    for _ in range(6):
+        g, a = _trial_data(model, grid.n_y, ref_rng)
+        diff = proj.apply(g.times(a)) - proj.apply(g).times(a)
+        worst = max(worst, diff.norm())
+    assert proj.a_linearity_defect(rng, trials=6) == worst
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert proj.a_linearity_defect(rng, trials=0) == 0.0
+
+
+@pytest.mark.parametrize("index", range(3), ids=STACKED_IDS)
+def test_stacked_apply_equals_its_per_member_calls(index):
+    """The array-level apply on a (3, 2, 2, n_y, n_fiber, m) stack of
+    trace pairs: every member is the one-pair ``apply``, bit for bit."""
+    model, grid = stacked_pass_models()[index]
+    proj = calderon_projector(build_double(model, grid))
+    rng = np.random.default_rng(5)
+    shape = (3, 2, 2, grid.n_y, model.n_fiber, model.m)
+    traces = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = proj._apply_traces(traces)
+    assert out.shape == shape
+    for i in np.ndindex(shape[:2]):
+        one = proj.apply(BoundaryData(model, grid.n_y, *traces[i]))
+        assert np.array_equal(out[i][0], one.g0)
+        assert np.array_equal(out[i][1], one.g1)
+
+
+def test_matrix_algebra_membership_takes_no_svd(monkeypatch):
+    """On M_n the membership defect is zero without an SVD: diagnostics()
+    of a per-mode projector takes two per channel shape group, for its
+    idempotency and self-adjointness defects, and none on a zero matrix."""
+    model, grid = stacked_pass_models()[0]
+    proj = calderon_projector(build_double(model, grid))
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):  # opnorm looks svd up at call time
+        calls.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    diag = proj.diagnostics()
+    groups = shape_groups([b for _, b in proj.channel_blocks])
+    assert len(calls) == 2 * len(groups)
+    assert all(np.any(a) for a in calls)
+    assert diag["a_membership_defect"] == 0.0
+    alg = model.algebra
+    assert alg.membership_defect(np.ones((2, 2))) == 0.0
+    stack = np.ones((3, 4, 2, 2))
+    assert np.array_equal(alg.membership_defect(stack), np.zeros((3, 4)))
+    assert len(calls) == 2 * len(groups)
+    with pytest.raises(StructureError):
+        alg.membership_defect(stack[..., :1])
+
+
+def test_group_algebra_membership_is_the_projection_distance():
+    """On C[G] the membership defect is still the SVD of the distance from
+    the projection, over the full-fiber m-blocks: the selfcheck
+    ``cylinder-group`` fixture reads the value of that formula."""
+    raw = cli.builtin_fixtures("unused")[1]
+    assert raw["output_dir"].endswith("cylinder-group")
+    cfg = cli.parse_config(raw)
+    model, alg = cfg["model"], cfg["algebra"]
+    proj = calderon_projector(build_double(model, cfg["grid"]))
+    m = alg.rep_dim
+    ref = 0.0
+    for block in proj.blocks:
+        k = len(block) // m
+        mats = block.reshape(k, m, k, m).swapaxes(1, 2)
+        dist = mats - alg.project_matrix(mats)
+        ref = max(ref, float(np.linalg.svd(dist, compute_uv=False).max()))
+    assert ref > 0.1
+    assert proj.diagnostics()["a_membership_defect"] == ref

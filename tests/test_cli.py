@@ -134,6 +134,8 @@ MALFORMED_VALUES = {
     "algebra-n-fraction": (("algebra", "n"), 2.7),
     "n-u-string": (("grid", "n_u"), "x"),
     "seed-string": (("seed",), "s"),
+    "seed-negative": (("seed",), -1),
+    "output-dir-empty": (("output_dir",), ""),
     "tolerance-string": (("tolerances",), {"oracle": "x"}),
     "r-bool": (("model", "r"), True),
     "tolerance-infinite": (("tolerances",), {"oracle": float("inf")}),

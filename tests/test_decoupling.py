@@ -2,12 +2,15 @@
 (per mode, or the y-coupled channels of a V(y) model), against the
 coupled channel system it replaces."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from calderon import dirac
-from calderon.csalg import CStarAlgebra, adjoint_defect, opnorm
+from calderon.cli import builtin_fixtures, parse_config
+from calderon.csalg import CStarAlgebra, adjoint_defect, herm, opnorm
 from calderon.dirac import (
     CollarFunction,
     CollarGrid,
@@ -18,7 +21,7 @@ from calderon.dirac import (
     ghost_solution_check,
     invert_double,
 )
-from calderon.hilbmod import membership_defect
+from calderon.hilbmod import membership_defect, projection_defects
 from calderon.projector import (
     BoundaryData,
     _block_diag,
@@ -284,6 +287,84 @@ def test_aps_blocks_from_the_double_match_eigh_of_b(case):
             [spectral_projection_positive(b), spectral_projection_positive(-b)]
         )
         assert np.linalg.norm(block - ref, 2) < 1e-12
+
+
+def rotated_holonomy_model():
+    """twisted_model's eigenphases and V in a random unitary basis: the
+    eigenphase bases come from ``eig`` of a non-diagonal holonomy, so they
+    are orthonormal only to rounding (delta > 0)."""
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(hermitian(rng, 2))[0]
+    phases = np.exp(2j * np.pi * np.array([0.25, 0.6]))
+    holonomy = (u * phases) @ u.conj().T
+    v = herm((u * [1.0, 0.5]) @ u.conj().T)
+    return ProductDiracModel(
+        "cylinder", CStarAlgebra.matrix(2), v=v, holonomy=holonomy
+    )
+
+
+def selfcheck_models():
+    """The models and grids of the five selfcheck fixtures."""
+    out = []
+    for raw in builtin_fixtures("fixtures"):
+        cfg = parse_config(raw)
+        name = "selfcheck-" + os.path.basename(raw["output_dir"])
+        out.append((name, cfg["model"], cfg["grid"]))
+    return out
+
+
+BOUND_CASES = CASES + selfcheck_models() + [(
+    "cylinder-M2-rotated-holonomy",
+    rotated_holonomy_model(),
+    CollarGrid(n_u=16, n_y=8, kind="chebyshev"),
+)]
+
+
+@pytest.mark.parametrize(
+    "name, model, grid", BOUND_CASES, ids=[c[0] for c in BOUND_CASES]
+)
+def test_channel_defects_bound_the_assembled_ones(name, model, grid):
+    """diagnostics() reports the per-channel bounds, with delta the
+    unitarity defect of the fiber basis the channels embed by, and they
+    read the defects of the assembled matrix: within 1e-14, and below by
+    at most 1e-12 relative.  With delta > 0 the assembled matrix carries
+    the rounding of its own embedding products as well, about n eps, n
+    its block size, which the bound (on W p W* from the channel blocks)
+    does not cover and which is of the size of these defects; there the
+    assembled reading may exceed the bound by that much."""
+    proj = calderon_projector(build_double(model, grid))
+    diag = proj.diagnostics()
+    delta = diag["embedding_unitarity_defect"]
+    channels = [ch for ch, _ in proj.channel_blocks]
+    if channels[0].coupled:
+        assert delta == channels[0].split["commutant_unitarity_defect"]
+    else:
+        assert delta == model.holonomy_basis_defect()
+    # delta is that of the embeddings of the channels of one frequency
+    frame = np.concatenate(
+        [ch.embedding for ch in channels if ch.eta == channels[0].eta], axis=1
+    )
+    eye = np.eye(len(frame))
+    assert abs(delta - opnorm(frame.conj().T @ frame - eye)) <= 1e-15
+    idem, asym = projection_defects([b for _, b in proj.channel_blocks])
+    norm = 0.5 * (1.0 + asym + np.sqrt((1.0 + asym) ** 2 + 4.0 * idem))
+    assert diag["idempotency_defect"] == (1.0 + delta) * (
+        idem.max() + delta * (norm**2).max()
+    )
+    assert diag["self_adjointness_defect"] == (1.0 + delta) * asym.max()
+
+    mat = proj.matrix()
+    assembled = {
+        "idempotency_defect": np.linalg.norm(mat @ mat - mat, 2),
+        "self_adjointness_defect": np.linalg.norm(mat - mat.conj().T, 2),
+    }
+    size = max(len(b) for b in proj.blocks)
+    rounding = size * np.finfo(float).eps * (norm**2).max() if delta else 0.0
+    for key, ref in assembled.items():
+        assert abs(diag[key] - ref) <= 1e-14, key
+        assert diag[key] >= ref * (1.0 - 1e-12) - rounding, key
+    if name == "cylinder-M2-rotated-holonomy":
+        assert delta > 0.0
 
 
 def test_blockwise_diagnostics_match_assembled_matrix(case):

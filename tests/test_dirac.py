@@ -376,6 +376,17 @@ def test_invert_double_rejects_rhs_on_another_grid(other, rng):
         invert_double(sysd, f)
 
 
+def test_solve_without_data_is_a_structure_error():
+    """A solve with no data at all has no column count: StructureError,
+    from the double's solve and from one channel's solve alike."""
+    model, grid = cylinder_fixture()
+    sysd = build_double(model, grid)
+    with pytest.raises(StructureError, match="no data"):
+        sysd.solve()
+    with pytest.raises(StructureError, match="no data"):
+        dirac._solve_channel(sysd.channels[0], None, None, None, None)
+
+
 def test_invert_double_dense_y_dependent_order():
     alg = CStarAlgebra.matrix(2)
     base = np.diag([0.9, -0.4]).astype(complex)
