@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .csalg import AlgebraElement, CStarAlgebra, herm, opnorm, star
-from .csalg import norm as alg_norm, shape_groups
+from .csalg import norm as alg_norm, shape_groups, worker_count
 from .errors import CalderonError, StructureError
 from . import hilbmod
 from . import sobolev
@@ -47,7 +47,7 @@ from .projector import (
     symbol_limit_check,
 )
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 class ConfigError(Exception):
     """Raised for any config that does not match the schema."""
@@ -686,6 +686,23 @@ def _strict_json(obj):
     return obj
 
 
+def _environment():
+    """What a run's last digits and timings may depend on: the threads
+    ``csalg.map_members`` splits a stack over, the numpy and Python
+    versions and the ``*_NUM_THREADS`` variables BLAS and OpenMP read
+    (the outputs are bit-identical for any worker count; the BLAS thread
+    count may move the last digits of a defect)."""
+    return {
+        "map_members_workers": worker_count(),
+        "numpy_version": np.__version__,
+        "python_version": "%d.%d.%d" % sys.version_info[:3],
+        "thread_variables": {
+            k: os.environ[k] for k in sorted(os.environ)
+            if k.endswith("_NUM_THREADS")
+        },
+    }
+
+
 def run_scenario(cfg, levels=3):
     """Execute the configured tasks in order and assemble the report.
 
@@ -723,6 +740,7 @@ def run_scenario(cfg, levels=3):
         "tasks": task_reports,
         "status": "pass" if overall_ok else "fail",
         "wall_time_s": time.monotonic() - t0,
+        "environment": _environment(),
     }
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(

@@ -9,6 +9,8 @@ numerical linear algebra.
 
 from __future__ import annotations
 
+import os
+import threading
 from itertools import permutations
 from math import factorial
 
@@ -23,6 +25,17 @@ _MAX_GROUP_ORDER = 24
 SPAN_TOL = 1e-10
 #: relative Hermitian defect and negative spectrum accepted by is_positive
 POSITIVITY_TOL = 1e-10
+
+#: members x rows x cols^2 of a stack below which :func:`map_members` runs
+#: it inline: on a 2-core Haswell box with one BLAS thread, a (48, 17, 17)
+#: complex SVD stack (0.24 M) took 0.94 ms inline and 0.98 ms split in
+#: two, and a (44, 49, 49) one (5.2 M) 6.5 ms inline and 3.3 ms split
+STACK_SPLIT_WORK = 1_000_000
+
+# the worker threads of map_members: created on its first split, once per
+# process (the lock makes that check-then-create safe across threads)
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 def cyclic_table(n):
@@ -349,6 +362,58 @@ def map_groups(func, arrays, *more):
         for i, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
             out[i] = r
     return out
+
+
+def worker_count():
+    """The CPUs this process may run on: its affinity set, or
+    ``os.cpu_count()`` where the platform reports none (``taskset``
+    restricts the set, and so the threads of :func:`map_members`)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pool():
+    """The per-process thread pool of :func:`map_members`, of
+    ``worker_count() - 1`` threads (the caller runs one chunk itself).
+    ``concurrent.futures`` is imported here, not with the package, as its
+    import alone costs milliseconds of start-up."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(max(worker_count() - 1, 1))
+        return _POOL
+
+
+def map_members(func, stack):
+    """``func(stack)`` for a ``func`` that acts on a stack (k, ...) member
+    by member, as numpy's matrix decompositions and solves do: the leading
+    axis is cut into one contiguous chunk per CPU (:func:`worker_count`),
+    the caller runs the first chunk and the pool the others, and the
+    results are concatenated in order, so each member is bit-identical to
+    ``func(stack)``.  A stack of one member, or one whose members x rows x
+    cols^2 is below STACK_SPLIT_WORK, or a process with one CPU, runs
+    ``func(stack)`` inline.  Every chunk finishes before an error is
+    raised; it is the first failing chunk's, in chunk order.  ``func``
+    must not itself call map_members, whose pool threads would then wait
+    on each other."""
+    chunks = min(worker_count(), len(stack))
+    work = len(stack) * stack.shape[-2] * stack.shape[-1] ** 2
+    if chunks < 2 or work < STACK_SPLIT_WORK:
+        return func(stack)
+    from concurrent.futures import wait
+
+    head, *rest = np.array_split(stack, chunks)
+    pool = _pool()
+    futures = [pool.submit(func, part) for part in rest]
+    try:
+        first = func(head)
+    finally:
+        wait(futures)
+    return np.concatenate([first] + [f.result() for f in futures])
 
 
 def adjoint_defect(a):

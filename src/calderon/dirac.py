@@ -51,7 +51,8 @@ circle of length 2, closed by the factor i.  Every singular value of
 A(lambda) is one of C(lambda), counted twice.  The double stores one
 C(lambda) per distinct eigenvalue of all its channels (only bit-identical
 ones merge, as the spectra of the modes eta and -eta do).  Their full SVDs
-give each channel's smallest singular value (no estimate), and a solve is
+give each channel's smallest singular value (no estimate), the stack split
+over the CPUs by :func:`~calderon.csalg.map_members`, and a solve is
 one batched ``np.linalg.solve`` over the channel's C(lambda_k), whose
 columns are filled straight from the rotated data (A(lambda) is never
 formed to solve); no LU factors are stored.  The eigendecomposition
@@ -72,6 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csalg import AlgebraElement, adjoint_defect, dagger, map_groups, opnorm
+from .csalg import map_members
 from .errors import CertificationError, StructureError
 from .hilbmod import ModuleOperator
 
@@ -850,6 +852,12 @@ def exact_channel(b_mat):
     return block, int(kernel_dim) if kernel_dim.ndim == 0 else kernel_dim
 
 
+def _singular_values(a):
+    """The singular values of each matrix of a stack, by one
+    ``np.linalg.svd`` (looked up at call time)."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def _decouple(b):
     """Eigenpairs, exact oracle and eigendecomposition certificate of a
     stack of tangential blocks b = U diag(lambda) U* (k, 2q, 2q): one
@@ -880,7 +888,7 @@ def build_double(model, grid):
     lam, inv = np.unique(lam, return_inverse=True)  # exact equality only
     systems = lam[:, None, None] * t
     systems += c0  # c0 + lam T, with no second (L, N, N) temporary
-    sigmas = np.linalg.svd(systems, compute_uv=False).min(axis=1)
+    sigmas = map_members(_singular_values, systems).min(axis=1)
     offsets = np.cumsum([len(w) for w, *_ in parts])[:-1]
     channel_systems = []
     for ch, part, rows in zip(channels, parts, np.split(inv, offsets)):
@@ -995,7 +1003,8 @@ def ghost_solution_check(sys):
     scalar stacks S(lambda) = [D + lambda I; e_0^T; e_n^T].  As J D J = -D
     (J reverses the nodes), S(-lambda) J is S(lambda) with its first n + 1
     rows reversed and negated and its last two swapped, so both have the
-    same singular values: one SVD per distinct |lambda| of the double.
+    same singular values: one SVD per distinct |lambda| of the double,
+    the stack split over the CPUs by :func:`~calderon.csalg.map_members`.
     """
     n = sys.grid.n_u
     eye_nodes = np.eye(n + 1)
@@ -1003,7 +1012,7 @@ def ghost_solution_check(sys):
     select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
     mags, inv = np.unique(np.abs(sys.eigvals), return_inverse=True)
     stacks = base + mags[:, None, None] * select
-    sigmas = np.linalg.svd(stacks, compute_uv=False).min(axis=1)[inv]
+    sigmas = map_members(_singular_values, stacks).min(axis=1)[inv]
     per_channel = [float(sigmas[cs.rows].min()) for cs in sys.channels]
     sigma = min(per_channel)
     return {

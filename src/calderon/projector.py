@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .csalg import adjoint_defect, dagger, herm, map_groups, opnorm
-from .csalg import shape_groups
+from .csalg import adjoint_defect, dagger, herm, map_groups, map_members
+from .csalg import opnorm, shape_groups
 from .dirac import (
     CollarFunction,
     _channels_to_values,
@@ -107,16 +107,6 @@ class BoundaryData:
         return BoundaryData(
             self.model, self.n_y, self.g0 - other.g0, self.g1 - other.g1
         )
-
-    @classmethod
-    def from_channel_coeffs(cls, model, n_y, coeffs):
-        """Traces from channel coefficients: ``coeffs`` is a list of
-        (channel, (2 * channel.dim, m)) pairs, the two traces stacked."""
-        channels = [ch for ch, _ in coeffs]
-        vals = [c.reshape(2, ch.dim, -1) for ch, c in coeffs]
-        shape = (2, n_y, model.n_fiber, model.m)
-        traces = _channels_to_values(vals, channels, n_y, shape)
-        return cls(model, n_y, traces[0], traces[1])
 
 
 def _band_limited_draw(model, n_y, rng):
@@ -346,13 +336,15 @@ def _collocation_blocks(sys):
     """Channel blocks (I_2 x U) [p_ij(lambda_k)] (I_2 x U*) of C: p(lambda)
     maps the jumps (jump0, jump1) to phi(0), phi(1).  Both jumps enter the
     last row of the half system C(lambda), jump1 times i, so one batched
-    complex 1-column solve w = C(lambda)^-1 e_n of the double's store gives
+    complex 1-column solve w = C(lambda)^-1 e_n of the double's store,
+    split over the CPUs by :func:`~calderon.csalg.map_members`, gives
     p = [[Re w_0, -Im w_0], [Re w_n, -Im w_n]].  The rotations run as one
     batched product per group of equal-sized channels."""
     n = sys.grid.n_u
     e = np.zeros((1, n + 1, 1), dtype=complex)
     e[0, n, 0] = 1.0
-    w = np.linalg.solve(sys.systems, e)[:, [0, n], 0]
+    w = map_members(lambda c: np.linalg.solve(c, e), sys.systems)
+    w = w[:, [0, n], 0]
     p_all = np.stack([w.real, -w.imag], axis=-1)
 
     def rotate(u, rows):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from calderon import csalg
 from calderon.csalg import CStarAlgebra
 from calderon.dirac import CollarGrid, ProductDiracModel
 
@@ -27,6 +28,14 @@ def algebra(request):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240824)
+
+
+def split_stacks(monkeypatch, workers, threshold=0):
+    """Make ``csalg.map_members`` see ``workers`` CPUs and split every
+    stack of at least ``threshold`` members x rows x cols^2 (one worker:
+    no split)."""
+    monkeypatch.setattr(csalg, "worker_count", lambda: workers)
+    monkeypatch.setattr(csalg, "STACK_SPLIT_WORK", threshold)
 
 
 def hermitian(rng, n, scale=1.0):

@@ -2,14 +2,20 @@
 channels: every member of a stacked call equals the one-matrix call
 bitwise, on stacks and on doubles whose channels differ in size."""
 
+import concurrent.futures
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from calderon import cli, dirac
+from calderon import cli, csalg, dirac
 from calderon.csalg import (
     CStarAlgebra,
     dagger,
     map_groups,
+    map_members,
     opnorm,
     shape_groups,
 )
@@ -17,6 +23,7 @@ from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
     _scalar_systems,
+    _singular_values,
     _values_to_channels,
     build_double,
     exact_channel,
@@ -38,7 +45,8 @@ from calderon.projector import (
     orthogonalized_calderon,
 )
 
-from conftest import hermitian, twisted_model, y_coupled_model
+from channel_map import boundary_data_from_channel_coeffs
+from conftest import hermitian, split_stacks, twisted_model, y_coupled_model
 
 
 def test_shape_groups_keep_first_appearance_order():
@@ -50,6 +58,124 @@ def test_shape_groups_keep_first_appearance_order():
     sums = map_groups(lambda s: (s.sum(axis=(1, 2)), s[:, 0]), arrays)
     assert [float(total) for total, _ in sums] == [0.0, 9.0, 8.0]
     assert np.array_equal(sums[1][1], np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "workers, threshold, members, chunks",
+    [
+        (3, 0, 7, [3, 2, 2]),  # contiguous, the first chunks one longer
+        (3, 7 * 5 * 5**2, 7, [3, 2, 2]),  # the work at the threshold splits
+        (8, 0, 3, [1, 1, 1]),  # at most one chunk per member
+        (1, 0, 7, [7]),  # one CPU
+        (3, 0, 1, [1]),  # one member
+        (3, 7 * 5 * 5**2 + 1, 7, [7]),  # the work below the threshold
+    ],
+)
+def test_map_members_is_the_one_call_in_order(
+    workers, threshold, members, chunks, rng, monkeypatch
+):
+    """map_members gives func(stack) bit for bit, from one contiguous
+    chunk per CPU, the first run by the caller; inline, func sees the
+    whole stack on the caller's thread."""
+    stack = rng.standard_normal((members, 5, 5, 2)).view(complex)[..., 0]
+    split_stacks(monkeypatch, workers, threshold)
+    index = {m.tobytes(): k for k, m in enumerate(stack)}
+    calls = []
+
+    def func(part):
+        start = index[part[0].tobytes()]
+        calls.append((start, len(part), threading.get_ident()))
+        return _singular_values(part)
+
+    assert np.array_equal(map_members(func, stack), _singular_values(stack))
+    calls.sort()
+    assert [(start, size) for start, size, _ in calls] == list(
+        zip(np.cumsum([0] + chunks[:-1]), chunks)
+    )
+    assert calls[0][2] == threading.get_ident()
+
+
+@pytest.mark.parametrize("bad_chunk", [0, 1])
+def test_map_members_raises_after_every_chunk(bad_chunk, monkeypatch):
+    """A NaN member makes its chunk's SVD raise LinAlgError, which
+    map_members raises only after the other, slower chunk has finished,
+    whether the caller's or the pool's chunk fails."""
+    stack = np.tile(np.eye(4), (4, 1, 1))
+    stack[2 * bad_chunk, 1, 1] = np.nan
+    split_stacks(monkeypatch, 2)
+    finished = []
+
+    def func(part):
+        if np.isnan(part).any():
+            return _singular_values(part)
+        time.sleep(0.05)
+        out = _singular_values(part)
+        finished.append(len(part))
+        return out
+
+    with pytest.raises(np.linalg.LinAlgError):
+        map_members(func, stack)
+    assert finished == [2]
+
+
+def test_map_members_raises_the_first_failing_chunk_in_order(monkeypatch):
+    """When every chunk fails, the error is the first chunk's, though the
+    second failed sooner."""
+    split_stacks(monkeypatch, 2)
+
+    def func(part):
+        first = int(part[0, 0, 0])
+        if first == 0:
+            time.sleep(0.05)
+        raise KeyError(first)
+
+    with pytest.raises(KeyError) as info:
+        map_members(func, np.arange(4.0).reshape(4, 1, 1))
+    assert info.value.args == (0,)
+
+
+def test_map_members_from_many_threads(rng, monkeypatch):
+    """Eight callers at once, each splitting its stack over four workers
+    (more than this box's CPUs, whatever it has) under a short switch
+    interval: the pool is created once, and every caller gets its own
+    stack's values in order."""
+    monkeypatch.setattr(csalg, "_POOL", None)
+    split_stacks(monkeypatch, 4)
+    created = []
+    executor = concurrent.futures.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        created.append(executor(*args, **kwargs))
+        return created[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    stacks = [rng.standard_normal((9, 6, 6)) for _ in range(8)]
+    results = [None] * len(stacks)
+
+    def caller(k):
+        results[k] = [map_members(_singular_values, stacks[k]) for _ in range(20)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=caller, args=(k,))
+            for k in range(len(stacks))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert len(created) == 1
+    for stack, res in zip(stacks, results):
+        ref = _singular_values(stack)
+        assert len(res) == 20
+        assert all(np.array_equal(r, ref) for r in res)
 
 
 def test_expm_stack_mixes_scaling_exponents(rng):
@@ -194,7 +320,7 @@ def test_unequal_channels_match_the_per_channel_reference(index):
     g = BoundaryData.random_band_limited(model, grid.n_y, rng)
     channels = [ch for ch, _ in proj.channel_blocks]
     coeffs = _values_to_channels(np.stack([g.g0, g.g1]), channels, grid.n_y)
-    ref = BoundaryData.from_channel_coeffs(model, grid.n_y, [
+    ref = boundary_data_from_channel_coeffs(model, grid.n_y, [
         (ch, block @ c.reshape(-1, model.m))
         for (ch, block), c in zip(proj.channel_blocks, coeffs)
     ])

@@ -13,6 +13,8 @@ from calderon.csalg import CStarAlgebra
 from calderon.dirac import ProductDiracModel
 from calderon.errors import CertificationError
 
+from conftest import split_stacks
+
 
 def test_cli_import_leaves_out_scipy_integrate():
     """The ODE oracle is a test helper, so importing the package does not
@@ -293,14 +295,68 @@ def test_convergence_repeat_runs_byte_identical(tmp_path):
     ).read_bytes()
 
 
-def test_report_json_excludes_timing_from_tables(tmp_path):
+def test_report_json_excludes_timing_from_tables(tmp_path, monkeypatch):
+    """report.json holds the wall time and the environment block (the
+    map_members worker count, the numpy and Python versions, every
+    *_NUM_THREADS variable); the CSV tables hold neither."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("CALDERON_TEST_NUM_THREADS", "3")
     out = tmp_path / "out"
     raw = segment_config(out, tasks=["calderon"])
     main(["run", write_config(tmp_path, raw)])
     report = json.loads((out / "report.json").read_text())
     assert "wall_time_s" in report
+    env = report["environment"]
+    assert env["map_members_workers"] == csalg.worker_count() >= 1
+    assert env["numpy_version"] == np.__version__
+    assert env["python_version"] == "%d.%d.%d" % sys.version_info[:3]
+    assert env["thread_variables"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["thread_variables"]["CALDERON_TEST_NUM_THREADS"] == "3"
+    assert all(k.endswith("_NUM_THREADS") for k in env["thread_variables"])
     csv_text = (out / "calderon_projector.csv").read_text()
     assert "time" not in csv_text
+    assert "environment" not in csv_text and np.__version__ not in csv_text
+
+
+def permode_cheb_config(output_dir):
+    """A per-mode Chebyshev run of the size of the benchmark's
+    permode-cheb workload: M2 cylinder, random-Hermitian V, 48x30, 21
+    channels, whose store passes are above csalg.STACK_SPLIT_WORK."""
+    return {
+        "algebra": {"kind": "matrix", "n": 2},
+        "model": {
+            "base": "cylinder",
+            "r": 1,
+            "v": {"kind": "random-hermitian", "scale": 0.8},
+        },
+        "grid": {"n_u": 48, "n_y": 30, "kind": "chebyshev"},
+        "tasks": ["double", "calderon", "index"],
+        "seed": 11,
+        "output_dir": str(output_dir),
+    }
+
+
+def test_run_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    """The same run, once inline and once with every stack that
+    csalg.map_members takes split over two workers, writes byte-identical
+    CSV and NPY files."""
+    outs = []
+    for workers in (1, 2):
+        out = tmp_path / ("workers-%d" % workers)
+        with monkeypatch.context() as mp:
+            split_stacks(mp, workers)
+            path = write_config(
+                tmp_path, permode_cheb_config(out), "w%d.json" % workers
+            )
+            assert main(["run", path]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    tables = [n for n in names if n.endswith((".csv", ".npy"))]
+    assert any(n.endswith(".npy") for n in tables)
+    assert any(n.endswith(".csv") for n in tables)
+    for name in tables:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_convergence_rejects_spectral_grid(tmp_path):

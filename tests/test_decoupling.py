@@ -25,13 +25,20 @@ from calderon.hilbmod import membership_defect, projection_defects
 from calderon.projector import (
     BoundaryData,
     _block_diag,
+    _collocation_blocks,
     aps_projection,
     calderon_projector,
     poisson,
     spectral_projection_positive,
 )
 
-from conftest import fixture_models, hermitian, twisted_model, y_coupled_model
+from conftest import (
+    fixture_models,
+    hermitian,
+    split_stacks,
+    twisted_model,
+    y_coupled_model,
+)
 
 
 def decoupling_models():
@@ -387,29 +394,51 @@ def test_blockwise_diagnostics_match_assembled_matrix(case):
 # -- the per-eigenvalue store: exact, not approximate ---------------------
 
 
-def count_matrices(monkeypatch, name, kind, size=None):
-    """Count the matrices of dtype kind ``kind`` (and ``size`` columns, if
-    given) passed to ``np.linalg.<name>``: the ghost stacks are real, the
-    half systems complex of size n_u + 1 (odd), the exact oracles complex
-    of even size."""
-    counts = []
+def record_members(monkeypatch, name, kind, size=None):
+    """Record, one list per call, the matrices of dtype kind ``kind`` (and
+    ``size`` columns, if given) passed to ``np.linalg.<name>``: the ghost
+    stacks are real, the half systems complex of size n_u + 1 (odd), the
+    exact oracles complex of even size.  Calls may come from the worker
+    threads of ``csalg.map_members``."""
+    calls = []
     func = getattr(np.linalg, name)
 
-    def counted(a, *args, **kwargs):
+    def recorded(a, *args, **kwargs):
         a = np.asarray(a)
         if a.dtype.kind == kind and size in (None, a.shape[-1]):
-            counts.append(int(np.prod(a.shape[:-2])))
+            calls.append(list(a.reshape((-1,) + a.shape[-2:])))
         return func(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, name, counted)
-    return counts
+    monkeypatch.setattr(np.linalg, name, recorded)
+    return calls
+
+
+def split_modes(monkeypatch):
+    """Run the body of a loop over this once inline and once with every
+    stack split in two by ``csalg.map_members``; yields the patch context
+    and the worker count."""
+    for workers in (1, 2):
+        with monkeypatch.context() as mp:
+            split_stacks(mp, workers)
+            yield mp, workers
+
+
+def assert_each_member_once(calls, store, workers):
+    """Over all the recorded calls, one per chunk, every member of
+    ``store`` was decomposed exactly once: the member counts sum to its
+    length and no member repeats (the store's members are distinct)."""
+    assert len(calls) == min(workers, len(store))
+    assert sum(len(call) for call in calls) == len(store)
+    seen = sorted(m.tobytes() for call in calls for m in call)
+    assert seen == sorted(m.tobytes() for m in store)
 
 
 def test_store_is_exact_and_certified_once_per_eigenvalue(case, monkeypatch):
     """The store holds C(lambda) of each distinct eigenvalue bit for bit,
     each channel's matrix is their realification and its sigma_min equals
-    the SVD of its own half systems; build_double makes one SVD per
-    distinct eigenvalue."""
+    the SVD of its own half systems; build_double decomposes each distinct
+    eigenvalue's C(lambda) exactly once, whether the SVD stack is split
+    over worker threads or not."""
     model, grid, sysd = case
     c0, t = _scalar_systems(grid)
     lam = np.concatenate([cs.eigvals for cs in sysd.channels])
@@ -423,12 +452,13 @@ def test_store_is_exact_and_certified_once_per_eigenvalue(case, monkeypatch):
             cs.matrix, _realify(own).reshape(-1, 2 * grid.n_nodes)
         )
         assert cs.sigma_min == np.linalg.svd(own, compute_uv=False).min()
-    svds = count_matrices(monkeypatch, "svd", "c", grid.n_nodes)
-    real_svds = count_matrices(monkeypatch, "svd", "f")
-    again = build_double(model, grid)
-    assert svds == [len(sysd.eigvals)]
-    assert real_svds == []
-    assert again.sigma_min == sysd.sigma_min
+    for mp, workers in split_modes(monkeypatch):
+        svds = record_members(mp, "svd", "c", grid.n_nodes)
+        real_svds = record_members(mp, "svd", "f")
+        again = build_double(model, grid)
+        assert_each_member_once(svds, sysd.systems, workers)
+        assert real_svds == []
+        assert again.sigma_min == sysd.sigma_min
 
 
 def test_half_system_svd_is_the_real_svd_doubled(case):
@@ -458,16 +488,21 @@ def ghost_stacks(grid, lam):
 
 def test_ghost_sigma_is_the_per_channel_stack_svd(case, monkeypatch):
     """Each channel's ghost sigma is the smallest singular value of the
-    stacks at the |lambda| of its eigenvalues, one SVD per distinct
-    |lambda| of the double."""
+    stacks at the |lambda| of its eigenvalues; the stack of each distinct
+    |lambda| of the double is decomposed exactly once, whether the SVD
+    stack is split over worker threads or not."""
     model, grid, sysd = case
-    svds = count_matrices(monkeypatch, "svd", "f")
-    ghost = ghost_solution_check(sysd)
-    assert svds == [len(np.unique(np.abs(sysd.eigvals)))]
-    monkeypatch.undo()
-    for cs, sigma in zip(sysd.channels, ghost["per_channel"]):
-        stack = ghost_stacks(grid, np.abs(cs.eigvals))
-        assert sigma == np.linalg.svd(stack, compute_uv=False).min()
+    for mp, workers in split_modes(monkeypatch):
+        svds = record_members(mp, "svd", "f")
+        ghost = ghost_solution_check(sysd)
+        assert_each_member_once(
+            svds,
+            ghost_stacks(grid, np.unique(np.abs(sysd.eigvals))),
+            workers,
+        )
+        for cs, sigma in zip(sysd.channels, ghost["per_channel"]):
+            stack = ghost_stacks(grid, np.abs(cs.eigvals))
+            assert sigma == np.linalg.svd(stack, compute_uv=False).min()
 
 
 @pytest.mark.parametrize("kind", ["chebyshev", "uniform"])
@@ -488,25 +523,48 @@ def test_collocation_blocks_are_the_per_channel_trace_maps(case, monkeypatch):
     """Each block equals the complex 1-column solve w = C(lambda)^-1 e_n of
     the channel's own half systems, p = [[Re w_0, -Im w_0], [Re w_n, -Im
     w_n]] (jump1 enters as i e_n), rotated back; the projector solves each
-    distinct eigenvalue once."""
+    distinct eigenvalue's C(lambda) exactly once, whether the solve is
+    split over worker threads or not."""
     model, grid, sysd = case
     c0, t = _scalar_systems(grid)
     n = grid.n_u
     e = np.zeros((1, n + 1, 1), dtype=complex)
     e[0, n, 0] = 1.0
-    solves = count_matrices(monkeypatch, "solve", "c")
-    proj = calderon_projector(sysd)
-    assert solves == [len(sysd.eigvals)]
-    monkeypatch.undo()
-    for cs, (_, block) in zip(sysd.channels, proj.channel_blocks):
-        own = c0 + cs.eigvals[:, None, None] * t
-        w = np.linalg.solve(own, e)[:, [0, n], 0]
-        p = np.stack([w.real, -w.imag], axis=-1)
-        u = cs.eigvecs
-        ref = np.block(
-            [[(u * p[:, i, j]) @ u.conj().T for j in (0, 1)] for i in (0, 1)]
-        )
-        assert np.array_equal(block, ref)
+    for mp, workers in split_modes(monkeypatch):
+        solves = record_members(mp, "solve", "c")
+        proj = calderon_projector(sysd)
+        assert_each_member_once(solves, sysd.systems, workers)
+        for cs, (_, block) in zip(sysd.channels, proj.channel_blocks):
+            own = c0 + cs.eigvals[:, None, None] * t
+            w = np.linalg.solve(own, e)[:, [0, n], 0]
+            p = np.stack([w.real, -w.imag], axis=-1)
+            u = cs.eigvecs
+            ref = np.block([
+                [(u * p[:, i, j]) @ u.conj().T for j in (0, 1)]
+                for i in (0, 1)
+            ])
+            assert np.array_equal(block, ref)
+
+
+@pytest.mark.parametrize("name, model, grid", CASES, ids=IDS)
+def test_split_store_passes_are_bit_identical(name, model, grid, monkeypatch):
+    """Each channel's sigma_min, each channel's ghost sigma and the
+    collocation blocks are bitwise the same whether csalg.map_members runs
+    the three store passes inline or splits each over two workers."""
+    runs = []
+    for _ in split_modes(monkeypatch):
+        sysd = build_double(model, grid)
+        runs.append((
+            [cs.sigma_min for cs in sysd.channels],
+            ghost_solution_check(sysd)["per_channel"],
+            _collocation_blocks(sysd),
+        ))
+    (sigmas, ghosts, blocks), (split_sigmas, split_ghosts, split_blocks) = runs
+    assert sigmas == split_sigmas
+    assert ghosts == split_ghosts
+    assert len(blocks) == len(split_blocks)
+    for block, split_block in zip(blocks, split_blocks):
+        assert np.array_equal(block, split_block)
 
 
 @pytest.mark.parametrize(

@@ -39,6 +39,7 @@ from conftest import (
     twisted_model,
     y_coupled_model,
 )
+from channel_map import boundary_data_from_channel_coeffs
 from ode_oracle import cauchy_space_oracle, graph_projection_least_squares
 
 
@@ -71,7 +72,7 @@ def test_boundary_data_mode_roundtrip(built, built_vy, rng):
                 channels, _values_to_channels(traces, channels, grid.n_y)
             )
         ]
-        back = BoundaryData.from_channel_coeffs(model, grid.n_y, coeffs)
+        back = boundary_data_from_channel_coeffs(model, grid.n_y, coeffs)
         assert np.abs(back.g0 - g.g0).max() < 1e-12
         assert np.abs(back.g1 - g.g1).max() < 1e-12
 
@@ -511,7 +512,7 @@ def test_poisson_reproduces_cauchy_data(built, rng):
     a = rng.standard_normal((ch.dim, model.m)) + 1j * rng.standard_normal(
         (ch.dim, model.m)
     )
-    g = BoundaryData.from_channel_coeffs(
+    g = boundary_data_from_channel_coeffs(
         model, grid.n_y, [(ch, np.vstack([a, t @ a]))]
     )
     tr = boundary_trace(model, poisson(sysd, g))
