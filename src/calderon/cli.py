@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -124,86 +125,81 @@ def _parse_algebra(desc):
         raise ConfigError("bad algebra descriptor: %s" % exc)
 
 
-def _parse_matrix(desc, where):
-    _require_keys(desc, ("kind", "real"), ("imag",), where)
-    mat = _read_array(desc["real"], where + ".real").astype(complex)
-    if "imag" in desc:
-        imag = _read_array(desc["imag"], where + ".imag")
-        if imag.shape != mat.shape:
-            raise ConfigError("%s.imag must have the shape of .real" % where)
-        mat = mat + 1j * imag
-    return mat
+#: the kinds of each tagged config object: kind -> (required keys, optional
+#: keys) besides ``kind``; a constant operator is one of CONSTANT_KINDS
+CONSTANT_KINDS = {
+    "zero": ((), ()),
+    "diag": (("values",), ()),
+    "scaled-identity": (("scale",), ()),
+    "random-hermitian": ((), ("scale",)),
+    "matrix": (("real",), ("imag",)),
+}
+V_KINDS = dict(CONSTANT_KINDS, cosine=(("base", "amplitude"), ()))
+HOLONOMY_KINDS = {
+    "phase": (("angle_fraction",), ()),
+    "matrix": (("real",), ("imag",)),
+}
 
 
-def _parse_v(desc, rm, seed):
-    if desc is None:
-        return None
-    kinds = {
-        "zero": ((), ()),
-        "diag": (("values",), ()),
-        "scaled-identity": (("scale",), ()),
-        "random-hermitian": ((), ("scale",)),
-        "matrix": (("real",), ("imag",)),
-        "cosine": (("base", "amplitude"), ()),
-    }
-    if not isinstance(desc, dict) or desc.get("kind") not in tuple(kinds):
-        raise ConfigError(
-            "model.v.kind must be one of %s" % sorted(kinds)
-        )
-    kind = desc["kind"]
-    req, opt = kinds[kind]
-    _require_keys(desc, ("kind",) + req, opt, "model.v")
+def _read_kind(desc, kinds, where):
+    """The ``kind`` of the tagged object ``desc`` read at ``where``, once
+    its keys are those ``kinds`` lists for it."""
+    kind = desc.get("kind") if isinstance(desc, dict) else None
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError("%s.kind must be one of %s" % (where, sorted(kinds)))
+    required, optional = kinds[kind]
+    _require_keys(desc, ("kind",) + required, optional, where)
+    return kind
+
+
+def _parse_operator(desc, kinds, where, rm, seed):
+    """The (rm, rm) operator, or the callable V(y) of a ``cosine``, that the
+    tagged object ``desc`` at ``where`` describes; ``seed`` seeds a
+    ``random-hermitian`` draw."""
+    kind = _read_kind(desc, kinds, where)
     if kind == "zero":
         return np.zeros((rm, rm), dtype=complex)
     if kind == "diag":
-        vals = _read_array(desc["values"], "model.v.values")
+        vals = _read_array(desc["values"], where + ".values")
         if vals.shape != (rm,):
-            raise ConfigError("model.v.values must have length r * rep_dim")
+            raise ConfigError("%s.values must have length r * rep_dim" % where)
         return np.diag(vals).astype(complex)
     if kind == "scaled-identity":
-        return _read_real(desc["scale"], "model.v.scale") * np.eye(
+        return _read_real(desc["scale"], where + ".scale") * np.eye(
             rm, dtype=complex
         )
     if kind == "random-hermitian":
         rng = np.random.default_rng(seed)
-        scale = _read_real(desc.get("scale", 1.0), "model.v.scale")
+        scale = _read_real(desc.get("scale", 1.0), where + ".scale")
         mat = rng.standard_normal((rm, rm)) + 1j * rng.standard_normal((rm, rm))
         return scale * herm(mat)
+    if kind == "phase":
+        # a whole number of turns is no twist: drop them before the
+        # exponential, exactly, so a fraction in (-1, 1) is read as it is
+        turns = _read_real(desc["angle_fraction"], where + ".angle_fraction")
+        return np.exp(2j * np.pi * math.fmod(turns, 1.0)) * np.eye(rm)
     if kind == "matrix":
-        mat = _parse_matrix(desc, "model.v")
+        mat = _read_array(desc["real"], where + ".real").astype(complex)
+        if "imag" in desc:
+            imag = _read_array(desc["imag"], where + ".imag")
+            if imag.shape != mat.shape:
+                raise ConfigError(
+                    "%s.imag must have the shape of .real" % where
+                )
+            mat = mat + 1j * imag
         if mat.shape != (rm, rm):
-            raise ConfigError("model.v matrix must be %d x %d" % (rm, rm))
+            raise ConfigError("%s matrix must be %d x %d" % (where, rm, rm))
         return mat
     # cosine: y-dependent potential base + amplitude * cos(y) * identity
-    base = _parse_v(desc["base"], rm, seed)
-    if base is None or callable(base):
-        raise ConfigError("model.v.base must be a constant potential")
-    amp = _read_real(desc["amplitude"], "model.v.amplitude")
+    base = _parse_operator(
+        desc["base"], CONSTANT_KINDS, where + ".base", rm, seed
+    )
+    amp = _read_real(desc["amplitude"], where + ".amplitude")
 
     def v_of_y(y):
         return base + amp * np.cos(y) * np.eye(rm)
 
     return v_of_y
-
-
-def _parse_holonomy(desc, rm):
-    if desc is None:
-        return None
-    if not isinstance(desc, dict) or desc.get("kind") not in (
-        "phase",
-        "matrix",
-    ):
-        raise ConfigError("model.holonomy.kind must be 'phase' or 'matrix'")
-    if desc["kind"] == "phase":
-        _require_keys(desc, ("kind", "angle_fraction"), (), "model.holonomy")
-        frac = _read_real(
-            desc["angle_fraction"], "model.holonomy.angle_fraction"
-        )
-        return np.exp(2j * np.pi * frac) * np.eye(rm)
-    mat = _parse_matrix(desc, "model.holonomy")
-    if mat.shape != (rm, rm):
-        raise ConfigError("model.holonomy matrix must be %d x %d" % (rm, rm))
-    return mat
 
 
 def parse_config(raw):
@@ -229,17 +225,18 @@ def parse_config(raw):
     if seed < 0:  # np.random.default_rng takes no negative seed
         raise ConfigError("seed must be a non-negative integer")
     rm = r * algebra.rep_dim
-    v = _parse_v(model_desc.get("v"), rm, seed)
-    w = None
-    if model_desc.get("w") is not None:
-        w = _parse_v(model_desc["w"], rm, seed + 1)
-        if callable(w):
-            raise ConfigError("model.w must be constant")
-    holonomy = _parse_holonomy(model_desc.get("holonomy"), rm)
+    ops = {}
+    for name, kinds, op_seed in (
+        ("v", V_KINDS, seed),
+        ("w", CONSTANT_KINDS, seed + 1),
+        ("holonomy", HOLONOMY_KINDS, None),
+    ):
+        if model_desc.get(name) is not None:
+            ops[name] = _parse_operator(
+                model_desc[name], kinds, "model." + name, rm, op_seed
+            )
     try:
-        model = ProductDiracModel(
-            model_desc["base"], algebra, r=r, v=v, w=w, holonomy=holonomy
-        )
+        model = ProductDiracModel(model_desc["base"], algebra, r=r, **ops)
     except StructureError as exc:
         raise ConfigError("bad model: %s" % exc)
 

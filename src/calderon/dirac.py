@@ -244,10 +244,19 @@ class CollarFunction:
 # -- the model ----------------------------------------------------------
 
 
+def _check_finite(a, name):
+    """Refuse an operator, or a stack of them, with a NaN or infinite entry."""
+    if not np.isfinite(a).all():
+        raise StructureError("%s must have finite entries" % name)
+
+
 def _check_self_adjoint(a, name):
     """Refuse a matrix, or a stack of them, that is not self-adjoint to
-    1e-12 relative to its 2-norm."""
-    if np.any(adjoint_defect(a) > 1e-12 * np.maximum(1.0, opnorm(a))):
+    1e-12 relative to its 2-norm.  Like the holonomy checks, it passes only
+    a defect <= its bound, so a defect that overflows to NaN fails."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok = np.all(adjoint_defect(a) <= 1e-12 * np.maximum(1.0, opnorm(a)))
+    if not ok:
         raise StructureError("%s must be self-adjoint" % name)
 
 
@@ -339,6 +348,8 @@ class ProductDiracModel:
     holonomy : optional unitary ModuleOperator A^r -> A^r twisting the
         y-periodicity (cylinder only); must commute with v (with V(y) at
         every sample)
+
+    Every entry of v, w, the holonomy and each V(y) sample must be finite.
     """
 
     def __init__(self, base, algebra, r=1, v=None, w=None, holonomy=None):
@@ -376,9 +387,10 @@ class ProductDiracModel:
         else:
             if base != "cylinder":
                 raise StructureError("a holonomy needs the cylinder base")
-            self.h_rep = self._coerce_operator(holonomy, "holonomy")
-            defect = opnorm(self.h_rep @ self.h_rep.conj().T - np.eye(self.rm))
-            if defect > 1e-10:
+            h = self.h_rep = self._coerce_operator(holonomy, "holonomy")
+            with np.errstate(over="ignore", invalid="ignore"):
+                unitary = opnorm(h @ h.conj().T - np.eye(self.rm)) <= 1e-10
+            if not unitary:
                 raise StructureError("holonomy must be unitary")
         if self.v_rep is not None:
             self._check_commutes(self.v_rep)
@@ -387,7 +399,11 @@ class ProductDiracModel:
 
     def _check_commutes(self, v):
         h = self.h_rep
-        if h is not None and np.any(opnorm(h @ v - v @ h) > 1e-10):
+        if h is None:
+            return
+        with np.errstate(over="ignore", invalid="ignore"):
+            commutes = np.all(opnorm(h @ v - v @ h) <= 1e-10)
+        if not commutes:
             raise StructureError("holonomy must commute with v")
 
     def _coerce_operator(self, op, name):
@@ -396,10 +412,14 @@ class ProductDiracModel:
                 op.target_rank != self.r
             ):
                 raise StructureError("%s has wrong shape/algebra" % name)
-            return op.rep.copy()
-        mat = np.asarray(op, dtype=complex)
-        if mat.shape != (self.rm, self.rm):
-            raise StructureError("%s must be %d x %d" % (name, self.rm, self.rm))
+            mat = op.rep.copy()
+        else:
+            mat = np.asarray(op, dtype=complex)
+            if mat.shape != (self.rm, self.rm):
+                raise StructureError(
+                    "%s must be %d x %d" % (name, self.rm, self.rm)
+                )
+        _check_finite(mat, name)
         return mat
 
     # -- fiber operators ----------------------------------------------
@@ -434,10 +454,14 @@ class ProductDiracModel:
     def v_samples(self, n_y):
         """Samples of V(y) on the y-grid, shape (n_y, rm, rm).  A V(y) is
         sampled only here, so each sample is checked here, as a constant V
-        is when the model is built: self-adjoint, commuting with H."""
+        is when the model is built: finite, self-adjoint, commuting with H."""
         if self.v_callable is None:
             return np.broadcast_to(self.v_rep, (n_y,) + self.v_rep.shape).copy()
-        out = np.array([self.v_callable(y) for y in y_points(n_y)], complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = np.array(
+                [self.v_callable(y) for y in y_points(n_y)], complex
+            )
+        _check_finite(out, "v")
         _check_self_adjoint(out, "v")
         self._check_commutes(out)
         return out

@@ -14,7 +14,6 @@ which the discrete Parseval identity is exact.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,23 +96,8 @@ class GridFunction:
         self.spec = spec
         self.values = values
 
-    @property
-    def fiber_shape(self):
-        return self.values.shape[2:]
-
-    def copy(self, values=None):
-        return GridFunction(
-            self.spec, self.values.copy() if values is None else values
-        )
-
-    def __add__(self, other):
-        return GridFunction(self.spec, self.values + other.values)
-
     def __sub__(self, other):
         return GridFunction(self.spec, self.values - other.values)
-
-    def __rmul__(self, scalar):
-        return GridFunction(self.spec, complex(scalar) * self.values)
 
     def l2_norm(self):
         """Mean-square norm over grid points, Frobenius in the fiber."""
@@ -195,31 +179,29 @@ class FourierMultiplier:
         return ifft(f.spec, coeffs)
 
 
+def _spectral_norm(coeffs, xi2, s):
+    """sqrt(sum (1 + xi2)^s |coeffs|^2) over the grid points, with the
+    squared frequencies ``xi2`` over the leading axes of ``coeffs``, divided
+    by the number of grid points."""
+    weights = ((1.0 + xi2) ** s).reshape(
+        xi2.shape + (1,) * (coeffs.ndim - xi2.ndim)
+    )
+    return float(np.sqrt(np.sum(weights * np.abs(coeffs) ** 2))) / xi2.size
+
+
 def sobolev_norm(f, s):
     """Spectral Sobolev norm of order ``s`` on the torus."""
     if f.spec.half:
         raise StructureError("sobolev_norm is defined on the torus")
-    coeffs = fft(f)
     xi2 = f.spec.xi_u()[:, None] ** 2 + f.spec.eta()[None, :] ** 2
-    weights = (1.0 + xi2) ** s
-    total = np.sum(
-        weights[:, :, None, None] * np.abs(coeffs) ** 2
-    )
-    n_pts = f.spec.n_u * f.spec.n_y
-    return float(np.sqrt(total.real)) / n_pts
+    return _spectral_norm(fft(f), xi2, s)
 
 
 def boundary_norm(profile, s):
     """Sobolev norm of a y-profile on the boundary circle (same convention)."""
-    coeffs = np.fft.fft(profile, axis=0)
     n_y = profile.shape[0]
     eta = np.fft.fftfreq(n_y, d=1.0 / n_y)
-    weights = (1.0 + eta**2) ** s
-    total = np.sum(
-        weights.reshape((n_y,) + (1,) * (profile.ndim - 1))
-        * np.abs(coeffs) ** 2
-    )
-    return float(np.sqrt(total.real)) / n_y
+    return _spectral_norm(np.fft.fft(profile, axis=0), eta**2, s)
 
 
 def lambda_pm(f, sign):
@@ -251,14 +233,10 @@ def extend_reflect(f):
     """Odd reflection of a half-domain function onto the torus."""
     if not f.spec.half:
         raise StructureError("extend_reflect expects a half-domain function")
-    spec = f.spec.as_torus()
-    n_u = spec.n_u
-    half = n_u // 2
-    values = np.empty((n_u,) + f.values.shape[1:], dtype=complex)
-    values[: half + 1] = f.values
-    for j in range(half + 1, n_u):
-        values[j] = -f.values[n_u - j]
-    return GridFunction(spec, values)
+    # node n_u - j of the torus is the mirror of node j, 0 < j < n_u / 2
+    half = f.spec.n_u // 2
+    values = np.concatenate([f.values, -f.values[half - 1 : 0 : -1]])
+    return GridFunction(f.spec.as_torus(), values)
 
 
 def restrict(g):
@@ -278,13 +256,9 @@ def extend_adjoint(g):
     """
     if g.spec.half:
         raise StructureError("extend_adjoint expects a torus function")
-    n_u = g.spec.n_u
-    half = n_u // 2
-    values = np.empty((half + 1,) + g.values.shape[1:], dtype=complex)
-    values[0] = g.values[0]
-    values[half] = g.values[half]
-    for j in range(1, half):
-        values[j] = g.values[j] - g.values[n_u - j]
+    half = g.spec.n_u // 2
+    values = g.values[: half + 1].copy()
+    values[1:half] -= g.values[:half:-1]
     return GridFunction(g.spec.as_half(), values)
 
 
@@ -320,54 +294,3 @@ def trace(f, t, s):
     ratio = num / denom if denom > 0 else 0.0
     return TraceReport(profile=profile, ratio=ratio, t=float(t), s=float(s))
 
-
-# -- serialization ------------------------------------------------------
-
-
-def save_grid_function(path, f):
-    """Flat binary layout: one JSON header line, then raw complex128 bytes."""
-    header = {
-        "format": "calderon-grid-v1",
-        "dim": f.spec.dim,
-        "n_u": f.spec.n_u,
-        "n_y": f.spec.n_y,
-        "half": f.spec.half,
-        "fiber": list(f.fiber_shape),
-    }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        fh.write(np.ascontiguousarray(f.values, dtype=np.complex128).tobytes())
-
-
-def load_grid_function(path):
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != "calderon-grid-v1":
-            raise StructureError("unrecognized grid file format")
-        spec = GridSpec(
-            header["dim"], header["n_u"], header["n_y"], header["half"]
-        )
-        shape = (spec.n_u_points, spec.n_y) + tuple(header["fiber"])
-        data = np.frombuffer(fh.read(), dtype=np.complex128).reshape(shape)
-    return GridFunction(spec, data.copy())
-
-
-def grid_function_to_csv(path, f):
-    """Plot-ready CSV: one row per grid point, real/imag per fiber entry."""
-    rows, cols = f.fiber_shape
-    with open(path, "w") as fh:
-        heads = ["u", "y"]
-        for i in range(rows):
-            for j in range(cols):
-                heads += ["re_%d_%d" % (i, j), "im_%d_%d" % (i, j)]
-        fh.write(",".join(heads) + "\n")
-        u_nodes = f.spec.u_nodes()
-        y_nodes = f.spec.y_nodes()
-        for iu, u in enumerate(u_nodes):
-            for iy, y in enumerate(y_nodes):
-                entries = ["%.17g" % u, "%.17g" % y]
-                for i in range(rows):
-                    for j in range(cols):
-                        z = f.values[iu, iy, i, j]
-                        entries += ["%.17g" % z.real, "%.17g" % z.imag]
-                fh.write(",".join(entries) + "\n")

@@ -54,6 +54,20 @@ def segment_config(output_dir, tasks=("double", "calderon")):
     }
 
 
+def cylinder_config(output_dir, tasks=("double", "calderon", "index")):
+    return {
+        "algebra": {"kind": "matrix", "n": 2},
+        "model": {
+            "base": "cylinder",
+            "v": {"kind": "random-hermitian", "scale": 0.8},
+        },
+        "grid": {"n_u": 12, "n_y": 8, "kind": "chebyshev"},
+        "tasks": list(tasks),
+        "seed": 31,
+        "output_dir": str(output_dir),
+    }
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -128,7 +142,8 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         assert err.startswith("config error:") and "Traceback" not in err
 
 
-#: config path -> malformed value; each must be a config error
+#: config path -> malformed value, set in the segment config or in the
+#: config a third entry makes; each must be a config error
 MALFORMED_VALUES = {
     "schema-version-string": (("schema_version",), "abc"),
     "algebra-n-string": (("algebra", "n"), "two"),
@@ -152,6 +167,26 @@ MALFORMED_VALUES = {
     "table-flat": (("algebra",), {"kind": "group", "table": [1, 2]}),
     "table-deep": (("algebra",), {"kind": "group", "table": [[[0]]]}),
     "table-fraction": (("algebra",), {"kind": "group", "table": [[0.5]]}),
+    # finite entries whose defects overflow: ||H H* - I|| and ||V - V*||
+    # read NaN, and V(0) = base + amplitude * I is infinite
+    "holonomy-overflowing": (
+        ("model", "holonomy"),
+        {"kind": "matrix", "real": [[1e308, 0], [0, 1]]},
+        cylinder_config,
+    ),
+    "v-huge-not-self-adjoint": (
+        ("model", "v"),
+        {"kind": "matrix", "real": [[0, 1e308], [-1e308, 0]]},
+    ),
+    "cosine-overflowing": (
+        ("model", "v"),
+        {
+            "kind": "cosine",
+            "base": {"kind": "diag", "values": [1e308, 1e308]},
+            "amplitude": 1e308,
+        },
+        cylinder_config,
+    ),
 }
 
 
@@ -198,11 +233,16 @@ def test_matrix_potential_parses(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "path, value", list(MALFORMED_VALUES.values()), ids=list(MALFORMED_VALUES)
+    "path, value, make",
+    [
+        entry + (segment_config,) * (3 - len(entry))
+        for entry in MALFORMED_VALUES.values()
+    ],
+    ids=list(MALFORMED_VALUES),
 )
-def test_malformed_config_value_exits_2(tmp_path, capsys, path, value):
+def test_malformed_config_value_exits_2(tmp_path, capsys, path, value, make):
     out = tmp_path / "out"
-    raw = segment_config(out)
+    raw = make(out)
     obj = raw
     for key in path[:-1]:
         obj = obj[key]
@@ -380,20 +420,6 @@ def test_convergence_levels_validation(tmp_path):
     }
     path = write_config(tmp_path, raw)
     assert main(["convergence", path, "--levels", "2"]) == 2
-
-
-def cylinder_config(output_dir, tasks=("double", "calderon", "index")):
-    return {
-        "algebra": {"kind": "matrix", "n": 2},
-        "model": {
-            "base": "cylinder",
-            "v": {"kind": "random-hermitian", "scale": 0.8},
-        },
-        "grid": {"n_u": 12, "n_y": 8, "kind": "chebyshev"},
-        "tasks": list(tasks),
-        "seed": 31,
-        "output_dir": str(output_dir),
-    }
 
 
 def _reject_constant(token):
@@ -703,6 +729,37 @@ def test_non_hermitian_cosine_base_exits_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, raw)]) == 2
     assert "v must be self-adjoint" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_malformed_w_is_reported_as_w(tmp_path, capsys):
+    raw = segment_config(tmp_path / "out")
+    raw["model"]["w"] = {"kind": "diag", "values": [1.0]}
+    assert main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert "model.w.values must have length" in err and "model.v" not in err
+
+
+def test_whole_turns_of_angle_fraction_are_no_twist(tmp_path):
+    """angle_fraction is read modulo 1: 1e308, a whole number of turns,
+    writes the files of angle_fraction 0."""
+    outs = []
+    for frac in (0.0, 1e308):
+        out = tmp_path / ("out-%r" % frac)
+        raw = cylinder_config(out)
+        raw["model"]["v"] = {"kind": "diag", "values": [1.0, 0.5]}
+        raw["model"]["holonomy"] = {"kind": "phase", "angle_fraction": frac}
+        path = write_config(tmp_path, raw, "%r.json" % frac)
+        assert main(["run", path]) == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "calderon_projector.npy" in names
+    for name in names:
+        if name != "report.json":  # the report holds the config
+            first, second = (out / name for out in outs)
+            assert first.read_bytes() == second.read_bytes(), name
+    tasks = [strict_report(out)["tasks"] for out in outs]
+    assert tasks[0] == tasks[1]
 
 
 def test_holonomy_on_segment_exits_2(tmp_path, capsys):

@@ -11,11 +11,8 @@ from calderon.sobolev import (
     embed_adjoint,
     extend_adjoint,
     extend_reflect,
-    grid_function_to_csv,
     lambda_pm,
-    load_grid_function,
     restrict,
-    save_grid_function,
     sobolev_norm,
     torus_inner,
     trace,
@@ -146,19 +143,3 @@ def test_boundary_norm_single_mode(spec2):
         5.0**0.25, rel=1e-12
     )
 
-
-def test_serialization_roundtrip(tmp_path, spec2, rng):
-    f = GridFunction.random_band_limited(spec2, rng, fiber_shape=(2, 2))
-    path = tmp_path / "f.grid"
-    save_grid_function(path, f)
-    g = load_grid_function(path)
-    assert g.spec == f.spec
-    assert np.array_equal(g.values, f.values)
-
-
-def test_csv_export(tmp_path, spec2, rng):
-    f = GridFunction.random_band_limited(spec2, rng)
-    path = tmp_path / "f.csv"
-    grid_function_to_csv(path, f)
-    text = path.read_text().splitlines()
-    assert len(text) == spec2.n_u * spec2.n_y + 1
