@@ -706,10 +706,14 @@ def run_scenario(cfg, levels=3):
     A task that raises one of TASK_ERRORS (a :class:`CalderonError`, a
     ``numpy.linalg.LinAlgError`` or a ``MemoryError``), or reports a NaN
     metric, fails; the report is written in any case, as strict JSON with
-    non-finite values as ``null``.
+    non-finite values as ``null``.  An ``output_dir`` that cannot be
+    created is a ``ConfigError``.
     """
     out_dir = cfg["output_dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot create output_dir %s: %s" % (out_dir, exc))
     t0 = time.monotonic()
     run = _ScenarioRun(cfg, levels)
     task_reports = []

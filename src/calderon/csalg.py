@@ -148,12 +148,6 @@ class CStarAlgebra:
                 mats[g, self.table[g][h], h] = 1.0
         return mats
 
-    def identity(self):
-        return AlgebraElement(self, np.eye(self.rep_dim, dtype=complex))
-
-    def zero(self):
-        return AlgebraElement(self, np.zeros((self.rep_dim,) * 2, dtype=complex))
-
     def project_matrix(self, mat):
         """Orthogonal projection of a rep_dim x rep_dim matrix, or of each
         matrix of a stack (..., rep_dim, rep_dim), onto the algebra.

@@ -398,11 +398,15 @@ class ProductDiracModel:
             self.v_samples(1)
 
     def _check_commutes(self, v):
+        """Refuse a V, or any sample of a V(y) stack, with ||HV - VH||_2
+        above 1e-10 max(1, ||V||_2); H is unitary, so the bound is
+        relative to ||H|| too."""
         h = self.h_rep
         if h is None:
             return
         with np.errstate(over="ignore", invalid="ignore"):
-            commutes = np.all(opnorm(h @ v - v @ h) <= 1e-10)
+            bound = 1e-10 * np.maximum(1.0, opnorm(v))
+            commutes = np.all(opnorm(h @ v - v @ h) <= bound)
         if not commutes:
             raise StructureError("holonomy must commute with v")
 

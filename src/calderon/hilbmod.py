@@ -14,14 +14,15 @@ elements.  The module operations (``times``, ``apply``, ``compose``, sums,
 :func:`inner_product`, :func:`rank_one`, :func:`adjoint`) then act member
 by member in one pass, each member bit-identical to the one-object call,
 and so does :func:`orthogonalize_idempotent_matrix` on a stack of
-matrices.  The index and :func:`projection_defects` take lists of blocks,
-stacked per shape.  The closed-range and decomposition routines take
-single objects.
+matrices.  The relative index and :func:`projection_defects` take lists of
+blocks, stacked per shape.  The closed-range and decomposition routines
+take one operator; :func:`mishchenko_decompose` returns its generators as
+stacked vectors, one member per generator (:func:`vectors_from_columns`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +71,6 @@ class ModuleVector:
         return cls(alg, len(entries), np.concatenate(mats, axis=-2))
 
     @classmethod
-    def from_complex(cls, algebra, vec):
-        """Embed a complex k-vector as (v_1 1_A, ..., v_k 1_A)."""
-        vec = np.asarray(vec, dtype=complex).ravel()
-        m = algebra.rep_dim
-        return cls(algebra, vec.size, np.kron(vec[:, None], np.eye(m)))
-
-    @classmethod
     def random(cls, algebra, rank, rng, scale=1.0):
         return cls.from_entries(
             [algebra.random_element(rng, scale) for _ in range(rank)]
@@ -86,9 +80,6 @@ class ModuleVector:
         m = self.algebra.rep_dim
         rows = self.stack[..., i * m : (i + 1) * m, :]
         return AlgebraElement(self.algebra, rows)
-
-    def entries(self):
-        return [self.entry(i) for i in range(self.rank)]
 
     def times(self, a):
         """Right action x . a."""
@@ -158,11 +149,6 @@ class ModuleOperator:
         return cls(algebra, mat.shape[1], mat.shape[0], np.kron(mat, np.eye(m)))
 
     @classmethod
-    def identity(cls, algebra, rank):
-        m = algebra.rep_dim
-        return cls(algebra, rank, rank, np.eye(rank * m, dtype=complex))
-
-    @classmethod
     def random(cls, algebra, source_rank, target_rank, rng, scale=1.0):
         return cls.from_entries(
             [
@@ -170,13 +156,6 @@ class ModuleOperator:
                 for _ in range(target_rank)
             ]
         )
-
-    def entry(self, i, j):
-        m = self.algebra.rep_dim
-        block = self.rep[..., i * m : (i + 1) * m, j * m : (j + 1) * m]
-        if self.algebra.kind == "group":
-            block = self.algebra.project_matrix(block)
-        return AlgebraElement(self.algebra, block)
 
     def apply(self, x):
         if x.algebra != self.algebra or x.rank != self.source_rank:
@@ -297,35 +276,41 @@ def closed_range_gap(T):
     reported as a finite-dimensional check of the closed-range lemma; the
     range is certified closed when ``gap`` >= GAP_TOL.
     """
-    s = np.linalg.svd(T.rep, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return ClosedRangeReport(gap=0.0, closed=True, gap_adjoint=0.0)
-    nonzero = s[s > RANK_RTOL * s[0]]
+    return _closed_range(T, np.linalg.svd(T.rep, compute_uv=False))[1]
+
+
+def _closed_range(T, s):
+    """Numerical rank of T and its :class:`ClosedRangeReport`, read from
+    the singular values ``s`` of T, with one more SVD, of T*, for
+    ``gap_adjoint``."""
+    nonzero = s[s > RANK_RTOL * s.max(initial=0.0)]
     if nonzero.size == 0:
-        return ClosedRangeReport(gap=0.0, closed=True, gap_adjoint=0.0)
+        return 0, ClosedRangeReport(gap=0.0, closed=True, gap_adjoint=0.0)
     gap = float(nonzero[-1] ** 2)
     # T*T and TT* share nonzero spectrum; at finite dimension the check is
     # exact up to eigensolver noise.
-    s_adj = np.linalg.svd(T.rep.conj().T, compute_uv=False)
+    s_adj = np.linalg.svd(dagger(T.rep), compute_uv=False)
     gap_adj = float(s_adj[s_adj > RANK_RTOL * s_adj[0]][-1] ** 2)
-    return ClosedRangeReport(
+    return nonzero.size, ClosedRangeReport(
         gap=gap, closed=bool(gap >= GAP_TOL), gap_adjoint=gap_adj
     )
 
 
 @dataclass
 class MishchenkoDecomposition:
-    """Generating sets certifying M = Ker T (+) Ran T*, N = Ker T* (+) Ran T."""
+    """Generator stacks certifying M = Ker T (+) Ran T*, N = Ker T* (+) Ran T."""
 
-    ker_basis: list
-    ran_basis: list
-    ker_adj_basis: list
-    ran_adj_basis: list = field(default_factory=list)
-    residuals: dict = field(default_factory=dict)
+    ker_basis: ModuleVector
+    ran_basis: ModuleVector
+    ker_adj_basis: ModuleVector
+    ran_adj_basis: ModuleVector
+    residuals: dict
 
 
-def vector_from_column(algebra, rank, v):
-    """Module vector whose representation columns span the A-orbit of ``v``.
+def vectors_from_columns(algebra, rank, cols):
+    """One module generator per column v of ``cols`` (rank*m, k), as a
+    stacked ModuleVector (k, rank*m, m) whose members' representation
+    columns span the A-orbits of the columns.
 
     For a group algebra the i-th entry is the element with coefficient
     vector v_i, so the columns of the stack are the right-translates of
@@ -334,28 +319,27 @@ def vector_from_column(algebra, rank, v):
     For a matrix algebra the entry simply carries v_i in its first column.
     """
     m = algebra.rep_dim
-    v = np.asarray(v, dtype=complex).reshape(rank, m)
-    mats = []
-    for i in range(rank):
-        if algebra.kind == "group":
-            mats.append(
-                np.einsum("h,hrc->rc", v[i], algebra._group_basis).astype(
-                    complex
-                )
-            )
-        else:
-            mat = np.zeros((m, m), dtype=complex)
-            mat[:, 0] = v[i]
-            mats.append(mat)
-    return ModuleVector(algebra, rank, np.vstack(mats))
+    v = np.asarray(cols, dtype=complex).T.reshape(-1, rank, m)
+    if algebra.kind == "group":
+        mats = np.einsum("kih,hrc->kirc", v, algebra._group_basis)
+    else:
+        mats = np.zeros(v.shape + (m,), dtype=complex)
+        mats[..., 0] = v
+    return ModuleVector(algebra, rank, mats.reshape(-1, rank * m, m))
 
 
-def _complex_to_generators(algebra, rank, vectors):
-    """One module generator per column of a complex matrix."""
-    return [
-        vector_from_column(algebra, rank, vectors[:, j])
-        for j in range(vectors.shape[1])
-    ]
+def _cross(x, y):
+    """Largest ||<x_a, y_b>||_2 over the members of two generator stacks,
+    from one batched product and one ``opnorm``; 0 if either is empty."""
+    return float(opnorm(dagger(x.stack)[:, None] @ y.stack).max(initial=0.0))
+
+
+def _completeness(cols, rank):
+    """||B B* - I||_2 for the columns of a unitary SVD factor put kernel
+    first, range second: the two families together must reconstruct every
+    ambient representation basis vector."""
+    basis = np.hstack([cols[:, rank:], cols[:, :rank]])
+    return float(opnorm(basis @ dagger(basis) - np.eye(len(basis))))
 
 
 def mishchenko_decompose(T):
@@ -363,74 +347,45 @@ def mishchenko_decompose(T):
 
     The kernel and range of T as a module map are the column spaces of the
     representing matrix (the right A-action mixes representation columns
-    only), so generating sets are built from a complex SVD and certified:
+    only), so generator stacks are built from one complex SVD, whose
+    singular values also certify the closed range, and certified:
     cross-orthogonality of the summands and reconstruction of every ambient
     basis vector, both below 1e-10.
     """
-    report = closed_range_gap(T)
+    u, s, vh = np.linalg.svd(T.rep)
+    rank, report = _closed_range(T, s)
     if not report.closed:
         raise CertificationError(
             "range not certifiably closed (gap %.3e < %.3e)"
             % (report.gap, GAP_TOL)
         )
-    u, s, vh = np.linalg.svd(T.rep)
-    rank = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0 else 0
-    alg = T.algebra
-    ran = _complex_to_generators(alg, T.target_rank, u[:, :rank])
-    ker_adj = _complex_to_generators(alg, T.target_rank, u[:, rank:])
-    ran_adj = _complex_to_generators(alg, T.source_rank, vh[:rank].conj().T)
-    ker = _complex_to_generators(alg, T.source_rank, vh[rank:].conj().T)
-
-    def cross(gens_a, gens_b):
-        worst = 0.0
-        for xa in gens_a:
-            for xb in gens_b:
-                worst = max(worst, opnorm(inner_product(xa, xb).mat))
-        return worst
-
-    def completeness(cols_a, cols_b, dim):
-        # the SVD factors are unitary: the two families together must
-        # reconstruct every ambient representation basis vector
-        basis = np.hstack([cols_a, cols_b])
-        proj = basis @ basis.conj().T
-        return float(opnorm(proj - np.eye(dim)))
-
-    m = alg.rep_dim
+    alg, v = T.algebra, dagger(vh)
+    ran = vectors_from_columns(alg, T.target_rank, u[:, :rank])
+    ker_adj = vectors_from_columns(alg, T.target_rank, u[:, rank:])
+    ran_adj = vectors_from_columns(alg, T.source_rank, v[:, :rank])
+    ker = vectors_from_columns(alg, T.source_rank, v[:, rank:])
     residuals = {
-        "ker_vs_ran_adj": cross(ker, ran_adj),
-        "ker_adj_vs_ran": cross(ker_adj, ran),
-        "source_completeness": completeness(
-            vh[rank:].conj().T, vh[:rank].conj().T, T.source_rank * m
-        ),
-        "target_completeness": completeness(
-            u[:, rank:], u[:, :rank], T.target_rank * m
-        ),
+        "ker_vs_ran_adj": _cross(ker, ran_adj),
+        "ker_adj_vs_ran": _cross(ker_adj, ran),
+        "source_completeness": _completeness(v, rank),
+        "target_completeness": _completeness(u, rank),
         "gap": report.gap,
     }
-    return MishchenkoDecomposition(
-        ker_basis=ker,
-        ran_basis=ran,
-        ker_adj_basis=ker_adj,
-        ran_adj_basis=ran_adj,
-        residuals=residuals,
-    )
+    return MishchenkoDecomposition(ker, ran, ker_adj, ran_adj, residuals)
 
 
 # -- idempotent orthogonalization and relative index --------------------
 
 
-def orthogonalize_idempotent(C, with_report=False):
+def orthogonalize_idempotent(C):
     """Orthogonal projection with the same range as the idempotent C.
 
-    Computes F = C C* + (1 - C*)(1 - C) and returns C C* F^{-1}.  F is
-    certified invertible (its smallest eigenvalue is returned in the
-    optional report); singular F signals that C was not an idempotent.
+    Computes F = C C* + (1 - C*)(1 - C) and returns C C* F^{-1}.  F must
+    be certifiably invertible, else ``CertificationError`` is raised:
+    singular F signals that C was not an idempotent.
     """
-    orth, f_min = orthogonalize_idempotent_matrix(C.rep)
-    out = ModuleOperator(C.algebra, C.source_rank, C.target_rank, orth)
-    if with_report:
-        return out, {"f_min_eigenvalue": f_min}
-    return out
+    orth, _ = orthogonalize_idempotent_matrix(C.rep)
+    return ModuleOperator(C.algebra, C.source_rank, C.target_rank, orth)
 
 
 def orthogonalize_idempotent_matrix(rep):
@@ -464,12 +419,7 @@ def orthogonalize_idempotent_matrix(rep):
 
 
 def _diagonal_blocks(P):
-    """Diagonal blocks of a projection: one for a ModuleOperator, else the
-    given sequence of square matrices."""
-    if isinstance(P, ModuleOperator):
-        if P.source_rank != P.target_rank:
-            raise StructureError("projection must be square")
-        return [P.rep]
+    """The diagonal blocks of a projection, a sequence of square matrices."""
     blocks = [np.asarray(b) for b in P]
     if any(b.ndim != 2 or b.shape[0] != b.shape[1] for b in blocks):
         raise StructureError("projection blocks must be square")
@@ -509,9 +459,9 @@ def relative_index(P, Q):
     Returns dim ker(QP: ran P -> ran Q) - dim ker(PQ: ran Q -> ran P) with
     dimensions counted over C in the representation.  Valued in Z rather
     than K_0(A); for group algebras this forgets the module structure.
-    ``P`` and ``Q`` are ModuleOperators, or block diagonals given as
-    sequences of their diagonal blocks, paired by position; a block
-    diagonal gives the same integer as its assembled matrix.
+    ``P`` and ``Q`` are block diagonals given as lists of their diagonal
+    blocks, paired by position (an assembled matrix is a list of one); a
+    block diagonal gives the same integer as its assembled matrix.
 
     For orthogonal projections (QP)* = PQ, so QP and PQ have the same rank
     and the index (rank P - rank QP) - (rank Q - rank PQ) is rank P -

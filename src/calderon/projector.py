@@ -43,7 +43,6 @@ from .dirac import (
 )
 from .errors import CertificationError, StructureError
 from .hilbmod import (
-    ModuleOperator,
     membership_defect,
     orthogonalize_idempotent_matrix,
     projection_defects,
@@ -168,14 +167,6 @@ class BoundaryProjector:
     def matrix(self):
         """Assembled complex matrix (deterministic mode ordering)."""
         return _block_diag(self.blocks)
-
-    def as_module_operator(self):
-        mat = self.matrix()
-        m = self.model.m
-        if mat.shape[0] % m:
-            raise StructureError("assembled dimension not a module multiple")
-        rank = mat.shape[0] // m
-        return ModuleOperator(self.model.algebra, rank, rank, mat)
 
     def apply(self, g):
         """Apply to boundary data on the projector's grid (see

@@ -129,6 +129,20 @@ def test_bad_config_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under-file"])
+def test_output_dir_that_cannot_be_made_exits_2(tmp_path, capsys, where):
+    """An output_dir that is a file, or lies under one, is one config
+    error line, not a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker if where == "file" else blocker / "out"
+    raw = segment_config(out, tasks=["double"])
+    assert main(["run", write_config(tmp_path, raw)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output_dir %s" % out)
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     for text in (
         b"{not json",

@@ -533,3 +533,26 @@ def test_holonomy_must_commute_with_v_of_y():
     grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
     with pytest.raises(StructureError, match="holonomy must commute with v"):
         build_double(model, grid)
+
+
+def test_holonomy_commutation_bound_is_relative_to_v():
+    """A large V that commutes with H to rounding is accepted, constant or
+    as a V(y) stack; one that does not commute, at the same scale, is not.
+    ||HV - VH||_2 reads about 1.6e-9 here, above an absolute 1e-10."""
+    u = np.linalg.qr(np.random.default_rng(0).standard_normal((2, 2)))[0]
+    alg = CStarAlgebra.matrix(2)
+    phases = np.exp(2j * np.pi * np.array([0.25, 0.6]))
+    h = u @ np.diag(phases) @ u.T
+    v = u @ np.diag([1e7, -5e6]) @ u.T
+    assert np.linalg.norm(h @ v - v @ h, 2) > 1e-10
+    ProductDiracModel("cylinder", alg, v=v, holonomy=h)
+    model = ProductDiracModel(
+        "cylinder",
+        alg,
+        v=lambda y: u @ np.diag([1e7 * (1.0 + 0.3 * np.cos(y)), -5e6]) @ u.T,
+        holonomy=h,
+    )
+    assert model.v_samples(12).shape == (12, 2, 2)
+    far = 1e7 * np.array([[1.0, 0.3], [0.3, 0.5]])
+    with pytest.raises(StructureError, match="holonomy must commute with v"):
+        ProductDiracModel("cylinder", alg, v=far, holonomy=h)
