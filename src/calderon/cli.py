@@ -392,7 +392,7 @@ def _task_sobolev_check(cfg, out_dir, run):
     """Multiplier identities and the trace-ratio behaviour."""
     n_u = max(cfg["grid"].n_u, 16)
     n_y = cfg["grid"].n_y if cfg["grid"].n_y > 1 else 8
-    spec = sobolev.GridSpec(dim=2, n_u=n_u, n_y=n_y)
+    spec = sobolev.GridSpec(n_u=n_u, n_y=n_y)
     rng = np.random.default_rng(cfg["seed"])
     f = sobolev.GridFunction.random_band_limited(spec, rng)
     g = sobolev.GridFunction.random_band_limited(spec, rng)
@@ -833,13 +833,12 @@ def selfcheck(output_dir):
 # -- entry point --------------------------------------------------------
 
 
-def _print_report(report, stream=None):
-    stream = sys.stdout if stream is None else stream
+def _print_report(report):
     for task in report["tasks"]:
-        stream.write(
+        sys.stdout.write(
             "task %-14s %s\n" % (task["name"], task["status"])
         )
-    stream.write("overall: %s\n" % report["status"])
+    sys.stdout.write("overall: %s\n" % report["status"])
 
 
 def main(argv=None):

@@ -104,9 +104,11 @@ class CStarAlgebra:
 
     @classmethod
     def symmetric(cls, n):
+        if n < 0:
+            raise StructureError("symmetric group needs n >= 0")
         # checked before the table is built: |S_n| = n! (S_0 has one
         # element), and past the cap n! is too, so min keeps it cheap
-        _check_group_order(factorial(min(max(n, 0), _MAX_GROUP_ORDER)))
+        _check_group_order(factorial(min(n, _MAX_GROUP_ORDER)))
         return cls.group(symmetric_table(n))
 
     @classmethod

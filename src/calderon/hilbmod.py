@@ -71,15 +71,10 @@ class ModuleVector:
         return cls(alg, len(entries), np.concatenate(mats, axis=-2))
 
     @classmethod
-    def random(cls, algebra, rank, rng, scale=1.0):
+    def random(cls, algebra, rank, rng):
         return cls.from_entries(
-            [algebra.random_element(rng, scale) for _ in range(rank)]
+            [algebra.random_element(rng) for _ in range(rank)]
         )
-
-    def entry(self, i):
-        m = self.algebra.rep_dim
-        rows = self.stack[..., i * m : (i + 1) * m, :]
-        return AlgebraElement(self.algebra, rows)
 
     def times(self, a):
         """Right action x . a."""
@@ -142,17 +137,10 @@ class ModuleOperator:
         return cls(alg, len(rows[0]), len(rows), rep)
 
     @classmethod
-    def from_complex(cls, algebra, mat):
-        """Embed a complex l x k matrix entrywise as multiples of 1_A."""
-        mat = np.atleast_2d(np.asarray(mat, dtype=complex))
-        m = algebra.rep_dim
-        return cls(algebra, mat.shape[1], mat.shape[0], np.kron(mat, np.eye(m)))
-
-    @classmethod
-    def random(cls, algebra, source_rank, target_rank, rng, scale=1.0):
+    def random(cls, algebra, source_rank, target_rank, rng):
         return cls.from_entries(
             [
-                [algebra.random_element(rng, scale) for _ in range(source_rank)]
+                [algebra.random_element(rng) for _ in range(source_rank)]
                 for _ in range(target_rank)
             ]
         )

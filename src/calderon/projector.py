@@ -213,9 +213,10 @@ class BoundaryProjector:
 
         x_c = (1 + a_c + sqrt((1 + a_c)^2 + 4 e_c))/2 >= ||p_c||_2, as
         ||p||^2 = ||p* p|| <= ||p^2|| + ||(p* - p) p||.  With delta = 0 they
-        are the channel maxima.  They bound W p W* in exact arithmetic; with
-        delta > 0 the float64 ``matrix()`` adds rounding of its own, of the
-        size of these defects.  The membership defect is taken on the
+        are the channel maxima.  With delta > 0 both add n eps max x_c^2, n
+        the size of the largest full-fiber block, for the rounding of the
+        embedding products of the float64 ``matrix()``, so that they bound
+        the exported matrix as well.  The membership defect is taken on the
         full-fiber ``blocks`` (zero on M_n, with no SVD).
         """
         blocks = [b for _, b in self.channel_blocks]
@@ -226,11 +227,16 @@ class BoundaryProjector:
             split["commutant_unitarity_defect"] if split
             else self.model.holonomy_basis_defect()
         )
+        x2 = (norm**2).max()
+        size = max(map(len, self.blocks))
+        rounding = size * np.finfo(float).eps * x2 if delta else 0.0
         out = {
             "idempotency_defect": float(
-                (1.0 + delta) * (idem.max() + delta * (norm**2).max())
+                (1.0 + delta) * (idem.max() + delta * x2) + rounding
             ),
-            "self_adjointness_defect": float((1.0 + delta) * asym.max()),
+            "self_adjointness_defect": float(
+                (1.0 + delta) * asym.max() + rounding
+            ),
             "embedding_unitarity_defect": delta,
             "dimension": sum(map(len, blocks)),
             "a_membership_defect": max(
@@ -368,24 +374,17 @@ def boundary_trace(model, s):
     return BoundaryData(model, s.grid.n_y, s.values[0], s.values[-1])
 
 
-def calderon_projector(sys, method="collocation"):
+def calderon_projector(sys):
     """Assemble the Calderon projector of the double system.
 
-    One block per channel of the double.  ``method='collocation'`` reads
-    the traces of the discrete transmission solve under jump data, from
-    the 2x2 trace maps of the double's distinct eigenvalues rotated back
-    with each channel's eigenvectors; ``method='exact'`` reads the
-    matrix-exponential graph projection that the double stores for each
-    channel (exact in u; on the y-coupled path the y-discretization stays).
+    One block per channel of the double: the traces of the discrete
+    transmission solve under jump data, from the 2x2 trace maps of the
+    double's distinct eigenvalues rotated back with each channel's
+    eigenvectors.
     """
-    channels = sys.channels
-    if method == "exact":
-        blocks = [cs.exact_block for cs in channels]
-    elif method == "collocation":
-        blocks = _collocation_blocks(sys)
-    else:
-        raise StructureError("unknown method %r" % (method,))
-    channel_blocks = [(cs.channel, b) for cs, b in zip(channels, blocks)]
+    channel_blocks = list(
+        zip([cs.channel for cs in sys.channels], _collocation_blocks(sys))
+    )
     return BoundaryProjector(
         model=sys.model, n_y=sys.grid.n_y, channel_blocks=channel_blocks
     )
@@ -394,11 +393,13 @@ def calderon_projector(sys, method="collocation"):
 # -- principal symbol by the scaled Newton sign iteration ---------------
 
 PINCH_TOL = 1e-6
+#: the sign iteration stops when a step moves X by less than this
+SIGN_TOL = 1e-12
 #: steps before the sign iteration gives up; Byers-Xu needs at most 9
 SIGN_MAX_STEPS = 16
 
 
-def principal_symbol(b, tol=1e-12):
+def principal_symbol(b):
     """Positive spectral projection P+ = (I + sign b)/2 of a Hermitian
     fiber matrix ``b`` by the scaled Newton iteration for the matrix sign,
     with its number of steps (one inverse each) and the Frobenius norm of
@@ -409,7 +410,7 @@ def principal_symbol(b, tol=1e-12):
     sqrt(ac)/(a + c)), mu <- 1/sqrt((mu + 1/mu)/2), with a and c the
     largest and smallest |eigenvalue| (they only set the schedule), reaches
     double precision in at most 9 steps.  It stops when a step moves X by
-    less than ``tol`` in the Frobenius norm, a bound on the 2-norm.
+    less than SIGN_TOL in the Frobenius norm, a bound on the 2-norm.
 
     A stack (..., n, n) runs as one pass: each step inverts the matrices
     that have not stopped yet, each with its own mu, and each stops at its
@@ -444,7 +445,7 @@ def principal_symbol(b, tol=1e-12):
         x, prev = 0.5 * (m * x + np.linalg.inv(x) / m), x
         x = herm(x)
         step = _frobenius(x - prev)
-        done = step < tol
+        done = step < SIGN_TOL
         idx = live[done]
         proj[idx] = 0.5 * (np.eye(n) + x[done])
         steps[idx], last[idx] = k, step[done]
@@ -461,7 +462,7 @@ def principal_symbol(b, tol=1e-12):
             else 1.0 / np.sqrt(0.5 * (mu + 1.0 / mu))
         )
     raise CertificationError(
-        "sign iteration did not reach %.1e agreement" % tol
+        "sign iteration did not reach %.1e agreement" % SIGN_TOL
     )
 
 
@@ -551,44 +552,24 @@ def aps_projection(sys):
     operator.  Both come from the eigenpairs b = U diag(lambda) U* that
     the double already holds (``eigvecs``, ``eigvals``), so no further
     eigendecomposition is taken.  Kernel eigenvalues (|lambda| <=
-    ``ZERO_EIG_TOL``) are assigned to the positive side of both.  Each
-    half is V V*, V the eigenvectors it keeps, from one batched product
-    per group of equal-shaped V.
+    ``ZERO_EIG_TOL``) are assigned to the positive side of both.
     """
-    channels = sys.channels
-    keep = [cs.eigvecs[:, cs.eigvals >= -ZERO_EIG_TOL] for cs in channels]
-    keep += [cs.eigvecs[:, cs.eigvals <= ZERO_EIG_TOL] for cs in channels]
-    halves = map_groups(lambda v: v @ dagger(v), keep)
-    k = len(channels)
-    channel_blocks = [
-        (cs.channel, _block_diag([plus, minus]))
-        for cs, plus, minus in zip(channels, halves[:k], halves[k:])
-    ]
+    channel_blocks = []
+    for cs in sys.channels:
+        w, v = cs.eigvals, cs.eigvecs
+        block = _block_diag([_positive_part(w, v), _positive_part(-w, v)])
+        channel_blocks.append((cs.channel, block))
     return BoundaryProjector(
         model=sys.model, n_y=sys.grid.n_y, channel_blocks=channel_blocks
     )
 
 
-def orthogonalized_calderon(projector):
-    """Orthogonal projection with the same range, by the certified F-solve
-    of each channel block, one stacked pass per group of equal-sized
-    channels."""
-    channels = [ch for ch, _ in projector.channel_blocks]
-    orth = map_groups(
-        lambda b: orthogonalize_idempotent_matrix(b)[0],
-        [b for _, b in projector.channel_blocks],
-    )
-    return BoundaryProjector(
-        model=projector.model,
-        n_y=projector.n_y,
-        channel_blocks=list(zip(channels, orth)),
-    )
-
-
 def calderon_vs_aps_index(sys):
     """Relative index of the APS projection against the Calderon range,
-    the latter from the exact graph projection that the double stores for
-    each channel.
+    the latter the orthogonal projection onto the range of the exact graph
+    projection that the double stores for each channel (the certified
+    F-solve of :func:`~calderon.hilbmod.orthogonalize_idempotent_matrix`,
+    one stacked pass per group of equal-sized channels).
 
     Both projectors are built over the channels of the double (per mode
     and eigenphase, or per commutant cluster of a V(y)), the APS blocks
@@ -600,8 +581,10 @@ def calderon_vs_aps_index(sys):
     which count every y-frequency.
     """
     n_y = sys.grid.n_y
-    c_proj = calderon_projector(sys, method="exact")
-    c_blocks = [b for _, b in orthogonalized_calderon(c_proj).channel_blocks]
+    c_blocks = map_groups(
+        lambda b: orthogonalize_idempotent_matrix(b)[0],
+        [cs.exact_block for cs in sys.channels],
+    )
     aps_blocks = [b for _, b in aps_projection(sys).channel_blocks]
     index = relative_index(aps_blocks, c_blocks)
     out = {"index": int(index), "dimension": sum(map(len, c_blocks))}

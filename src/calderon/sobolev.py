@@ -26,22 +26,17 @@ Y_CIRCUMFERENCE = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Grid on the torus (half=False) or the half-domain u in [0,1]."""
+    """Grid on the 2-D torus (half=False) or the half-domain u in [0,1]."""
 
-    dim: int
     n_u: int
-    n_y: int = 1
+    n_y: int
     half: bool = False
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise StructureError("dim must be 1 or 2")
         if self.n_u < 8 or self.n_u % 2:
             raise StructureError("n_u must be even and >= 8")
-        if self.dim == 2 and (self.n_y < 8 or self.n_y % 2):
+        if self.n_y < 8 or self.n_y % 2:
             raise StructureError("n_y must be even and >= 8")
-        if self.dim == 1 and self.n_y != 1:
-            raise StructureError("dim 1 grids have n_y = 1")
 
     @property
     def du(self):
@@ -71,10 +66,10 @@ class GridSpec:
         return np.fft.fftfreq(self.n_y, d=1.0 / self.n_y)
 
     def as_torus(self):
-        return GridSpec(self.dim, self.n_u, self.n_y, half=False)
+        return GridSpec(self.n_u, self.n_y, half=False)
 
     def as_half(self):
-        return GridSpec(self.dim, self.n_u, self.n_y, half=True)
+        return GridSpec(self.n_u, self.n_y, half=True)
 
 
 class GridFunction:
@@ -84,8 +79,6 @@ class GridFunction:
 
     def __init__(self, spec, values):
         values = np.asarray(values, dtype=complex)
-        if values.ndim == 2:
-            values = values[:, :, None, None]
         if values.ndim != 4 or values.shape[:2] != (
             spec.n_u_points,
             spec.n_y,
@@ -106,36 +99,30 @@ class GridFunction:
         )
 
     @classmethod
-    def single_mode(cls, spec, k_u, k_y=0, fiber=None):
-        """Unit-amplitude Fourier mode exp(i(pi k_u u + k_y y)) * fiber."""
+    def single_mode(cls, spec, k_u, k_y=0):
+        """Unit-amplitude Fourier mode exp(i(pi k_u u + k_y y))."""
         if spec.half:
             raise StructureError("single modes are torus functions")
         u = spec.u_nodes()[:, None]
         y = spec.y_nodes()[None, :]
         phase = np.exp(1j * (np.pi * k_u * u + k_y * y))
-        if fiber is None:
-            fiber = np.ones((1, 1), dtype=complex)
-        fiber = np.asarray(fiber, dtype=complex)
-        return cls(spec, phase[:, :, None, None] * fiber)
+        return cls(spec, phase[:, :, None, None])
 
     @classmethod
-    def random_band_limited(
-        cls, spec, rng, band_u=None, band_y=None, fiber_shape=(1, 1)
-    ):
-        """Random function with modes restricted to |k_u|<=band_u, |k_y|<=band_y."""
+    def random_band_limited(cls, spec, rng, band_u=None, band_y=None):
+        """Random scalar function with modes restricted to |k_u|<=band_u,
+        |k_y|<=band_y."""
         if spec.half:
             raise StructureError("generate on the torus, then restrict")
         if band_u is None:
             band_u = spec.n_u // 4
         if band_y is None:
-            band_y = max(spec.n_y // 4, 0) if spec.dim == 2 else 0
-        coeffs = np.zeros(
-            (spec.n_u, spec.n_y) + tuple(fiber_shape), dtype=complex
-        )
+            band_y = spec.n_y // 4
+        coeffs = np.zeros((spec.n_u, spec.n_y, 1, 1), dtype=complex)
         ku = np.fft.fftfreq(spec.n_u, d=1.0 / spec.n_u)
         ky = np.fft.fftfreq(spec.n_y, d=1.0 / spec.n_y)
         mask = (np.abs(ku)[:, None] <= band_u) & (np.abs(ky)[None, :] <= band_y)
-        shape = (int(mask.sum()),) + tuple(fiber_shape)
+        shape = (int(mask.sum()), 1, 1)
         vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         coeffs[mask] = vals
         values = np.fft.ifft2(coeffs, axes=(0, 1)) * np.sqrt(
@@ -159,8 +146,7 @@ class FourierMultiplier:
     """Diagonal operator in the discrete Fourier basis.
 
     ``symbol(xi_u, eta)`` receives broadcastable frequency arrays and
-    returns either a scalar array (pointwise multiplier) or an array with
-    two trailing fiber-matrix axes.
+    returns the scalar multiplier on the (n_u, n_y) frequency grid.
     """
 
     def __init__(self, symbol):
@@ -172,11 +158,7 @@ class FourierMultiplier:
             f.spec.xi_u()[:, None], f.spec.eta()[None, :]
         )
         sym = np.asarray(sym, dtype=complex)
-        if sym.ndim == 2:
-            coeffs = coeffs * sym[:, :, None, None]
-        else:
-            coeffs = np.einsum("uyij,uyjk->uyik", sym, coeffs)
-        return ifft(f.spec, coeffs)
+        return ifft(f.spec, coeffs * sym[:, :, None, None])
 
 
 def _spectral_norm(coeffs, xi2, s):

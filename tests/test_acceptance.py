@@ -116,7 +116,7 @@ def _closed_range_operator(alg, rng):
     diag = np.zeros((3, 3))
     for i in range(2):
         diag[i, i] = 1.0 + rng.random()
-    mid = ModuleOperator.from_complex(alg, diag)
+    mid = ModuleOperator(alg, 3, 3, np.kron(diag, np.eye(alg.rep_dim)))
     left = ModuleOperator.random(alg, 3, 3, rng)
     right = ModuleOperator.random(alg, 3, 3, rng)
     return left.compose(mid).compose(right)
@@ -192,7 +192,7 @@ def test_criterion_03_orthogonalization():
 
 def test_criterion_04_sobolev():
     rng = np.random.default_rng(404)
-    spec = sobolev.GridSpec(dim=2, n_u=32, n_y=16)
+    spec = sobolev.GridSpec(n_u=32, n_y=16)
     f = sobolev.GridFunction.random_band_limited(spec, rng, band_u=6, band_y=4)
     g = sobolev.GridFunction.random_band_limited(spec, rng, band_u=6, band_y=4)
     adj = abs(
@@ -207,7 +207,7 @@ def test_criterion_04_sobolev():
     exact_roundtrip = np.array_equal(
         sobolev.restrict(sobolev.extend_reflect(half)).values, half.values
     )
-    fine = sobolev.GridSpec(dim=2, n_u=64, n_y=32)
+    fine = sobolev.GridSpec(n_u=64, n_y=32)
     coeffs = sobolev.fft(f)
     big = np.zeros((fine.n_u, fine.n_y, 1, 1), dtype=complex)
     ku = np.fft.fftfreq(spec.n_u, 1.0 / spec.n_u).astype(int)

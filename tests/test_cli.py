@@ -68,6 +68,13 @@ def cylinder_config(output_dir, tasks=("double", "calderon", "index")):
     }
 
 
+def symmetric_config(output_dir):
+    """cylinder_config over C[S_0], the group algebra of the trivial group."""
+    raw = cylinder_config(output_dir)
+    raw["algebra"] = {"kind": "group", "name": "symmetric", "n": 0}
+    return raw
+
+
 def write_config(tmp_path, raw, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw))
@@ -181,6 +188,7 @@ MALFORMED_VALUES = {
     "table-flat": (("algebra",), {"kind": "group", "table": [1, 2]}),
     "table-deep": (("algebra",), {"kind": "group", "table": [[[0]]]}),
     "table-fraction": (("algebra",), {"kind": "group", "table": [[0.5]]}),
+    "symmetric-negative": (("algebra", "n"), -3, symmetric_config),
     # finite entries whose defects overflow: ||H H* - I|| and ||V - V*||
     # read NaN, and V(0) = base + amplitude * I is infinite
     "holonomy-overflowing": (
@@ -211,6 +219,12 @@ def test_integral_float_table_parses(tmp_path):
     algebra = parse_config(raw)["algebra"]
     assert algebra == CStarAlgebra.cyclic(2)
     assert algebra.table == [[0, 1], [1, 0]]
+
+
+def test_symmetric_group_of_order_zero_parses(tmp_path):
+    """S_0 has one element; a negative n is refused (MALFORMED_VALUES)."""
+    algebra = parse_config(symmetric_config(tmp_path / "out"))["algebra"]
+    assert algebra == CStarAlgebra.cyclic(1)
 
 
 @pytest.mark.parametrize("name, n", [("symmetric", 5), ("cyclic", 25)])

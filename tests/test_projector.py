@@ -3,8 +3,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from calderon.csalg import CStarAlgebra
+from calderon.csalg import CStarAlgebra, map_groups
 from calderon import dirac
+from calderon.cli import parse_config
 from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
@@ -16,6 +17,11 @@ from calderon.dirac import (
     mode_radius,
 )
 from calderon.errors import CertificationError, StructureError
+from calderon.hilbmod import (
+    PROJECTION_TOL,
+    orthogonalize_idempotent_matrix,
+    projection_defects,
+)
 from calderon import projector
 from calderon.projector import (
     SYMBOL_LIMIT_ETAS,
@@ -26,7 +32,6 @@ from calderon.projector import (
     calderon_projector,
     calderon_vs_aps_index,
     exact_projector_block,
-    orthogonalized_calderon,
     poisson,
     principal_symbol,
     spectral_projection_positive,
@@ -349,9 +354,10 @@ def test_y_coupled_projector_converges_to_exact_graph_projection():
     errs = []
     for n_u in (16, 32, 64):
         sysd = build_double(model, CollarGrid(n_u=n_u, n_y=8, kind="uniform"))
-        exact = calderon_projector(sysd, method="exact")
-        for ch, block in exact.channel_blocks:
-            assert np.array_equal(block, exact_projector_block(ch.b_mat))
+        for cs in sysd.channels:
+            assert np.array_equal(
+                cs.exact_block, exact_projector_block(cs.channel.b_mat)
+            )
         proj = calderon_projector(sysd).matrix()
         errs.append(np.linalg.norm(proj - _exact_matrix(sysd), 2))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -378,6 +384,24 @@ def _exact_matrix(sysd):
     ]
     proj = BoundaryProjector(sysd.model, sysd.grid.n_y, channel_blocks)
     return proj.matrix()
+
+
+def _exact_projector(sysd):
+    """The exact graph projections that the double stores, one block per
+    channel."""
+    channel_blocks = [(cs.channel, cs.exact_block) for cs in sysd.channels]
+    return BoundaryProjector(sysd.model, sysd.grid.n_y, channel_blocks)
+
+
+def _orthogonalized(proj):
+    """The orthogonal projection with the range of ``proj``, by the F-solve
+    of each channel block, as calderon_vs_aps_index takes it."""
+    channels = [ch for ch, _ in proj.channel_blocks]
+    orth = map_groups(
+        lambda b: orthogonalize_idempotent_matrix(b)[0],
+        [b for _, b in proj.channel_blocks],
+    )
+    return BoundaryProjector(proj.model, proj.n_y, list(zip(channels, orth)))
 
 
 def _unsplit_b(model, n_y):
@@ -432,9 +456,9 @@ def test_split_projector_equals_the_unsplit_one(monkeypatch, rotated):
     assert np.array_equal(
         unsplit.channels[0].channel.b_mat, _unsplit_b(model, grid.n_y)
     )
-    for method in ("collocation", "exact"):
-        p_split = calderon_projector(split, method=method).matrix()
-        p_unsplit = calderon_projector(unsplit, method=method).matrix()
+    for make in (calderon_projector, _exact_projector):
+        p_split = make(split).matrix()
+        p_unsplit = make(unsplit).matrix()
         assert np.abs(p_split - p_unsplit).max() < 1e-12
 
 
@@ -448,8 +472,8 @@ def test_y_coupled_cross_cluster_entries_are_exact_zeros():
     # the cluster of a (component, y, spinor, fiber) coordinate
     cluster = np.arange(2 * grid.n_y * model.n_fiber) % model.rm
     cross = cluster[:, None] != cluster[None, :]
-    for method in ("collocation", "exact"):
-        mat = calderon_projector(sysd, method=method).matrix()
+    for make in (calderon_projector, _exact_projector):
+        mat = make(sysd).matrix()
         bits = mat.view(np.uint64).reshape(mat.shape + (2,))
         assert not bits[cross].any()
         assert bits[~cross].any(axis=-1).all()
@@ -566,9 +590,10 @@ def test_symbol_wide_spectra(eigs, rng):
         assert dev < 1e-10
 
 
-def test_symbol_zero_tol_fails_to_certify():
+def test_symbol_zero_tol_fails_to_certify(monkeypatch):
+    monkeypatch.setattr(projector, "SIGN_TOL", 0.0)
     with pytest.raises(CertificationError):
-        principal_symbol(np.diag([1.0, -1.0]).astype(complex), tol=0.0)
+        principal_symbol(np.diag([1.0, -1.0]).astype(complex))
 
 
 def _counting_inv(monkeypatch):
@@ -871,14 +896,14 @@ def test_twisted_y_coupled_b_matches_per_mode_blocks():
 def test_orthogonalized_calderon_fixed_point(built):
     model, grid, sysd = built
     proj = calderon_projector(sysd)
-    orth = orthogonalized_calderon(proj)
+    orth = _orthogonalized(proj)
     # the graph projection of self-adjoint b is already orthogonal
     assert np.linalg.norm(orth.matrix() - proj.matrix(), 2) < 1e-10
 
 
 def test_orthogonalized_y_coupled_projector(built_vy):
     model, grid, sysd = built_vy
-    orth = orthogonalized_calderon(calderon_projector(sysd)).matrix()
+    orth = _orthogonalized(calderon_projector(sysd)).matrix()
     assert orth.shape == (2 * grid.n_y * model.n_fiber,) * 2
     assert np.linalg.norm(orth @ orth - orth, 2) < 1e-12
     assert np.linalg.norm(orth - orth.conj().T, 2) < 1e-12
@@ -899,7 +924,7 @@ def test_orthogonalized_skewed_idempotent(built, rng):
     skewed = BoundaryProjector(
         model=model, n_y=grid.n_y, channel_blocks=skewed_blocks
     )
-    orth = orthogonalized_calderon(skewed)
+    orth = _orthogonalized(skewed)
     mat = orth.matrix()
     assert np.linalg.norm(mat @ mat - mat, 2) < 1e-10
     assert np.linalg.norm(mat - mat.conj().T, 2) < 1e-10
@@ -948,6 +973,32 @@ def test_index_spectral_shift_k2():
     assert i1 - i0 == 2
 
 
+@pytest.mark.parametrize("seed", [1, 7, 11])
+def test_index_f_solve_carries_the_stored_blocks_past_projection_tol(seed):
+    """The permode-cheb model (M2, random-Hermitian V of scale 0.8,
+    Chebyshev n_u = 48) at n_y = 48: the stored exact blocks are no longer
+    orthogonal projections to PROJECTION_TOL, and the index, which takes
+    them through the F-solve, still gives the mode kernel count."""
+    cfg = parse_config({
+        "algebra": {"kind": "matrix", "n": 2},
+        "model": {
+            "base": "cylinder",
+            "r": 1,
+            "v": {"kind": "random-hermitian", "scale": 0.8},
+        },
+        "grid": {"n_u": 48, "n_y": 48, "kind": "chebyshev"},
+        "tasks": ["index"],
+        "seed": seed,
+    })
+    model, grid = cfg["model"], cfg["grid"]
+    sysd = build_double(model, grid)
+    assert sysd.per_mode
+    _, asym = projection_defects([cs.exact_block for cs in sysd.channels])
+    assert asym.max() > PROJECTION_TOL
+    index = calderon_vs_aps_index(sysd)["index"]
+    assert index == _mode_rank_oracle(model, grid.n_y)
+
+
 def test_y_coupled_index_of_zero_potential_matches_per_mode():
     """V = 0 given as V(y) has the y-coupled channel; its index is the
     per-mode one, the kernel of B(0) = 0 on the full fiber."""
@@ -991,9 +1042,7 @@ def test_index_blocks_match_assembled():
     )
     for model, expected in ((kernel, 2), (twisted_model(), 0)):
         sysd = build_double(model, grid)
-        orth = orthogonalized_calderon(
-            calderon_projector(sysd, method="exact")
-        )
+        orth = _orthogonalized(_exact_projector(sysd))
         aps = aps_projection(sysd)
         assembled = relative_index([aps.matrix()], [orth.matrix()])
         assert relative_index(aps.blocks, orth.blocks) == assembled
@@ -1013,5 +1062,5 @@ def test_index_self_comparison(built):
     from calderon.hilbmod import relative_index
 
     model, grid, sysd = built
-    orth = orthogonalized_calderon(calderon_projector(sysd, method="exact"))
+    orth = _orthogonalized(_exact_projector(sysd))
     assert relative_index([orth.matrix()], [orth.matrix()]) == 0

@@ -21,16 +21,14 @@ from calderon.sobolev import (
 
 @pytest.fixture
 def spec2():
-    return GridSpec(dim=2, n_u=32, n_y=16)
+    return GridSpec(n_u=32, n_y=16)
 
 
 def test_grid_spec_validation():
     with pytest.raises(StructureError):
-        GridSpec(dim=2, n_u=7, n_y=16)
+        GridSpec(n_u=7, n_y=16)
     with pytest.raises(StructureError):
-        GridSpec(dim=2, n_u=16, n_y=3)
-    with pytest.raises(StructureError):
-        GridSpec(dim=3, n_u=16, n_y=16)
+        GridSpec(n_u=16, n_y=3)
 
 
 def test_single_mode_norms(spec2):
@@ -114,8 +112,8 @@ def test_trace_requires_grid_node(spec2, rng):
 
 
 def test_trace_ratio_stability_and_degradation(rng):
-    coarse = GridSpec(dim=2, n_u=32, n_y=16)
-    fine = GridSpec(dim=2, n_u=64, n_y=32)
+    coarse = GridSpec(n_u=32, n_y=16)
+    fine = GridSpec(n_u=64, n_y=32)
     f_c = GridFunction.random_band_limited(coarse, rng, band_u=6, band_y=4)
     # re-sample the identical band-limited function on the fine grid
     coeffs = sobolev.fft(f_c)
