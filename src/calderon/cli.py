@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .csalg import AlgebraElement, CStarAlgebra, herm, opnorm, star
-from .csalg import norm as alg_norm, shape_groups, worker_count
+from .csalg import map_groups, norm as alg_norm, shape_groups, worker_count
 from .errors import CalderonError, StructureError
 from . import hilbmod
 from . import sobolev
@@ -35,6 +35,7 @@ from .dirac import (
     CollarFunction,
     CollarGrid,
     ProductDiracModel,
+    _singular_values,
     build_double,
     ghost_solution_check,
     green_residual,
@@ -43,6 +44,7 @@ from .dirac import (
 from .projector import (
     calderon_projector,
     calderon_vs_aps_index,
+    kernel_count,
     principal_symbol,
     spectral_projection_positive,
     symbol_limit_check,
@@ -515,8 +517,14 @@ def _task_symbol(cfg, out_dir, run):
 
 
 def _task_index(cfg, out_dir, run):
-    result = calderon_vs_aps_index(run.double())
-    return "pass", result
+    """The index, gated by the kernel count of the singular values of each
+    channel's b: one SVD per group of equal-sized channels, no eigh."""
+    sysd = run.double()
+    result = calderon_vs_aps_index(sysd)
+    b_mats = [cs.channel.b_mat for cs in sysd.channels]
+    count, margin = kernel_count(map_groups(_singular_values, b_mats))
+    result.update(singular_value_count=count, singular_value_margin=margin)
+    return ("pass" if count == result["index"] else "fail"), result
 
 
 def _manufactured_pair(model, grid, rng):
@@ -632,8 +640,8 @@ class _ScenarioRun:
     ``double()`` builds the double of the configured model and grid on
     first use and hands the same system to every later task; a build that
     raised re-raises the same error to every task that asks for it.  The
-    double carries its exact oracle, so the ``calderon`` oracle gate and
-    the ``index`` task read the exact Calderon blocks from it.
+    ``calderon`` oracle gate reads the exact Calderon blocks the double
+    carries, and the ``index`` task its eigenvalues of each channel's b.
     """
 
     def __init__(self, cfg, levels):

@@ -203,7 +203,7 @@ class CStarAlgebra:
     def scalar(self, z):
         return AlgebraElement(self, complex(z) * np.eye(self.rep_dim))
 
-    def random_element(self, rng, scale=1.0, size=()):
+    def random_element(self, rng, size=()):
         """Random element with independent complex Gaussian coordinates.
 
         ``size`` (a shape) draws a stack: ``mat`` has shape size + (m, m),
@@ -212,19 +212,16 @@ class CStarAlgebra:
         its coordinates.
         """
         size = tuple(size)
-        if self.kind == "matrix":
-            m = self.rep_dim
-            g = rng.standard_normal(size + (2, m, m))
-            mat = g[..., 0, :, :] + 1j * g[..., 1, :, :]
-            return AlgebraElement(self, scale * mat)
-        g = rng.standard_normal(size + (2, self.order))
-        coeff = g[..., 0, :] + 1j * g[..., 1, :]
-        mat = np.einsum("...g,gij->...ij", coeff, self._group_basis)
-        return AlgebraElement(self, scale * mat)
+        coords = (self.order,) if self.kind == "group" else (self.rep_dim,) * 2
+        g = rng.standard_normal(size + (2,) + coords)
+        re, im = np.moveaxis(g, len(size), 0)
+        mat = re + 1j * im
+        if self.kind == "group":
+            mat = np.einsum("...g,gij->...ij", mat, self._group_basis)
+        return AlgebraElement(self, mat)
 
-    def random_hermitian(self, rng, scale=1.0):
-        a = self.random_element(rng, scale)
-        return (a + star(a)) * 0.5
+    def random_hermitian(self, rng):
+        return AlgebraElement(self, herm(self.random_element(rng).mat))
 
     def __eq__(self, other):
         if not isinstance(other, CStarAlgebra):

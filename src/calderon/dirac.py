@@ -120,7 +120,6 @@ def clenshaw_curtis_weights(n):
     """Quadrature weights for the ascending Chebyshev-Lobatto nodes on [0,1]."""
     if n % 2:
         raise StructureError("Clenshaw-Curtis needs an even interval count")
-    k = np.arange(0, n // 2 + 1)
     w = np.zeros(n + 1)
     theta = np.pi * np.arange(n + 1) / n
     for j in range(n + 1):

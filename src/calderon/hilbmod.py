@@ -15,9 +15,11 @@ elements.  The module operations (``times``, ``apply``, ``compose``, sums,
 by member in one pass, each member bit-identical to the one-object call,
 and so does :func:`orthogonalize_idempotent_matrix` on a stack of
 matrices.  The relative index and :func:`projection_defects` take lists of
-blocks, stacked per shape.  The closed-range and decomposition routines
-take one operator; :func:`mishchenko_decompose` returns its generators as
-stacked vectors, one member per generator (:func:`vectors_from_columns`).
+blocks, stacked per shape; the relative index is the dense reference of
+:func:`calderon.projector.calderon_vs_aps_index`.  The closed-range and
+decomposition routines take one operator; :func:`mishchenko_decompose`
+returns its generators as stacked vectors, one member per generator
+(:func:`vectors_from_columns`).
 """
 
 from __future__ import annotations
@@ -442,7 +444,7 @@ def _projection_rank(blocks):
 
 
 def relative_index(P, Q):
-    """Relative index of two orthogonal projections (experimental).
+    """Relative index of two orthogonal projections: the dense reference.
 
     Returns dim ker(QP: ran P -> ran Q) - dim ker(PQ: ran Q -> ran P) with
     dimensions counted over C in the representation.  Valued in Z rather

@@ -19,8 +19,8 @@ complex half system C(lambda).  Its principal symbol (the large
 |eta| limit of the u=0 block) is the positive spectral projection of b,
 computed independently by the scaled Newton iteration for the matrix sign.
 The spectral (APS) projection is stored the same way, its blocks read from
-the eigenpairs of b that the double already holds, and the relative index
-of the two is taken channel block by channel block.
+the eigenpairs of b that the double already holds; the relative index of
+the two is the kernel count of those eigenvalues.
 """
 
 from __future__ import annotations
@@ -42,12 +42,7 @@ from .dirac import (
     y_weight,
 )
 from .errors import CertificationError, StructureError
-from .hilbmod import (
-    membership_defect,
-    orthogonalize_idempotent_matrix,
-    projection_defects,
-    relative_index,
-)
+from .hilbmod import membership_defect, projection_defects
 
 
 # -- boundary data ------------------------------------------------------
@@ -516,11 +511,8 @@ def symbol_limit_check(model):
     deltas = []
     for eta in etas:
         b = model.tangential_matrix(eta)
-        block = exact_projector_block(b)
-        q2 = b.shape[0]
-        top = block[:q2, :q2]
-        q_plus = spectral_projection_positive(b)
-        deltas.append(float(opnorm(top - q_plus)))
+        top = exact_projector_block(b)[: len(b), : len(b)]
+        deltas.append(float(opnorm(top - spectral_projection_positive(b))))
     monotone = all(
         deltas[i + 1] <= deltas[i] + 1e-14 for i in range(len(deltas) - 1)
     )
@@ -564,32 +556,33 @@ def aps_projection(sys):
     )
 
 
-def calderon_vs_aps_index(sys):
-    """Relative index of the APS projection against the Calderon range,
-    the latter the orthogonal projection onto the range of the exact graph
-    projection that the double stores for each channel (the certified
-    F-solve of :func:`~calderon.hilbmod.orthogonalize_idempotent_matrix`,
-    one stacked pass per group of equal-sized channels).
+def kernel_count(values):
+    """The number of |v| <= ZERO_EIG_TOL among the 1-d arrays ``values``,
+    and its margin, the smallest |v| above it (inf if none)."""
+    mags = np.abs(np.concatenate(values))
+    kernel = mags <= ZERO_EIG_TOL
+    return int(kernel.sum()), float(mags[~kernel].min(initial=np.inf))
 
-    Both projectors are built over the channels of the double (per mode
-    and eigenphase, or per commutant cluster of a V(y)), the APS blocks
-    from its eigenpairs, and compared with hilbmod.relative_index channel
-    block by channel block; ranks add over a direct sum, so the result is the
-    integer (complex-dimension counting) of the assembled matrices.  It is
-    reported with the frequency set it counts: ``mode_radius`` (|eta| <=
-    n_y // 3) per mode, ``y_frequencies`` = n_y on the y-coupled channels,
-    which count every y-frequency.
-    """
-    n_y = sys.grid.n_y
-    c_blocks = map_groups(
-        lambda b: orthogonalize_idempotent_matrix(b)[0],
-        [cs.exact_block for cs in sys.channels],
-    )
-    aps_blocks = [b for _, b in aps_projection(sys).channel_blocks]
-    index = relative_index(aps_blocks, c_blocks)
-    out = {"index": int(index), "dimension": sum(map(len, c_blocks))}
+
+def calderon_vs_aps_index(sys):
+    """Relative index of the APS projection against the Calderon range.
+
+    On a channel whose b has size n, the Calderon range (the graph of
+    e^{-b}) has dimension n and the APS block of :func:`aps_projection`
+    rank n + dim ker b: the index is the :func:`kernel_count` of the
+    double's eigenvalues, with its margin and threshold.  It comes with
+    the double trace's complex dimension and the frequencies it counts:
+    ``mode_radius`` (|eta| <= n_y // 3) per mode, ``y_frequencies`` = n_y
+    on the y-coupled channels."""
+    index, margin = kernel_count([cs.eigvals for cs in sys.channels])
+    out = {
+        "index": index,
+        "dimension": sum(2 * len(cs.eigvals) for cs in sys.channels),
+        "eigenvalue_margin": margin,
+        "kernel_tol": ZERO_EIG_TOL,
+    }
     if sys.per_mode:
-        out["mode_radius"] = mode_radius(n_y)
+        out["mode_radius"] = mode_radius(sys.grid.n_y)
     else:
-        out["y_frequencies"] = n_y
+        out["y_frequencies"] = sys.grid.n_y
     return out

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from calderon import hilbmod, sobolev
+from calderon import sobolev
 from calderon.cli import main as cli_main
 from calderon.csalg import CStarAlgebra, is_positive, star
 from calderon.csalg import norm as alg_norm
@@ -30,7 +30,6 @@ from calderon.hilbmod import (
     orthogonalize_idempotent,
     orthogonalize_idempotent_matrix,
     rank_one,
-    relative_index,
 )
 from calderon.projector import (
     calderon_projector,

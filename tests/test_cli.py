@@ -480,9 +480,10 @@ def test_double_is_built_once_per_scenario(tmp_path, monkeypatch):
 
 def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
     # the double forms e^{b} and e^{-b} once per channel, for its kernel
-    # check and its exact blocks; the calderon oracle gate and the index
-    # read those blocks.  expm takes stacks, so the count is of the
-    # matrices exponentiated: the product of each call's leading axes
+    # check and its exact blocks; the calderon oracle gate reads those
+    # blocks, and the index reads none (it counts the kernel of b).  expm
+    # takes stacks, so the count is of the matrices exponentiated: the
+    # product of each call's leading axes
     calls = []
     expm = dirac.expm
 
@@ -498,6 +499,43 @@ def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
     report = cli.run_scenario(cfg)
     assert report["status"] == "pass"
     assert sum(calls) == 2 * len(cfg["model"].mode_channels(cfg["grid"].n_y))
+
+
+def test_index_reports_both_kernel_counts(tmp_path):
+    """The index is the kernel count of the double's eigenvalues, gated by
+    the count of the singular values of each b, with both margins."""
+    cfg = parse_config(cylinder_config(tmp_path / "out"))
+    metrics = cli.run_scenario(cfg)["tasks"][-1]["metrics"]
+    assert metrics["index"] == metrics["singular_value_count"] == 0
+    assert metrics["kernel_tol"] == projector.ZERO_EIG_TOL
+    margins = metrics["eigenvalue_margin"], metrics["singular_value_margin"]
+    assert min(margins) > 0.05
+    assert abs(margins[0] - margins[1]) < 1e-12
+
+
+@pytest.mark.parametrize("count", ["index", "singular_value_count"])
+def test_index_fails_when_the_counts_differ(tmp_path, monkeypatch, count):
+    """Either count off by one fails the index task."""
+    if count == "index":
+        index = cli.calderon_vs_aps_index
+
+        def off_by_one(sysd):
+            out = index(sysd)
+            return {**out, "index": out["index"] + 1}
+
+        monkeypatch.setattr(cli, "calderon_vs_aps_index", off_by_one)
+    else:
+        kernel_count = cli.kernel_count
+
+        def off_by_one(values):
+            n, margin = kernel_count(values)
+            return n + 1, margin
+
+        monkeypatch.setattr(cli, "kernel_count", off_by_one)
+    cfg = parse_config(cylinder_config(tmp_path / "out"))
+    report = cli.run_scenario(cfg)
+    status = {t["name"]: t["status"] for t in report["tasks"]}
+    assert status == {"double": "pass", "calderon": "pass", "index": "fail"}
 
 
 def test_one_channel_map_per_scenario(tmp_path, monkeypatch):

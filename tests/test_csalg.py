@@ -108,13 +108,16 @@ def test_algebra_mismatch_rejected(rng):
 @pytest.mark.parametrize("size", [(5,), (3, 19)], ids=["k", "k-by-19"])
 def test_random_element_stack_is_the_sequential_stream(alg, size):
     rng_stacked = np.random.default_rng(7)
-    stacked = alg.random_element(rng_stacked, 0.5, size=size)
+    # a power-of-two factor scales every value exactly
+    stacked = 0.5 * alg.random_element(rng_stacked, size=size).mat
     rng = np.random.default_rng(7)
-    one_by_one = [alg.random_element(rng, 0.5) for _ in range(np.prod(size))]
+    one_by_one = [
+        0.5 * alg.random_element(rng).mat for _ in range(np.prod(size))
+    ]
     m = alg.rep_dim
-    assert stacked.mat.shape == size + (m, m)
-    expected = np.stack([a.mat for a in one_by_one]).reshape(size + (m, m))
-    assert np.array_equal(stacked.mat, expected)
+    assert stacked.shape == size + (m, m)
+    expected = np.stack(one_by_one).reshape(size + (m, m))
+    assert np.array_equal(stacked, expected)
     # both streams are left at the same point
     assert rng_stacked.standard_normal() == rng.standard_normal()
 
@@ -126,7 +129,7 @@ def test_random_element_stack_is_the_sequential_stream(alg, size):
 )
 def test_random_element_default_draw(alg):
     # one element: real then imaginary coordinates, in the representation
-    a = alg.random_element(np.random.default_rng(3), 2.0)
+    a = 2.0 * alg.random_element(np.random.default_rng(3)).mat
     rng = np.random.default_rng(3)
     if alg.kind == "matrix":
         m = alg.rep_dim
@@ -136,5 +139,5 @@ def test_random_element_default_draw(alg):
             alg.order
         )
         mat = np.einsum("g,gij->ij", coeff, alg._group_basis)
-    assert a.mat.shape == (alg.rep_dim, alg.rep_dim)
-    assert np.array_equal(a.mat, 2.0 * mat)
+    assert a.shape == (alg.rep_dim, alg.rep_dim)
+    assert np.array_equal(a, 2.0 * mat)

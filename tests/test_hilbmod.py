@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from calderon import cli, hilbmod
+from calderon import cli
 from calderon.csalg import AlgebraElement, CStarAlgebra, is_positive, star
 from calderon.errors import CertificationError, StructureError
 from calderon.hilbmod import (

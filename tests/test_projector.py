@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from calderon.csalg import CStarAlgebra, map_groups
-from calderon import dirac
-from calderon.cli import parse_config
+from calderon import cli, dirac, hilbmod
+from calderon.cli import builtin_fixtures, parse_config
 from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
@@ -21,6 +23,7 @@ from calderon.hilbmod import (
     PROJECTION_TOL,
     orthogonalize_idempotent_matrix,
     projection_defects,
+    relative_index,
 )
 from calderon import projector
 from calderon.projector import (
@@ -46,6 +49,7 @@ from conftest import (
 )
 from channel_map import boundary_data_from_channel_coeffs
 from ode_oracle import cauchy_space_oracle, graph_projection_least_squares
+from test_decoupling import decoupling_models
 
 
 @pytest.fixture(scope="module")
@@ -974,11 +978,12 @@ def test_index_spectral_shift_k2():
 
 
 @pytest.mark.parametrize("seed", [1, 7, 11])
-def test_index_f_solve_carries_the_stored_blocks_past_projection_tol(seed):
+@pytest.mark.parametrize("n_y", [48, 60, 96])
+def test_index_counts_the_kernel_past_projection_tol(n_y, seed):
     """The permode-cheb model (M2, random-Hermitian V of scale 0.8,
-    Chebyshev n_u = 48) at n_y = 48: the stored exact blocks are no longer
-    orthogonal projections to PROJECTION_TOL, and the index, which takes
-    them through the F-solve, still gives the mode kernel count."""
+    Chebyshev n_u = 48) at n_y >= 48: the stored exact blocks are no longer
+    orthogonal projections to PROJECTION_TOL, and the index, which does not
+    read them, still gives the mode kernel count."""
     cfg = parse_config({
         "algebra": {"kind": "matrix", "n": 2},
         "model": {
@@ -986,7 +991,7 @@ def test_index_f_solve_carries_the_stored_blocks_past_projection_tol(seed):
             "r": 1,
             "v": {"kind": "random-hermitian", "scale": 0.8},
         },
-        "grid": {"n_u": 48, "n_y": 48, "kind": "chebyshev"},
+        "grid": {"n_u": 48, "n_y": n_y, "kind": "chebyshev"},
         "tasks": ["index"],
         "seed": seed,
     })
@@ -1029,18 +1034,33 @@ def test_index_reports_the_frequency_set_it_counts():
     assert full["dimension"] == 2 * 12 * coupled.n_fiber
 
 
+def _index_cases():
+    """(model, grid, expected index): V = diag(1, 0), whose kernel gives 2,
+    V = 0, which gives 4, the twisted cylinder, every decoupling_models()
+    case and every selfcheck fixture that runs the index task; the
+    expected index of the last two is the mode kernel count."""
+    alg = CStarAlgebra.matrix(2)
+    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
+    cases = [
+        (ProductDiracModel("cylinder", alg, v=np.diag([1.0, 0.0])), grid, 2),
+        (ProductDiracModel("cylinder", alg, v=np.zeros((2, 2))), grid, 4),
+        (twisted_model(), grid, 0),
+    ]
+    models = [(m, g) for _, m, g in decoupling_models()]
+    for raw in builtin_fixtures("fixtures"):
+        if "index" in raw["tasks"]:
+            cfg = parse_config(raw)
+            models.append((cfg["model"], cfg["grid"]))
+    return cases + [(m, g, _mode_rank_oracle(m, g.n_y)) for m, g in models]
+
+
 def test_index_blocks_match_assembled():
     """The index of the channel blocks, of the per-frequency blocks and of
     the assembled matrices agree, also with two holonomy eigenphases, where
-    a frequency block sums two embedded channel blocks."""
-    from calderon.hilbmod import relative_index
-
-    alg = CStarAlgebra.matrix(2)
-    grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
-    kernel = ProductDiracModel(
-        "cylinder", alg, v=np.diag([1.0, 0.0]).astype(complex)
-    )
-    for model, expected in ((kernel, 2), (twisted_model(), 0)):
+    a frequency block sums two embedded channel blocks; the kernel count
+    equals that dense reference, the F-solved exact blocks against the APS
+    blocks."""
+    for model, grid, expected in _index_cases():
         sysd = build_double(model, grid)
         orth = _orthogonalized(_exact_projector(sysd))
         aps = aps_projection(sysd)
@@ -1058,9 +1078,42 @@ def test_index_takes_no_eigh(built, monkeypatch):
     assert calls == []
 
 
-def test_index_self_comparison(built):
-    from calderon.hilbmod import relative_index
+@pytest.mark.parametrize("fixture", ["built", "built_vy"])
+def test_index_task_takes_no_dense_linear_algebra(
+    fixture, request, monkeypatch
+):
+    """The index task counts the kernel from the eigenvalues the double
+    holds and gates it by one SVD of each b: no eigendecomposition, no SVD
+    of a matrix larger than the largest b, and neither the F-solve nor the
+    dense relative index."""
+    _, _, sysd = request.getfixturevalue(fixture)
+    largest = max(len(cs.channel.b_mat) for cs in sysd.channels)
+    svd_sizes = []
+    svd = np.linalg.svd
 
+    def recording_svd(a, *args, **kwargs):
+        svd_sizes.append(np.shape(a)[-1])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    calls = [
+        _counting(monkeypatch, np.linalg, name)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh")
+    ]
+    for name in ("orthogonalize_idempotent_matrix", "relative_index"):
+        calls.append(_counting(monkeypatch, hilbmod, name))
+        # in case the projector holds its own reference
+        monkeypatch.setattr(
+            projector, name, getattr(hilbmod, name), raising=False
+        )
+    run = SimpleNamespace(double=lambda: sysd)
+    status, _ = cli._task_index(None, None, run)
+    assert status == "pass"
+    assert calls == [[]] * len(calls)
+    assert svd_sizes and max(svd_sizes) <= largest
+
+
+def test_index_self_comparison(built):
     model, grid, sysd = built
     orth = _orthogonalized(_exact_projector(sysd))
     assert relative_index([orth.matrix()], [orth.matrix()]) == 0
