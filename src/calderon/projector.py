@@ -38,6 +38,7 @@ from .dirac import (
     _values_to_channels,
     graph_projection,
     mode_radius,
+    tanh_sech,
     y_points,
     y_weight,
 )
@@ -318,9 +319,9 @@ def _group_by_eta(channel_blocks):
 
 
 def exact_projector_block(b_mat):
-    """The graph projection P(e^{-b}) on the double trace of one mode, as
-    the double's exact oracle :func:`calderon.dirac.exact_channel` forms it
-    (without its kernel count)."""
+    """The graph projection P(e^{-b}) = 1/2 [[I + tanh b, sech b], [sech b,
+    I - tanh b]] on the double trace of one mode, as the double's exact
+    oracle :func:`calderon.dirac.exact_channel` forms it."""
     return graph_projection(b_mat)[0]
 
 
@@ -500,19 +501,18 @@ SYMBOL_LIMIT_ETAS = (2.0, 4.0, 8.0, 16.0)
 def symbol_limit_check(model):
     """Large-frequency comparison of the projector with its symbol.
 
-    For each eta of SYMBOL_LIMIT_ETAS computes delta = || (u=0 block of C(eta)) - positive
-    spectral projection of B(eta) ||; certifies monotone decrease and the
-    bound delta <= K / |eta|.  The eigendecomposition projection is used as
-    the reference to keep the comparison floor at rounding level.
+    For each eta of SYMBOL_LIMIT_ETAS computes delta = ||(I + tanh b)/2 -
+    P+(b)||, b = B(eta): the u=0 block of the exact graph projection
+    against the positive spectral projection (the eigendecomposition one,
+    to keep the floor at rounding), each from one stacked call over the
+    ladder; certifies monotone decrease and delta <= K / |eta|.
     """
     if model.y_dependent:
         raise StructureError("symbol limit check needs constant coefficients")
     etas = list(SYMBOL_LIMIT_ETAS)
-    deltas = []
-    for eta in etas:
-        b = model.tangential_matrix(eta)
-        top = exact_projector_block(b)[: len(b), : len(b)]
-        deltas.append(float(opnorm(top - spectral_projection_positive(b))))
+    b = np.stack([model.tangential_matrix(eta) for eta in etas])
+    top = 0.5 * (np.eye(b.shape[-1]) + herm(tanh_sech(b)[0]))
+    deltas = opnorm(top - spectral_projection_positive(b)).tolist()
     monotone = all(
         deltas[i + 1] <= deltas[i] + 1e-14 for i in range(len(deltas) - 1)
     )

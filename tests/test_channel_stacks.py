@@ -27,8 +27,8 @@ from calderon.dirac import (
     _values_to_channels,
     build_double,
     exact_channel,
-    expm,
     graph_projection,
+    tanh_sech,
 )
 from calderon.errors import StructureError
 from calderon.hilbmod import (
@@ -177,34 +177,37 @@ def test_map_members_from_many_threads(rng, monkeypatch):
         assert all(np.array_equal(r, ref) for r in res)
 
 
-def test_expm_stack_mixes_scaling_exponents(rng):
-    """1-norms from 0 (s = 0) to several hundred (s >= 6): each member
-    keeps its own scaling exponent and squaring count."""
+def test_tanh_sech_stack_mixes_scaling_exponents(rng):
+    """1-norms from 0 (s = 0) to several hundred (s >= 8): each member
+    keeps its own scaling exponent and doubling count, so it is
+    bit-identical to its one-matrix call."""
     n = 4
     mats = [np.zeros((n, n), dtype=complex)]
     for scale in (0.05, 1.0, 5.0, 40.0, 100.0):
-        mats.append(scale * hermitian(rng, n))
-        mats.append(scale * (rng.standard_normal((n, n)) + 0j))
-    stack = np.stack(mats).reshape(11, n, n)
+        mats += [hermitian(rng, n, scale), hermitian(rng, n, scale)]
+    stack = np.stack(mats)
     norms = np.abs(stack).sum(axis=-2).max(axis=-1)
-    assert norms.min() == 0.0 and norms.max() > 2**5 * dirac._THETA13
-    out = expm(stack)
-    for member, single in zip(out, stack):
-        assert np.array_equal(member, expm(single))
+    assert norms.min() == 0.0
+    assert norms.max() > 2**8 * dirac._TANH_SECH_START
+    out = tanh_sech(stack)
+    for i, single in enumerate(stack):
+        for part, one in zip(out, tanh_sech(single)):
+            assert np.array_equal(part[i], one)
     # any leading shape
-    lead = expm(stack[1:].reshape(2, 5, n, n))
-    assert np.array_equal(lead.reshape(10, n, n), out[1:])
+    lead = tanh_sech(stack[1:].reshape(2, 5, n, n))
+    for part, flat in zip(lead, out):
+        assert np.array_equal(part.reshape(10, n, n), flat[1:])
 
 
 def test_graph_projection_and_exact_channel_stack(rng):
     stack = np.stack([s * hermitian(rng, 4) for s in (0.1, 1.0, 3.0, 12.0)])
-    block, m_mat = graph_projection(stack)
+    block, sech = graph_projection(stack)
     blocks, kernel_dims = exact_channel(stack)
     assert kernel_dims.shape == (4,)
     for i, b in enumerate(stack):
-        one_block, one_m = graph_projection(b)
+        one_block, one_sech = graph_projection(b)
         assert np.array_equal(block[i], one_block)
-        assert np.array_equal(m_mat[i], one_m)
+        assert np.array_equal(sech[i], one_sech)
         one_exact, one_dim = exact_channel(b)
         assert np.array_equal(blocks[i], one_exact)
         assert isinstance(one_dim, int) and kernel_dims[i] == one_dim

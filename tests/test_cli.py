@@ -479,26 +479,26 @@ def test_double_is_built_once_per_scenario(tmp_path, monkeypatch):
 
 
 def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
-    # the double forms e^{b} and e^{-b} once per channel, for its kernel
+    # the double forms tanh b and sech b once per channel, for its kernel
     # check and its exact blocks; the calderon oracle gate reads those
-    # blocks, and the index reads none (it counts the kernel of b).  expm
-    # takes stacks, so the count is of the matrices exponentiated: the
+    # blocks, and the index reads none (it counts the kernel of b).
+    # tanh_sech takes stacks, so the count is of the matrices it takes: the
     # product of each call's leading axes
     calls = []
-    expm = dirac.expm
+    tanh_sech = dirac.tanh_sech
 
-    def counting_expm(a):
+    def counting_tanh_sech(a):
         calls.append(int(np.prod(np.shape(a)[:-2])))
-        return expm(a)
+        return tanh_sech(a)
 
-    monkeypatch.setattr(dirac, "expm", counting_expm)
-    # in case the projector holds its own reference to expm
-    monkeypatch.setattr(projector, "expm", counting_expm, raising=False)
+    monkeypatch.setattr(dirac, "tanh_sech", counting_tanh_sech)
+    # the projector holds its own reference, for the symbol ladder
+    monkeypatch.setattr(projector, "tanh_sech", counting_tanh_sech)
     cfg = parse_config(cylinder_config(tmp_path / "out"))
     assert cfg["tasks"] == ["double", "calderon", "index"]
     report = cli.run_scenario(cfg)
     assert report["status"] == "pass"
-    assert sum(calls) == 2 * len(cfg["model"].mode_channels(cfg["grid"].n_y))
+    assert sum(calls) == len(cfg["model"].mode_channels(cfg["grid"].n_y))
 
 
 def test_index_reports_both_kernel_counts(tmp_path):

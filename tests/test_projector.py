@@ -283,33 +283,38 @@ def _tanh_sech_projection(b):
     return 0.5 * np.block([[eye + t, s], [s, eye - t]])
 
 
-def _rotated_spectrum(top, seed):
-    """A Hermitian 6 x 6 b with eigenvalues +-top, +-5, +-0.3 in a random
-    unitary basis."""
+def _rotated_spectrum(seed, *mags):
+    """A Hermitian b with eigenvalues +-m for each m of ``mags`` in a
+    random unitary basis."""
+    n = 2 * len(mags)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q = np.linalg.qr(z)[0]
-    w = np.array([top, -top, 5.0, -5.0, 0.3, -0.3])
+    w = np.outer(mags, [1.0, -1.0]).ravel()
     return (q * w) @ q.conj().T
 
 
-#: expm(+-b) has absolute rounding eps * e^{||b||}, which swamps the small
-#: entries of e^{-b}: the oracle is off by 2e-14 at ||b|| = 5, 1e-3 at 30
-_ORACLE_LOSES_ACCURACY = pytest.mark.xfail(
-    strict=True, reason="the expm oracle loses accuracy at large ||b||"
-)
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize(
-    "top", [5.0, pytest.param(30.0, marks=_ORACLE_LOSES_ACCURACY)]
-)
+@pytest.mark.parametrize("top", [5.0, 30.0, 40.0, 45.0])
 def test_exact_oracle_matches_tanh_sech_form(top, seed):
     """The double's exact oracle against the same projection written with
-    tanh b and sech b, whose entries are bounded at any ||b||."""
-    b = _rotated_spectrum(top, seed)
+    tanh b and sech b from the eigenpairs of b."""
+    b = _rotated_spectrum(seed, top, 5.0, 0.3)
     block = exact_channel(b)[0]
     assert np.linalg.norm(block - _tanh_sech_projection(b), 2) < 1e-12
+
+
+@pytest.mark.parametrize("top", [36.0, 40.0, 45.0])
+def test_exact_oracle_keeps_small_eigenvalues_beside_large_ones(top):
+    """On a rotated diag(+-top, +-5, +-0.3, +-1e-3), twice the off-diagonal
+    block of P(e^{-b}), sech b, has 2-norm sech(1e-3) to 1e-12.  An oracle
+    that forms e^{+-b} rounds at eps e^{||b||} and misses it: on this b the
+    smallest singular value of e^b + e^{-b}, 2.000001, then reads 1.76 at
+    ||b|| = 36 and 150 at 45."""
+    b = _rotated_spectrum(0, top, 5.0, 0.3, 1e-3)
+    n = len(b)
+    sech = 2.0 * exact_channel(b)[0][:n, n:]
+    assert abs(np.linalg.norm(sech, 2) - 1.0 / np.cosh(1e-3)) < 1e-12
 
 
 def test_holonomy_invariance():
@@ -758,19 +763,30 @@ def test_symbol_limit_ladder(built):
 
 
 def test_symbol_limit_takes_no_svd(built, monkeypatch):
-    # the exact blocks come from the graph projection alone; the kernel
-    # count of exact_channel (one SVD) is not taken, so the only SVDs are
-    # the delta 2-norms, one per ladder frequency
+    # the u=0 blocks come from one tanh_sech of the ladder's stack; the
+    # kernel count of exact_channel (one SVD) is not taken, so the only SVD
+    # is the one stacked 2-norm of the deltas
     model, _, _ = built
-    calls = []
-    svd = np.linalg.svd
+    calls, stacks = [], []
+    svd, tanh_sech = np.linalg.svd, projector.tanh_sech
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
     )
-    symbol_limit_check(model)
-    assert len(calls) == len(SYMBOL_LIMIT_ETAS)
-    b = model.tangential_matrix(4.0)
-    assert np.array_equal(exact_projector_block(b), exact_channel(b)[0])
+    monkeypatch.setattr(
+        projector,
+        "tanh_sech",
+        lambda b: stacks.append(b.shape[:-2]) or tanh_sech(b),
+    )
+    deltas = symbol_limit_check(model)["deltas"]
+    assert len(calls) == 1
+    assert stacks == [(len(SYMBOL_LIMIT_ETAS),)]
+    # each delta reads the u=0 block of the exact graph projection
+    b = model.tangential_matrix(SYMBOL_LIMIT_ETAS[1])
+    block = exact_projector_block(b)
+    assert np.array_equal(block, exact_channel(b)[0])
+    n = len(b)
+    top = block[:n, :n] - spectral_projection_positive(b)
+    assert deltas[1] == float(np.linalg.norm(top, 2))
 
 
 def test_symbol_limit_v_zero_superpolynomial():
@@ -977,13 +993,8 @@ def test_index_spectral_shift_k2():
     assert i1 - i0 == 2
 
 
-@pytest.mark.parametrize("seed", [1, 7, 11])
-@pytest.mark.parametrize("n_y", [48, 60, 96])
-def test_index_counts_the_kernel_past_projection_tol(n_y, seed):
-    """The permode-cheb model (M2, random-Hermitian V of scale 0.8,
-    Chebyshev n_u = 48) at n_y >= 48: the stored exact blocks are no longer
-    orthogonal projections to PROJECTION_TOL, and the index, which does not
-    read them, still gives the mode kernel count."""
+def _permode_cheb(n_y, seed):
+    """(model, grid) of the permode-cheb workload at the given n_y."""
     cfg = parse_config({
         "algebra": {"kind": "matrix", "n": 2},
         "model": {
@@ -995,11 +1006,21 @@ def test_index_counts_the_kernel_past_projection_tol(n_y, seed):
         "tasks": ["index"],
         "seed": seed,
     })
-    model, grid = cfg["model"], cfg["grid"]
+    return cfg["model"], cfg["grid"]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 11])
+@pytest.mark.parametrize("n_y", [48, 60, 96])
+def test_index_counts_the_kernel_past_projection_tol(n_y, seed):
+    """The permode-cheb model (M2, random-Hermitian V of scale 0.8,
+    Chebyshev n_u = 48) at n_y = 48, 60 and 96 (|eta| up to 32): the stored
+    exact blocks are orthogonal projections to PROJECTION_TOL, and the
+    index, which does not read them, gives the mode kernel count."""
+    model, grid = _permode_cheb(n_y, seed)
     sysd = build_double(model, grid)
     assert sysd.per_mode
-    _, asym = projection_defects([cs.exact_block for cs in sysd.channels])
-    assert asym.max() > PROJECTION_TOL
+    idem, asym = projection_defects([cs.exact_block for cs in sysd.channels])
+    assert idem.max() <= PROJECTION_TOL and asym.max() <= PROJECTION_TOL
     index = calderon_vs_aps_index(sysd)["index"]
     assert index == _mode_rank_oracle(model, grid.n_y)
 
@@ -1037,8 +1058,9 @@ def test_index_reports_the_frequency_set_it_counts():
 def _index_cases():
     """(model, grid, expected index): V = diag(1, 0), whose kernel gives 2,
     V = 0, which gives 4, the twisted cylinder, every decoupling_models()
-    case and every selfcheck fixture that runs the index task; the
-    expected index of the last two is the mode kernel count."""
+    case, every selfcheck fixture that runs the index task and the
+    permode-cheb model at n_y = 96 (seed 11), where |eta| reaches 32; the
+    expected index of the last three is the mode kernel count."""
     alg = CStarAlgebra.matrix(2)
     grid = CollarGrid(n_u=16, n_y=12, kind="chebyshev")
     cases = [
@@ -1051,6 +1073,7 @@ def _index_cases():
         if "index" in raw["tasks"]:
             cfg = parse_config(raw)
             models.append((cfg["model"], cfg["grid"]))
+    models.append(_permode_cheb(96, 11))
     return cases + [(m, g, _mode_rank_oracle(m, g.n_y)) for m, g in models]
 
 
@@ -1058,14 +1081,14 @@ def test_index_blocks_match_assembled():
     """The index of the channel blocks, of the per-frequency blocks and of
     the assembled matrices agree, also with two holonomy eigenphases, where
     a frequency block sums two embedded channel blocks; the kernel count
-    equals that dense reference, the F-solved exact blocks against the APS
+    equals that dense reference, the stored exact blocks against the APS
     blocks."""
     for model, grid, expected in _index_cases():
         sysd = build_double(model, grid)
-        orth = _orthogonalized(_exact_projector(sysd))
+        exact = _exact_projector(sysd)
         aps = aps_projection(sysd)
-        assembled = relative_index([aps.matrix()], [orth.matrix()])
-        assert relative_index(aps.blocks, orth.blocks) == assembled
+        assembled = relative_index([aps.matrix()], [exact.matrix()])
+        assert relative_index(aps.blocks, exact.blocks) == assembled
         assert assembled == expected
         assert calderon_vs_aps_index(sysd)["index"] == assembled
 
