@@ -248,9 +248,13 @@ class CollarFunction:
 
 
 def _check_finite(a, name):
-    """Refuse an operator, or a stack of them, with a NaN or infinite entry."""
+    """Refuse an operator, or a stack of them, with a NaN or infinite entry
+    or with a 1-norm that overflows: :func:`tanh_sech` scales by it."""
     if not np.isfinite(a).all():
         raise StructureError("%s must have finite entries" % name)
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(a).sum(axis=-2)).all():
+            raise StructureError("%s must have a finite 1-norm" % name)
 
 
 def _check_self_adjoint(a, name):
@@ -352,7 +356,8 @@ class ProductDiracModel:
         y-periodicity (cylinder only); must commute with v (with V(y) at
         every sample)
 
-    Every entry of v, w, the holonomy and each V(y) sample must be finite.
+    Every entry of v, w, the holonomy and each V(y) sample must be
+    finite, and so must the 1-norm of each and of B(0).
     """
 
     def __init__(self, base, algebra, r=1, v=None, w=None, holonomy=None):
@@ -397,6 +402,8 @@ class ProductDiracModel:
                 raise StructureError("holonomy must be unitary")
         if self.v_rep is not None:
             self._check_commutes(self.v_rep)
+            # B(0) adds W to V's column sums; B(eta) adds only eta to B(0)
+            _check_finite(self.tangential_matrix(0.0), "v with w")
         if self.y_dependent:  # sampling checks V(0), so a bad V(y) fails here
             self.v_samples(1)
 
@@ -832,7 +839,9 @@ def tanh_sech(b_mat):
     b = b.reshape((-1, n, n))
     norm = np.abs(b).sum(axis=-2).max(axis=-1)  # the 1-norm of each member
     s = np.ceil(np.log2(np.maximum(norm / _TANH_SECH_START, 1.0))).astype(int)
-    x = b / (2.0**s)[:, None, None]
+    # a 1-norm past 2^1023 takes s = 1024, and 2.0**1024 overflows
+    x = b / (2.0 ** np.minimum(s, 1023))[:, None, None]
+    x[s > 1023] /= 2.0
     eye = np.eye(n)
     # cosh x = 1 + y/(1*2) (1 + y/(3*4) (...)), y = x^2, and x^-1 sinh x =
     # 1 + y/(2*3) (1 + ...): row k of ratios is 1/(j (j+1)), j = 2k+1, 2k+2

@@ -163,6 +163,16 @@ def test_malformed_json_exits_2(tmp_path, capsys):
         assert err.startswith("config error:") and "Traceback" not in err
 
 
+def near_overflow_config(output_dir, scale):
+    """M_2 on the cylinder, random-Hermitian V of ``scale``, Chebyshev 8 x 8,
+    seed 1: at scale 1e308 the entries of V are finite, its 1-norm not."""
+    raw = cylinder_config(output_dir)
+    raw["model"]["v"]["scale"] = scale
+    raw["grid"] = {"n_u": 8, "n_y": 8, "kind": "chebyshev"}
+    raw["seed"] = 1
+    return raw
+
+
 #: config path -> malformed value, set in the segment config or in the
 #: config a third entry makes; each must be a config error
 MALFORMED_VALUES = {
@@ -209,7 +219,60 @@ MALFORMED_VALUES = {
         },
         cylinder_config,
     ),
+    # finite entries whose 1-norm overflows: that of V, and that of B(0),
+    # whose column sums add those of V and W
+    "v-norm-overflowing": (
+        ("model", "v", "scale"),
+        1e308,
+        lambda out: near_overflow_config(out, 1.0),
+    ),
+    "w-norm-overflowing-with-v": (
+        ("model", "w"),
+        {"kind": "diag", "values": [1.5e308, 1.0]},
+        lambda out: dict(
+            segment_config(out),
+            model={
+                "base": "segment",
+                "v": {"kind": "diag", "values": [1.5e308, 1.0]},
+            },
+        ),
+    ),
 }
+
+
+@pytest.mark.parametrize("scale, code", [(1e308, 2), (8.7e307, 1)])
+def test_v_near_overflow_runs_without_runtime_warnings(tmp_path, scale, code):
+    """Under ``-W error::RuntimeWarning``, a V whose 1-norm overflows exits
+    2 with no output directory, and one whose 1-norm is finite but past
+    2^1023 (the scaling of tanh_sech then takes s = 1024) runs to fail
+    entries: its double is not certifiably invertible."""
+    out = tmp_path / "out"
+    path = write_config(tmp_path, near_overflow_config(out, scale))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "calderon.cli",
+         "run", path],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.exists() == (code == 1)
+
+
+def test_tangential_blocks_of_an_accepted_v_have_finite_norms(tmp_path):
+    """B(eta) adds eta to the off-diagonal of B(0): the channel blocks of
+    the largest accepted V keep a finite 1-norm, and tanh_sech takes them
+    past 2^1023 without overflow."""
+    raw = near_overflow_config(tmp_path / "out", 8.7e307)
+    model = parse_config(raw)["model"]
+    blocks = np.stack([ch.b_mat for ch in model.mode_channels(8)])
+    norms = np.abs(blocks).sum(axis=-2).max(axis=-1)
+    assert np.isfinite(norms).all() and norms.min() > 2.0**1023
+    with np.errstate(over="raise", invalid="raise"):
+        tanh, sech = dirac.tanh_sech(blocks)
+    assert np.isfinite(tanh).all() and np.isfinite(sech).all()
 
 
 def test_integral_float_table_parses(tmp_path):
@@ -304,31 +367,99 @@ def test_run_minimal_scenario(tmp_path, capsys):
     assert "overall: pass" in text
 
 
-def test_export_projector_matches_one_line_formatter(tmp_path):
-    """The zero-entry shortcut writes the bytes of the plain formatter: only
-    +0.0 in both parts is shortened; -0.0 keeps its sign."""
+def _slot_texts(x):
+    """The strings that ``cli._fmt_slots`` writes for the floats ``x``."""
+    words = cli._fmt_slots(np.asarray(x, dtype=float))
+    return words.tobytes().translate(None, b"\0").decode().split(",")[1:]
+
+
+#: exact decimal ties: n / 32 for odd n in [3.2e14, 3.2e15] has 14 integer
+#: digits and 5 decimals ending in 5, so its 19th digit is an exact 5 and
+#: half-even rounding decides the 18th
+TIES = np.arange(320_000_000_000_001, 3_200_000_000_000_000, 155_555_555_554)
+TIES = TIES / 32.0
+
+
+def test_fmt_slots_writes_the_bytes_of_fmt(monkeypatch):
+    """The vectorized formatter writes ``_fmt``'s strings: on 2^20 random
+    bit patterns (every exponent, NaNs and subnormals among them) and on
+    the edges of its fast path; every exact tie reaches ``_fmt`` itself."""
+    fmt = cli._fmt
+    bits = np.random.default_rng(34).integers(0, 2**64, 2**20, np.uint64)
+    rand = bits.view(np.float64)
+    assert np.unique(bits >> np.uint64(52)).size == 4096  # sign, exponent
+    # what reaches _fmt is _fmt's by construction: compare the rest, in
+    # parts of 2^16 floats to bound the temporaries
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_fmt", lambda v: "")
+        texts = [
+            t
+            for k in range(0, rand.size, 2**16)
+            for t in _slot_texts(rand[k:k + 2**16])
+        ]
+    fast = [(t, v) for t, v in zip(texts, rand.tolist()) if t]
+    assert len(fast) > 2**20 // 4  # [1e-99, 1e99) holds 660 of 2048 exps
+    assert [t for t, _ in fast] == [fmt(v) for _, v in fast]
+
+    edges = [0.0, 5e-324, np.nan, np.inf, 0.9999999999999999]
+    for v in (1e-100, 1e-99, 1e99, 1e100):
+        edges += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+    for k in range(-120, 121):
+        v = float("1e%d" % k)
+        edges += [np.nextafter(v, 0.0), v, np.nextafter(v, np.inf)]
+    edges = np.concatenate([edges, TIES])
+    edges = np.concatenate([edges, -edges])
+    assert np.signbit(edges).sum() == edges.size // 2  # -0.0, -nan too
+    assert _slot_texts(edges) == [fmt(v) for v in edges.tolist()]
+
+    reached = []
+    monkeypatch.setattr(cli, "_fmt", lambda v: reached.append(v) or fmt(v))
+    assert _slot_texts(TIES) == [fmt(v) for v in TIES.tolist()]
+    assert reached == TIES.tolist()
+    assert len(reached) > 10000
+
+
+def test_export_projector_matches_one_line_formatter(tmp_path, monkeypatch):
+    """``export_projector`` writes the bytes of the one-line formatter: the
+    all-zero tails shorten only +0.0 in both parts (-0.0 keeps its sign),
+    the entries that ``_fmt_slots`` hands to ``_fmt`` (NaN, infinities,
+    three-digit exponents, ties) land in their cells, and a dense block
+    formatted in small chunks is whole across the chunk boundaries."""
     tiny = 5e-324  # the smallest subnormal
-    mat = np.array(
+    edge = np.array(
         [
             [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0)],
             [complex(-0.0, -0.0), complex(tiny, 0.0), complex(0.0, -tiny)],
             [complex(-tiny, 2.5e-310), 1.0, complex(np.pi, -np.e)],
             [complex(-2.5, 3e-17), complex(0.0, 1e300), complex(0.0, 0.0)],
+            [complex(np.nan, np.inf), complex(-np.inf, 1e-150), 1e150],
+            [0.9999999999999999, complex(0.0, TIES[7]), -TIES[8]],
         ]
     )
-    assert np.signbit([mat[0, 1].real, mat[0, 2].imag, mat[1, 0].imag]).all()
+    signs = [edge[0, 1].real, edge[0, 2].imag, edge[1, 0].imag]
+    assert np.signbit(signs).all()
+    rng = np.random.default_rng(40)
+    dense = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    dense *= np.exp(rng.uniform(-40.0, 40.0, (40, 40)))
+    monkeypatch.setattr(cli, "EXPORT_CHUNK", 7)
 
     class Proj:
-        def matrix(self):
-            return mat
+        def __init__(self, mat):
+            self.mat = mat
 
-    cli.export_projector(str(tmp_path), "p", Proj(), {})
-    ref = "row,col,real,imag\n" + "".join(
-        "%d,%d,%.17e,%.17e\n" % (i, j, x.real, x.imag)
-        for (i, j), x in np.ndenumerate(mat)
-    )
-    assert (tmp_path / "p.csv").read_text() == ref
+        def matrix(self):
+            return self.mat
+
+    for name, mat in (("edge", edge), ("dense", dense)):
+        cli.export_projector(str(tmp_path), name, Proj(mat), {})
+        ref = "row,col,real,imag\n" + "".join(
+            "%d,%d,%.17e,%.17e\n" % (i, j, x.real, x.imag)
+            for (i, j), x in np.ndenumerate(mat)
+        )
+        assert (tmp_path / (name + ".csv")).read_text() == ref
+    ref = (tmp_path / "edge.csv").read_text()
     assert ref.count("-0.00000000000000000e+00") == 4
+    assert "\n4,0,nan,inf\n4,1,-inf,1.00000000000000001e-150\n" in ref
 
 
 def test_repeat_runs_byte_identical(tmp_path):
