@@ -220,9 +220,6 @@ class CStarAlgebra:
             mat = np.einsum("...g,gij->...ij", mat, self._group_basis)
         return AlgebraElement(self, mat)
 
-    def random_hermitian(self, rng):
-        return AlgebraElement(self, herm(self.random_element(rng).mat))
-
     def __eq__(self, other):
         if not isinstance(other, CStarAlgebra):
             return NotImplemented
@@ -321,12 +318,18 @@ def star(a):
     return AlgebraElement(a.algebra, dagger(a.mat))
 
 
+def singular_values(a):
+    """The singular values of a matrix, or of each matrix of a stack, in
+    descending order: the package's one values-only SVD, which looks
+    ``svd`` up on ``np.linalg`` at call time."""
+    return np.linalg.svd(a, compute_uv=False)
+
+
 def opnorm(a):
     """Operator 2-norm of a matrix, or of each matrix of a stack: its
     largest singular value, the C*-norm in the faithful representation.
-    NumPy's matrix 2-norm takes the same ``svd`` and maximum; this one
-    looks ``svd`` up on ``np.linalg`` at call time."""
-    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+    NumPy's matrix 2-norm takes the same ``svd`` and maximum."""
+    return singular_values(a).max(axis=-1, initial=0.0)
 
 
 def shape_groups(arrays):

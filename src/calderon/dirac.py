@@ -77,9 +77,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csalg import AlgebraElement, adjoint_defect, dagger, herm, map_groups
-from .csalg import map_members, opnorm
+from .csalg import map_members, opnorm, singular_values
 from .errors import CertificationError, StructureError
-from .hilbmod import ModuleOperator
 
 SIGMA_1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -277,12 +276,21 @@ def commutant_split(mats):
     count, ||E*E - I||_2 and the largest off-block part of E* mats[j] E
     relative to max(1, ||mats[j]||_2), as :func:`_check_self_adjoint`
     measures.  One cluster, or a split that fails SPLIT_TOL (matrices that
-    do not commute), is returned as E = I."""
+    do not commute), is returned as E = I.  Matrices whose combination, or
+    the gaps of its eigenvalues, overflow are refused (StructureError)."""
     mats = np.asarray(mats, dtype=complex)
     n = mats.shape[-1]
     coef = np.random.default_rng(SPLIT_SEED).uniform(1.0, 2.0, len(mats))
-    w, e = np.linalg.eigh(np.tensordot(coef, mats, axes=1))
-    cuts = [0, *np.flatnonzero(np.diff(w) > SPLIT_GAP * np.abs(w).max()) + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        comb = np.tensordot(coef, mats, axes=1)
+    if not np.isfinite(comb).all():
+        raise StructureError("the combination of the v samples overflows")
+    w, e = np.linalg.eigh(comb)
+    with np.errstate(over="ignore"):
+        gaps = np.diff(w)
+    if not np.isfinite(gaps).all():
+        raise StructureError("the eigenvalue gaps of the v samples overflow")
+    cuts = [0, *np.flatnonzero(gaps > SPLIT_GAP * np.abs(w).max()) + 1]
     clusters = [slice(a, b) for a, b in zip(cuts, cuts[1:] + [n])]
     rot = dagger(e) @ mats @ e
     for c in clusters:
@@ -347,12 +355,12 @@ class ProductDiracModel:
     base : 'segment' | 'cylinder'
     algebra : CStarAlgebra
     r : twist rank (the coefficient bundle is A^r)
-    v : the sigma_3 potential; a self-adjoint ModuleOperator A^r -> A^r, or
+    v : the sigma_3 potential; a self-adjoint (r*m, r*m) complex array, or
         a callable y -> (r*m, r*m) Hermitian complex matrix (V(y): the
         double then has one y-coupled channel per commutant cluster), or
         None (= 0)
-    w : optional self-adjoint sigma_1 term (segment only)
-    holonomy : optional unitary ModuleOperator A^r -> A^r twisting the
+    w : optional self-adjoint (r*m, r*m) sigma_1 term (segment only)
+    holonomy : optional unitary (r*m, r*m) array twisting the
         y-periodicity (cylinder only); must commute with v (with V(y) at
         every sample)
 
@@ -421,18 +429,11 @@ class ProductDiracModel:
             raise StructureError("holonomy must commute with v")
 
     def _coerce_operator(self, op, name):
-        if isinstance(op, ModuleOperator):
-            if op.algebra != self.algebra or op.source_rank != self.r or (
-                op.target_rank != self.r
-            ):
-                raise StructureError("%s has wrong shape/algebra" % name)
-            mat = op.rep.copy()
-        else:
-            mat = np.asarray(op, dtype=complex)
-            if mat.shape != (self.rm, self.rm):
-                raise StructureError(
-                    "%s must be %d x %d" % (name, self.rm, self.rm)
-                )
+        mat = np.asarray(op, dtype=complex)
+        if mat.shape != (self.rm, self.rm):
+            raise StructureError(
+                "%s must be %d x %d" % (name, self.rm, self.rm)
+            )
         _check_finite(mat, name)
         return mat
 
@@ -506,16 +507,6 @@ class ProductDiracModel:
                 channels.append((angles[start] / (2.0 * np.pi), block))
                 start = i
         return channels
-
-    def holonomy_basis_defect(self):
-        """||W*W - I||_2 of the eigenphase bases of :meth:`holonomy_channels`
-        side by side, W = [basis_1, basis_2, ...] (rm, rm): the unitarity
-        defect of the fiber basis the per-mode channels embed by.  Zero
-        without a holonomy, where W = I and no SVD is taken."""
-        if self.h_rep is None:
-            return 0.0
-        w = np.concatenate([b for _, b in self.holonomy_channels()], axis=1)
-        return float(opnorm(dagger(w) @ w - np.eye(self.rm)))
 
     def mode_channels(self, n_y):
         """The channels of the double on n_y boundary points.
@@ -881,14 +872,8 @@ def exact_channel(b_mat):
     sech B above 2.  A sanity check, not a certificate: it reads 0 for
     self-adjoint B, where 2 cosh B >= 2."""
     block, sech = graph_projection(b_mat)
-    kernel_dim = np.sum(np.linalg.svd(sech, compute_uv=False) > 2.0, axis=-1)
+    kernel_dim = np.sum(singular_values(sech) > 2.0, axis=-1)
     return block, int(kernel_dim) if kernel_dim.ndim == 0 else kernel_dim
-
-
-def _singular_values(a):
-    """The singular values of each matrix of a stack, by one
-    ``np.linalg.svd`` (looked up at call time)."""
-    return np.linalg.svd(a, compute_uv=False)
 
 
 def _decouple(b):
@@ -921,7 +906,7 @@ def build_double(model, grid):
     lam, inv = np.unique(lam, return_inverse=True)  # exact equality only
     systems = lam[:, None, None] * t
     systems += c0  # c0 + lam T, with no second (L, N, N) temporary
-    sigmas = map_members(_singular_values, systems).min(axis=1)
+    sigmas = map_members(singular_values, systems).min(axis=1)
     offsets = np.cumsum([len(w) for w, *_ in parts])[:-1]
     channel_systems = []
     for ch, part, rows in zip(channels, parts, np.split(inv, offsets)):
@@ -1045,7 +1030,7 @@ def ghost_solution_check(sys):
     select = np.vstack([eye_nodes, np.zeros((2, n + 1))])
     mags, inv = np.unique(np.abs(sys.eigvals), return_inverse=True)
     stacks = base + mags[:, None, None] * select
-    sigmas = map_members(_singular_values, stacks).min(axis=1)[inv]
+    sigmas = map_members(singular_values, stacks).min(axis=1)[inv]
     per_channel = [float(sigmas[cs.rows].min()) for cs in sys.channels]
     sigma = min(per_channel)
     return {

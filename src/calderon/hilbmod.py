@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csalg import AlgebraElement, adjoint_defect, dagger, herm, opnorm
-from .csalg import shape_groups
+from .csalg import shape_groups, singular_values
 from .errors import CertificationError, StructureError
 
 #: relative singular-value threshold for numerical rank decisions
@@ -266,7 +266,7 @@ def closed_range_gap(T):
     reported as a finite-dimensional check of the closed-range lemma; the
     range is certified closed when ``gap`` >= GAP_TOL.
     """
-    return _closed_range(T, np.linalg.svd(T.rep, compute_uv=False))[1]
+    return _closed_range(T, singular_values(T.rep))[1]
 
 
 def _closed_range(T, s):
@@ -279,7 +279,7 @@ def _closed_range(T, s):
     gap = float(nonzero[-1] ** 2)
     # T*T and TT* share nonzero spectrum; at finite dimension the check is
     # exact up to eigensolver noise.
-    s_adj = np.linalg.svd(dagger(T.rep), compute_uv=False)
+    s_adj = singular_values(dagger(T.rep))
     gap_adj = float(s_adj[s_adj > RANK_RTOL * s_adj[0]][-1] ** 2)
     return nonzero.size, ClosedRangeReport(
         gap=gap, closed=bool(gap >= GAP_TOL), gap_adjoint=gap_adj
@@ -433,7 +433,7 @@ def _projection_rank(blocks):
     block (one stacked SVD per group of equal-shaped blocks), which also
     gives the scale (its largest singular value) of the projection checks
     and of the RANK_RTOL threshold."""
-    s = [np.linalg.svd(b, compute_uv=False) for _, b in shape_groups(blocks)]
+    s = [singular_values(b) for _, b in shape_groups(blocks)]
     top = max([0.0] + [v.max() for v in s if v.size])
     idem, asym = (d.max(initial=0.0) for d in projection_defects(blocks))
     if idem > PROJECTION_TOL * max(1.0, top) ** 2:

@@ -38,7 +38,6 @@ from .dirac import (
     _values_to_channels,
     graph_projection,
     mode_radius,
-    tanh_sech,
     y_points,
     y_weight,
 )
@@ -197,10 +196,9 @@ class BoundaryProjector:
         algebra-membership defect.
 
         W is the fiber basis the channels embed by, and delta =
-        ||W*W - I||_2 (``embedding_unitarity_defect``): 0 per mode without a
-        holonomy, :meth:`~calderon.dirac.ProductDiracModel.holonomy_basis_defect`
-        per mode with one, ``commutant_unitarity_defect`` on a y-coupled
-        projector.  With e_c = ||p_c^2 - p_c||_2 and a_c = ||p_c - p_c*||_2
+        ||W*W - I||_2 (``embedding_unitarity_defect``), read from the
+        channels themselves (:func:`_basis_defect`).  With e_c = ||p_c^2 -
+        p_c||_2 and a_c = ||p_c - p_c*||_2
         (:func:`~calderon.hilbmod.projection_defects`) and ||W||^2 <= 1 +
         delta, the reported values are
 
@@ -218,11 +216,7 @@ class BoundaryProjector:
         blocks = [b for _, b in self.channel_blocks]
         idem, asym = projection_defects(blocks)
         norm = 0.5 * (1.0 + asym + np.sqrt((1.0 + asym) ** 2 + 4.0 * idem))
-        split = self.channel_blocks[0][0].split
-        delta = (
-            split["commutant_unitarity_defect"] if split
-            else self.model.holonomy_basis_defect()
-        )
+        delta = _basis_defect([ch for ch, _ in self.channel_blocks])
         x2 = (norm**2).max()
         size = max(map(len, self.blocks))
         rounding = size * np.finfo(float).eps * x2 if delta else 0.0
@@ -268,6 +262,21 @@ class BoundaryProjector:
         return max(
             BoundaryData(self.model, self.n_y, d[0], d[1]).norm() for d in diff
         )
+
+
+def _basis_defect(channels):
+    """||W*W - I||_2 of W, the distinct fiber bases of the channels side by
+    side in channel order: those of the channels of the first frequency,
+    one per eigenphase per mode and one per commutant cluster y-coupled
+    (the upper left block of each embedding diag(basis, basis)).  0.0 with
+    no SVD when W*W - I is exactly zero, as it is for W = I."""
+    bases = [
+        e[: len(e) // 2, : e.shape[1] // 2]
+        for e in (ch.embedding for ch in channels if ch.eta == channels[0].eta)
+    ]
+    w = np.concatenate(bases, axis=1)
+    gram = dagger(w) @ w - np.eye(w.shape[1])
+    return float(opnorm(gram)) if gram.any() else 0.0
 
 
 def _check_data_model(g, model):
@@ -503,15 +512,17 @@ def symbol_limit_check(model):
 
     For each eta of SYMBOL_LIMIT_ETAS computes delta = ||(I + tanh b)/2 -
     P+(b)||, b = B(eta): the u=0 block of the exact graph projection
-    against the positive spectral projection (the eigendecomposition one,
-    to keep the floor at rounding), each from one stacked call over the
-    ladder; certifies monotone decrease and delta <= K / |eta|.
+    (:func:`exact_projector_block`) against the positive spectral
+    projection (the eigendecomposition one, to keep the floor at rounding),
+    each from one stacked call over the ladder; certifies monotone decrease
+    and delta <= K / |eta|.
     """
     if model.y_dependent:
         raise StructureError("symbol limit check needs constant coefficients")
     etas = list(SYMBOL_LIMIT_ETAS)
     b = np.stack([model.tangential_matrix(eta) for eta in etas])
-    top = 0.5 * (np.eye(b.shape[-1]) + herm(tanh_sech(b)[0]))
+    k = b.shape[-1]
+    top = exact_projector_block(b)[..., :k, :k]
     deltas = opnorm(top - spectral_projection_positive(b)).tolist()
     monotone = all(
         deltas[i + 1] <= deltas[i] + 1e-14 for i in range(len(deltas) - 1)

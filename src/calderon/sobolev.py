@@ -251,16 +251,8 @@ def torus_inner(f, g):
     return complex(np.sum(f.values.conj() * g.values))
 
 
-@dataclass
-class TraceReport:
-    profile: np.ndarray
-    ratio: float
-    t: float
-    s: float
-
-
 def trace(f, t, s):
-    """Restrict to the slice u = t and report the trace-norm ratio.
+    """Restrict to the slice u = t and return the trace-norm ratio.
 
     The slice must be a grid node: interpolation is refused.  The ratio is
     ||gamma_t f||_{s-1/2} / ||f||_s; it degenerates as s approaches 1/2.
@@ -270,9 +262,7 @@ def trace(f, t, s):
     j = int(round(pos))
     if abs(pos - j) > 1e-12 or not (0 <= j < spec.n_u_points):
         raise StructureError("slice t=%r is not a grid node" % (t,))
-    profile = f.values[j].copy()
     denom = sobolev_norm(f if not spec.half else extend_reflect(f), s)
-    num = boundary_norm(profile, s - 0.5)
-    ratio = num / denom if denom > 0 else 0.0
-    return TraceReport(profile=profile, ratio=ratio, t=float(t), s=float(s))
+    num = boundary_norm(f.values[j], s - 0.5)
+    return num / denom if denom > 0 else 0.0
 

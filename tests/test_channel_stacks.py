@@ -18,12 +18,12 @@ from calderon.csalg import (
     map_members,
     opnorm,
     shape_groups,
+    singular_values,
 )
 from calderon.dirac import (
     CollarGrid,
     ProductDiracModel,
     _scalar_systems,
-    _singular_values,
     _values_to_channels,
     build_double,
     exact_channel,
@@ -84,9 +84,9 @@ def test_map_members_is_the_one_call_in_order(
     def func(part):
         start = index[part[0].tobytes()]
         calls.append((start, len(part), threading.get_ident()))
-        return _singular_values(part)
+        return singular_values(part)
 
-    assert np.array_equal(map_members(func, stack), _singular_values(stack))
+    assert np.array_equal(map_members(func, stack), singular_values(stack))
     calls.sort()
     assert [(start, size) for start, size, _ in calls] == list(
         zip(np.cumsum([0] + chunks[:-1]), chunks)
@@ -106,9 +106,9 @@ def test_map_members_raises_after_every_chunk(bad_chunk, monkeypatch):
 
     def func(part):
         if np.isnan(part).any():
-            return _singular_values(part)
+            return singular_values(part)
         time.sleep(0.05)
-        out = _singular_values(part)
+        out = singular_values(part)
         finished.append(len(part))
         return out
 
@@ -152,7 +152,9 @@ def test_map_members_from_many_threads(rng, monkeypatch):
     results = [None] * len(stacks)
 
     def caller(k):
-        results[k] = [map_members(_singular_values, stacks[k]) for _ in range(20)]
+        results[k] = [
+            map_members(singular_values, stacks[k]) for _ in range(20)
+        ]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -172,7 +174,7 @@ def test_map_members_from_many_threads(rng, monkeypatch):
             pool.shutdown()
     assert len(created) == 1
     for stack, res in zip(stacks, results):
-        ref = _singular_values(stack)
+        ref = singular_values(stack)
         assert len(res) == 20
         assert all(np.array_equal(r, ref) for r in res)
 

@@ -275,6 +275,32 @@ def test_tangential_blocks_of_an_accepted_v_have_finite_norms(tmp_path):
     assert np.isfinite(tanh).all() and np.isfinite(sech).all()
 
 
+@pytest.mark.parametrize(
+    "base, amplitude",
+    [
+        ({"kind": "zero"}, 8e307),
+        ({"kind": "diag", "values": [1e307, -1e307]}, 1e307),
+    ],
+    ids=["combination", "eigenvalue-gaps"],
+)
+def test_overflowing_v_samples_end_as_fail_entries(tmp_path, base, amplitude):
+    """A cosine V(y) with finite samples whose commutant split overflows,
+    in the combination of the samples (zero base) or in the gaps of its
+    eigenvalues (base diag(1e307, -1e307)), is refused: with RuntimeWarning
+    an error (as the suite runs), every task ends as a fail entry carrying
+    the refusal."""
+    out = tmp_path / "out"
+    raw = near_overflow_config(out, 1.0)
+    raw["model"]["v"] = dict(kind="cosine", base=base, amplitude=amplitude)
+    report = cli.run_scenario(parse_config(raw))
+    tasks = strict_report(out)["tasks"]
+    assert report["status"] == "fail"
+    assert [t["name"] for t in tasks] == ["double", "calderon", "index"]
+    for t in tasks:
+        assert t["status"] == "fail"
+        assert "v samples overflow" in t["metrics"]["error"]
+
+
 def test_integral_float_table_parses(tmp_path):
     """Table entries are read as integers, as ``algebra.n`` is: 1.0 is 1."""
     raw = segment_config(tmp_path / "out")
@@ -623,8 +649,6 @@ def test_exact_blocks_are_built_once_per_scenario(tmp_path, monkeypatch):
         return tanh_sech(a)
 
     monkeypatch.setattr(dirac, "tanh_sech", counting_tanh_sech)
-    # the projector holds its own reference, for the symbol ladder
-    monkeypatch.setattr(projector, "tanh_sech", counting_tanh_sech)
     cfg = parse_config(cylinder_config(tmp_path / "out"))
     assert cfg["tasks"] == ["double", "calderon", "index"]
     report = cli.run_scenario(cfg)
@@ -1000,6 +1024,27 @@ def test_every_svd_goes_through_np_linalg_svd(tmp_path, monkeypatch, make):
     report = cli.run_scenario(parse_config(make(tmp_path / "out")))
     assert report["status"] == "pass"
     assert calls == []
+
+
+@pytest.mark.parametrize("make", [cylinder_config, group_config])
+def test_every_values_only_svd_is_csalg_singular_values(
+    tmp_path, monkeypatch, make
+):
+    # the values-only SVD has one home, so a faster one is a one-place edit:
+    # the caller of every compute_uv=False call is csalg.singular_values
+    callers, svd = [], np.linalg.svd
+
+    def recording_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        if not compute_uv:
+            code = sys._getframe(1).f_code
+            callers.append((code.co_filename, code.co_name))
+        return svd(a, full_matrices, compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    report = cli.run_scenario(parse_config(make(tmp_path / "out")))
+    assert report["status"] == "pass"
+    home = (csalg.singular_values.__code__.co_filename, "singular_values")
+    assert callers and set(callers) == {home}
 
 
 # -- selfcheck and plumbing ---------------------------------------------

@@ -10,7 +10,7 @@ import scipy.linalg
 
 from calderon import dirac
 from calderon.cli import builtin_fixtures, parse_config
-from calderon.csalg import CStarAlgebra, adjoint_defect, herm, opnorm
+from calderon.csalg import CStarAlgebra, adjoint_defect, dagger, herm, opnorm
 from calderon.dirac import (
     CollarFunction,
     CollarGrid,
@@ -344,7 +344,10 @@ def test_channel_defects_bound_the_assembled_ones(name, model, grid):
     if channels[0].coupled:
         assert delta == channels[0].split["commutant_unitarity_defect"]
     else:
-        assert delta == model.holonomy_basis_defect()
+        # the eigenphase bases of the holonomy, side by side
+        w = np.concatenate([b for _, b in model.holonomy_channels()], axis=1)
+        gram = dagger(w) @ w - np.eye(model.rm)
+        assert delta == (float(opnorm(gram)) if gram.any() else 0.0)
     # delta is that of the embeddings of the channels of one frequency
     frame = np.concatenate(
         [ch.embedding for ch in channels if ch.eta == channels[0].eta], axis=1
@@ -372,6 +375,23 @@ def test_channel_defects_bound_the_assembled_ones(name, model, grid):
         assert diag[key] >= ref * (1.0 - 1e-12), key
     if name == "cylinder-M2-rotated-holonomy":
         assert delta > 0.0
+
+
+def test_diagnostics_read_delta_from_the_channels(monkeypatch):
+    """The projector's diagnostics read delta from the fiber bases of its
+    own channels: with the model's holonomy split made to raise, they
+    return the same delta > 0 and defects."""
+    proj = calderon_projector(
+        build_double(rotated_holonomy_model(), CollarGrid(16, 8, "chebyshev"))
+    )
+    before = proj.diagnostics()
+    assert before["embedding_unitarity_defect"] > 0.0
+
+    def refuse():
+        raise AssertionError("diagnostics split the holonomy again")
+
+    monkeypatch.setattr(proj.model, "holonomy_channels", refuse)
+    assert proj.diagnostics() == before
 
 
 @pytest.mark.parametrize("seed", range(8))

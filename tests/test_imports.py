@@ -1,8 +1,11 @@
 """Every name a module of the package or of the test suite imports is
-used in it."""
+used in it, and every function and class the package defines is named
+somewhere besides its definition."""
 
 import ast
+import collections
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -37,3 +40,31 @@ def test_no_unused_imports():
     )
     assert len(paths) > 10
     assert [u for p in paths for u in unused_imports(p)] == []
+
+
+def dead_definitions():
+    """The functions and classes (methods too, dunders aside) defined in
+    ``src/calderon`` whose name appears, as a word, nowhere in the Python
+    files of ``src/``, ``tests/`` or ``benchmarks/`` but at its own
+    definition, as "file:line name"."""
+    words = collections.Counter()
+    for d in ("src", "tests", "benchmarks"):
+        for p in (ROOT / d).rglob("*.py"):
+            words.update(re.findall(r"\w+", p.read_text()))
+    dead = []
+    for path in sorted(ROOT.glob("src/calderon/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("__"):
+                continue
+            if words[node.name] < 2:
+                dead.append(
+                    "%s:%d %s"
+                    % (path.relative_to(ROOT), node.lineno, node.name)
+                )
+    return dead
+
+
+def test_no_dead_definitions():
+    assert dead_definitions() == []

@@ -763,17 +763,17 @@ def test_symbol_limit_ladder(built):
 
 
 def test_symbol_limit_takes_no_svd(built, monkeypatch):
-    # the u=0 blocks come from one tanh_sech of the ladder's stack; the
-    # kernel count of exact_channel (one SVD) is not taken, so the only SVD
-    # is the one stacked 2-norm of the deltas
+    # the u=0 blocks come from one exact_projector_block, so one tanh_sech,
+    # of the ladder's stack; the kernel count of exact_channel (one SVD) is
+    # not taken, so the only SVD is the one stacked 2-norm of the deltas
     model, _, _ = built
     calls, stacks = [], []
-    svd, tanh_sech = np.linalg.svd, projector.tanh_sech
+    svd, tanh_sech = np.linalg.svd, dirac.tanh_sech
     monkeypatch.setattr(
         np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k)
     )
     monkeypatch.setattr(
-        projector,
+        dirac,
         "tanh_sech",
         lambda b: stacks.append(b.shape[:-2]) or tanh_sech(b),
     )
